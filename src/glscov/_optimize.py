@@ -4,22 +4,30 @@ Objectives are evaluated in log space by the callers; a value of -inf marks an
 infeasible point and is simply never selected.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+
+#: scan tables kept at once (about 36 kB each).  The size caps what the cache
+#: holds however many generating functions a caller keeps alive; the sups of
+#: one psi use at most three tables (fundamental, truncated, conjugate).
+TABLE_CACHE_SIZE = 8
 
 
 def golden_max(f, a, b, tol=1e-12, max_iter=200):
     """Golden-section maximization of a scalar function on [a, b].
 
     Returns (x_best, f_best) over every point actually evaluated, so a
-    boundary maximum found by the caller's grid is never lost.
+    boundary maximum found by the caller's grid is never lost.  When both
+    interior probes are infeasible (-inf) the bracket shrinks toward the end
+    with the larger value, which keeps a sup that sits on an infeasibility
+    boundary inside the bracket.
     """
-    best_x, best_f = a, f(a)
-    fb = f(b)
-    if fb > best_f:
-        best_x, best_f = b, fb
+    fa, fb = f(a), f(b)
+    best_x, best_f = (b, fb) if fb > fa else (a, fa)
     dist = b - a
     if dist <= tol:
         return best_x, best_f
@@ -33,37 +41,26 @@ def golden_max(f, a, b, tol=1e-12, max_iter=200):
             best_x, best_f = d, fd
         if dist <= tol:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
+        if fc > fd or (fc == fd == -np.inf and fa > fb):
+            b, fb, d, fd = d, fd, c, fc
             dist *= _INV_PHI
             c = a + _INV_PHI2 * dist
             fc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, fa, c, fc = c, fc, d, fd
             dist *= _INV_PHI
             d = a + _INV_PHI * dist
             fd = f(d)
     return best_x, best_f
 
 
-def grid_golden_max(f_vec, lo, hi, n=2048, extra=None, refine=True, tol=1e-12):
-    """Maximize a vectorized function on [lo, hi].
+def grid_golden_max(xs, fs, f, refine=True, tol=1e-12):
+    """Maximize an objective given by its values `fs` on the sorted grid `xs`.
 
-    Dense grid scan (optionally augmented with caller-supplied `extra`
-    abscissae), then golden-section refinement on the cell bracketing the
-    best grid point.  Returns (x_best, f_best); f_best is -inf when the
-    objective is -inf everywhere.
+    Takes the best grid point, then refines by golden-section search with the
+    scalar objective `f` on the cell bracketing it.  Returns (x_best, f_best);
+    f_best is -inf when the objective is -inf everywhere.
     """
-    if hi < lo:
-        return lo, -np.inf
-    if hi == lo:
-        return lo, float(f_vec(np.array([lo]))[0])
-    xs = np.linspace(lo, hi, n)
-    if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        extra = extra[(extra >= lo) & (extra <= hi)]
-        xs = np.unique(np.concatenate([xs, extra]))
-    fs = np.asarray(f_vec(xs), dtype=float)
     i = int(np.argmax(fs))
     best_x, best_f = float(xs[i]), float(fs[i])
     if not np.isfinite(best_f) or not refine:
@@ -71,9 +68,28 @@ def grid_golden_max(f_vec, lo, hi, n=2048, extra=None, refine=True, tol=1e-12):
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, len(xs) - 1)])
     if b > a:
-        x, fx = golden_max(
-            lambda t: float(f_vec(np.array([t]))[0]), a, b, tol=tol * max(1.0, hi - lo)
-        )
+        x, fx = golden_max(f, a, b, tol=tol * max(1.0, float(xs[-1] - xs[0])))
         if fx > best_f:
             best_x, best_f = x, fx
     return best_x, best_f
+
+
+def scan_grid(lo, hi, n, extra):
+    """linspace(lo, hi, n) merged with the `extra` abscissae inside [lo, hi]."""
+    extra = extra[(extra >= lo) & (extra <= hi)]
+    return np.unique(np.concatenate([np.linspace(lo, hi, n), extra]))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def psi_table(psi, grid, lo, hi, n):
+    """A scan grid of [lo, hi] and ln psi on it, built once per argument set.
+
+    `grid(psi, lo, hi, n)` returns the abscissae xs and the exponents p they
+    stand for; the result is (xs, ln psi(p)).  Both arrays are read-only,
+    since every caller shares them.
+    """
+    xs, ps = grid(psi, lo, hi, n)
+    logs = psi.log_eval(ps)
+    xs.flags.writeable = False
+    logs.flags.writeable = False
+    return xs, logs

@@ -8,7 +8,7 @@ factorization analysis, and a generic kernel engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +22,7 @@ from .fundamental import (
     g_prime,
     truncated_sup_value,
 )
-from .psi import conjugate_exponent, product_zeta, scan_bound
+from .psi import _conjugate_scalar, conjugate_exponent, product_zeta, scan_bound
 
 #: margin keeping two-exponent grids strictly inside the open region 1/p + 1/q < 1
 _T_MARGIN = 1e-9
@@ -207,19 +207,17 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512, inner_grid=256):
     la = math.log(alpha)
     u_lo = 1.0 / scan_bound(psi)
 
-    def objective(us):
-        out = np.empty(len(us))
-        logs = psi.log_eval(1.0 / np.asarray(us))
-        for k, (u, lp) in enumerate(zip(us, logs)):
-            if math.isinf(lp):
-                out[k] = -math.inf
-                continue
-            s = float(conjugate_exponent(np.array([1.0 / u]))[0])
-            inner = truncated_sup_value(nu, s, alpha, n_grid=inner_grid)
-            out[k] = -math.inf if inner <= 0 else u * la - lp + math.log(inner)
-        return out
+    def objective(u):
+        lp = psi.log_eval_scalar(1.0 / u)
+        if math.isinf(lp):
+            return -math.inf
+        s = _conjugate_scalar(1.0 / u)
+        inner = truncated_sup_value(nu, s, alpha, n_grid=inner_grid)
+        return -math.inf if inner <= 0 else u * la - lp + math.log(inner)
 
-    _, best = grid_golden_max(objective, u_lo, 1.0, n=n_grid, refine=True, tol=1e-12)
+    us = np.linspace(u_lo, 1.0, n_grid)
+    fs = np.array([objective(u) for u in us.tolist()])
+    _, best = grid_golden_max(us, fs, objective, tol=1e-12)
     return 0.0 if best == -math.inf else float(math.exp(best))
 
 
@@ -426,8 +424,10 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             q = conjugate_exponent(p)
             return _neg_log_kernel(h, psi, nu, p, q)
 
-        lo = max(u_cap, 1e-12)
-        u, best = grid_golden_max(objective, lo, 1.0, n=n_grid, refine=True)
+        us = np.linspace(max(u_cap, 1e-12), 1.0, n_grid)
+        u, best = grid_golden_max(
+            us, objective(us), lambda t: float(objective(np.array([t]))[0])
+        )
         if best == -math.inf:
             return _infeasible("generic", "empty domain")
         p = 1.0 / u

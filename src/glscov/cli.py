@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, is_dataclass
 
@@ -388,7 +387,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    os.environ.setdefault("GLSCOV_THREADS", "1")  # honored: everything is serial
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -149,21 +149,37 @@ def _exact_lps(space, xi, ps):
 
 def gls_norm_exact(space, xi, psi, n_grid=512, refine=True):
     """sup over p of |xi|_p / psi(p), using exact moments at every scanned p."""
+    return _gls_norms_exact(space, xi, (psi,), n_grid, refine)[0]
+
+
+def _gls_norms_exact(space, xi, psis, n_grid, refine):
+    """gls_norm_exact of xi for each psi in `psis`, which share one scan bound.
+
+    The exact moment curve of xi on the shared grid is computed once.
+    """
     x = np.abs(xi.values)
     nz = x > 0
     if not np.any(nz):
-        return 0.0
+        return [0.0] * len(psis)
     logw = np.log(space.atom_probs[nz])
     logx = np.log(x[nz])
-    u_lo = 1.0 / scan_bound(psi)
 
-    def objective(us):
-        ps = 1.0 / np.asarray(us)
-        lse = logsumexp(logw[None, :] + ps[:, None] * logx[None, :], axis=1)
-        return lse / ps - psi.log_eval(ps)
+    def log_norms(ps):
+        return logsumexp(logw[None, :] + ps[:, None] * logx[None, :], axis=1) / ps
 
-    _, best = grid_golden_max(objective, u_lo, 1.0, n=n_grid, refine=refine)
-    return 0.0 if best == -math.inf else float(math.exp(best))
+    us = np.linspace(1.0 / scan_bound(psis[0]), 1.0, n_grid)
+    ps = 1.0 / us
+    curve = log_norms(ps)
+    out = []
+    for psi in psis:
+
+        def objective(t, psi=psi):
+            p = np.array([1.0 / t])
+            return float((log_norms(p) - psi.log_eval(p))[0])
+
+        _, best = grid_golden_max(us, curve - psi.log_eval(ps), objective, refine=refine)
+        out.append(0.0 if best == -math.inf else float(math.exp(best)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +250,8 @@ def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
         out.append((f"ibragimov({p:g})", rep.value))
     out.append(("holder(2)", _bounds.holder_bound(lp_xi[2.0], lp_eta[2.0]).value))
     psi1, psi2 = power(1.0), power(2.0)
-    nx1 = gls_norm_exact(space, xi, psi1, n_grid=n_grid, refine=False)
+    nx1, nx2 = _gls_norms_exact(space, xi, (psi1, psi2), n_grid, refine=False)
     ne2 = gls_norm_exact(space, eta, psi2, n_grid=n_grid, refine=False)
-    nx2 = gls_norm_exact(space, xi, psi2, n_grid=n_grid, refine=False)
     rep = _bounds.gls_strong_bound(psi1, psi2, beta, nx1, ne2, n_grid=n_grid, refine=False)
     if rep.feasible:
         out.append(("gls_strong", rep.value))

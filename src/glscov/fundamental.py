@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import grid_golden_max
+from ._optimize import grid_golden_max, psi_table, scan_grid
 from .errors import DomainError
-from .psi import P_MAX, scan_bound
-
-#: grid points used near a finite support bound (geometric toward p -> b)
-_N_EDGE = 64
+from .psi import scan_bound
 
 
 @dataclass(frozen=True)
@@ -31,6 +28,16 @@ class FundamentalResult:
     delta: float
     boundary: str | None = None  # at_one | at_b | at_infinity
     trunc_low: float = 1.0
+
+
+def _u_grid(psi, lo, hi, n):
+    """Scan grid in u = 1/p and its exponents: uniform plus geometric, and for
+    a finite support bound 64 more points geometric toward p -> b (u -> lo)."""
+    extra = [np.geomspace(lo, hi, 128)]
+    if math.isfinite(psi.b):
+        extra.append(lo + (hi - lo) * np.logspace(-12, 0, 64))
+    us = scan_grid(lo, hi, n, np.concatenate(extra))
+    return us, 1.0 / us
 
 
 def _sup(psi, delta, s, n_grid, refine):
@@ -45,17 +52,10 @@ def _sup(psi, delta, s, n_grid, refine):
     log_delta = math.log(delta)
 
     def objective(u):
-        return u * log_delta - psi.log_eval(1.0 / u)
+        return u * log_delta - psi.log_eval_scalar(1.0 / u)
 
-    extra = np.geomspace(u_lo, u_hi, _N_EDGE * 2)
-    if math.isfinite(psi.b):
-        # refine geometrically toward p -> b (u -> u_lo)
-        extra = np.concatenate(
-            [extra, u_lo + (u_hi - u_lo) * np.logspace(-12, 0, _N_EDGE)]
-        )
-    u_best, f_best = grid_golden_max(
-        objective, u_lo, u_hi, n=n_grid, extra=extra, refine=refine
-    )
+    us, logs = psi_table(psi, _u_grid, u_lo, u_hi, n_grid)
+    u_best, f_best = grid_golden_max(us, us * log_delta - logs, objective, refine=refine)
     if f_best == -math.inf:
         return None
     return u_best, f_best, u_lo, u_hi
@@ -177,7 +177,7 @@ def g_transform(psi, x):
     p = 1.0 / x
     if p < 1.0:
         raise DomainError("1/x lies outside the support of psi")
-    val = float(psi.log_eval(np.array([p]))[0])
+    val = psi.log_eval_scalar(p)
     if math.isinf(val):
         raise DomainError("1/x lies outside the support of psi")
     return -val

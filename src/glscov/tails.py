@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import grid_golden_max
+from ._optimize import grid_golden_max, psi_table, scan_grid
 from .errors import DomainError
 from .psi import scan_bound
 
@@ -17,7 +17,7 @@ def v_of(psi, p):
     """v(p) = p ln psi(p); +inf outside the support."""
     if p < 1.0:
         raise DomainError("p must lie in [1, infinity)")
-    return float(p * psi.log_eval(np.array([float(p)]))[0])
+    return p * psi.log_eval_scalar(float(p))
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,12 @@ class ConjugateInfo:
     value: float
     argmax_p: float
     unbounded_at_cap: bool
+
+
+def _p_grid(psi, lo, hi, n):
+    """Scan grid in p: uniform on [lo, hi], plus 256 uniform on [1, min(hi, 64)]."""
+    ps = scan_grid(lo, hi, n, np.linspace(1.0, min(hi, 64.0), 256))
+    return ps, ps
 
 
 def conjugate_info(psi, x, n_grid=2048):
@@ -36,21 +42,18 @@ def conjugate_info(psi, x, n_grid=2048):
     p_cap = scan_bound(psi)
 
     def objective(p):
-        logs = psi.log_eval(p)
-        with np.errstate(invalid="ignore"):
-            out = p * (x - logs)
-        return np.where(np.isinf(logs), -np.inf, out)
+        logs = psi.log_eval_scalar(p)
+        return -math.inf if math.isinf(logs) else p * (x - logs)
 
-    extra = np.linspace(1.0, min(p_cap, 64.0), 256)
-    p_best, f_best = grid_golden_max(
-        objective, 1.0, p_cap, n=n_grid, extra=extra, refine=True, tol=1e-13
-    )
+    ps, logs = psi_table(psi, _p_grid, 1.0, p_cap, n_grid)
+    with np.errstate(invalid="ignore"):
+        fs = np.where(np.isinf(logs), -np.inf, ps * (x - logs))
+    p_best, f_best = grid_golden_max(ps, fs, objective, tol=1e-13)
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")
     unbounded = False
     if math.isinf(psi.b) and p_best >= p_cap * (1 - 1e-9):
-        probe = float(objective(np.array([p_cap * (1 - 1e-6)]))[0])
-        unbounded = f_best > probe
+        unbounded = f_best > objective(p_cap * (1 - 1e-6))
     return ConjugateInfo(float(f_best), float(p_best), unbounded)
 
 

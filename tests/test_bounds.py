@@ -69,6 +69,24 @@ def test_gls_strong_extremal_conjugate_pair_is_ibragimov():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "r1, r2, beta",
+    [
+        (6.282397375677437, 3.093892051878416, 0.003145331212460275),
+        (4.0485849323659995, 5.862024348008664, 0.0010676423700780211),
+        (5.950322602701101, 5.2696340188602155, 0.00017947927773594524),
+        (6.128622704213797, 6.358730559790118, 0.008608610328017146),
+        (6.545428644346871, 5.347148237677143, 0.0004945666383584367),
+    ],
+)
+def test_gls_strong_extremal_pair_sup_on_the_support_edge(r1, r2, beta):
+    # zeta is finite only for p in [r2', r1] and the sup sits at p = r2', so
+    # the golden-section search must close in on that edge from the feasible
+    # side: the bound is Ibragimov's 2 beta^(1 - 1/r2)
+    got = gls_strong_bound(extremal(r1), extremal(r2), beta, 1.0, 1.0).value
+    assert got == pytest.approx(2.0 * beta ** (1.0 - 1.0 / r2), rel=1e-9)
+
+
 def test_dual_pair_identity():
     # nu = dual(psi) makes the product zeta = psi^2, so the strong bound equals
     # the specialized dual-pair formula
