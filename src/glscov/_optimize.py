@@ -12,8 +12,10 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 #: scan tables kept at once (about 36 kB each).  The size caps what the cache
-#: holds however many generating functions a caller keeps alive; the sups of
-#: one psi use at most three tables (fundamental, truncated, conjugate).
+#: holds however many generating functions a caller keeps alive; the 1-D sups
+#: of one psi use at most three tables (fundamental, truncated, conjugate),
+#: and a two-exponent bound on (psi, nu) adds one triangle axis per function
+#: and the nested route's table of nu.
 TABLE_CACHE_SIZE = 8
 
 

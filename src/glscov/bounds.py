@@ -9,20 +9,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._optimize import golden_max, grid_golden_max
+from ._optimize import golden_max, grid_golden_max, psi_table
 from .errors import DomainError
 from .fundamental import (
+    _u_grid,
     finite_support_constant,
     fundamental,
     fundamental_truncated,
     g_prime,
-    truncated_sup_value,
 )
-from .psi import _conjugate_scalar, conjugate_exponent, product_zeta, scan_bound
+from .psi import conjugate_exponent, product_zeta, scan_bound
 
 #: margin keeping two-exponent grids strictly inside the open region 1/p + 1/q < 1
 _T_MARGIN = 1e-9
@@ -125,98 +124,186 @@ class UniformPhi:
     q: float
 
 
-@lru_cache(maxsize=64)
-def _triangle_axis(lo, n_grid):
-    """phi_uniform's grid on [lo, 1]: uniform plus geometric near lo.
+def _triangle_grid(psi, lo, hi, n):
+    """phi_uniform's axis on [lo, hi] in u = 1/p: uniform plus n/4 geometric
+    points, denser near lo; a `psi_table` grid."""
+    xs = np.unique(np.concatenate([np.linspace(lo, hi, n), np.geomspace(lo, hi, n // 4)]))
+    return xs, 1.0 / xs
 
-    Cached because the campaign asks for the same few grids thousands of
-    times; the array is read-only since every caller shares it.
+
+def _axis(psi, log_x, n_grid):
+    """One axis of the triangle: its grid in u = 1/p and u ln x - ln psi(1/u)."""
+    us, logs = psi_table(psi, _triangle_grid, 1.0 / scan_bound(psi), 1.0, n_grid)
+    with np.errstate(invalid="ignore"):
+        vals = us * log_x - logs
+    return us, np.where(np.isnan(vals), -np.inf, vals)
+
+
+def _running_max(c):
+    """Prefix maximum of c and the first index attaining it."""
+    run = np.maximum.accumulate(c)
+    new = np.concatenate([[True], c[1:] > run[:-1]])
+    return run, np.maximum.accumulate(np.where(new, np.arange(c.size), 0))
+
+
+def _triangle_grid_best(us, a, ws, c):
+    """Best grid point (i, j, a[i] + c[j]) with us[i] + ws[j] <= 1 - margin.
+
+    The admissible j for one i are a prefix of the sorted ws, so the best of
+    a row is a[i] plus a running maximum of c.  This is the masked n x n
+    argmax (same value, same first-occurrence index) in O(n log n); the value
+    is -inf when no grid point is admissible.
     """
-    xs = np.unique(np.concatenate([np.linspace(lo, 1.0, n_grid),
-                                   np.geomspace(lo, 1.0, n_grid // 4)]))
-    xs.flags.writeable = False
-    return xs
+    edge = 1.0 - _T_MARGIN
+    n = ws.size
+    # k[i] = number of admissible j.  searchsorted on edge - us can round the
+    # other way than the sum us[i] + ws[j] that defines admissibility, so
+    # step k until the sum agrees on both sides of the cut.
+    k = np.searchsorted(ws, edge - us, side="right")
+    while True:
+        up = (k < n) & (us + ws[np.minimum(k, n - 1)] <= edge)
+        down = (k > 0) & (us + ws[np.maximum(k - 1, 0)] > edge)
+        if not (up.any() or down.any()):
+            break
+        k = k + up - down
+    run, arg = _running_max(c)
+    last = np.maximum(k - 1, 0)
+    rows = np.where(k > 0, a + run[last], -np.inf)
+    i = int(np.argmax(rows))
+    return i, int(arg[last[i]]), float(rows[i])
+
+
+def _cell_max(f, xs, i, cap):
+    """golden_max of f on the two grid cells around xs[i], clipped at cap.
+
+    Returns (x, f(x)), or None when the clipped cells are empty.
+    """
+    lo = float(xs[max(i - 1, 0)])
+    hi = min(float(xs[min(i + 1, xs.size - 1)]), cap)
+    return golden_max(f, lo, hi, tol=1e-13) if hi > lo else None
+
+
+def _cell_polish(f, us, ws, i, j, best, cap):
+    """Golden-section moves of the grid point (us[i], ws[j]) inside its own
+    cells, first in u and then in w, keeping u + w <= cap.
+
+    Where the objective is not concave its grid-best can hold a local sup
+    that no other candidate reaches.  Returns (u, w, value).
+    """
+    u, w = float(us[i]), float(ws[j])
+    cell = _cell_max(lambda t: f(t, w), us, i, cap - w)
+    if cell is not None and cell[1] > best:
+        u, best = cell
+    cell = _cell_max(lambda t: f(u, t), ws, j, cap - u)
+    if cell is not None and cell[1] > best:
+        w, best = cell
+    return u, w, best
+
+
+def _edge_max(f, u_lo, w_lo):
+    """Golden-section max of f(u, w) along the edge u + w = 1 - margin.
+
+    Coordinate moves stall there, so the triangle sups search it explicitly.
+    Returns (u, w, value), or None when the edge misses [u_lo, 1] x [w_lo, 1].
+    """
+    edge = 1.0 - _T_MARGIN
+    lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
+    if hi <= lo:
+        return None
+    t, ft = golden_max(lambda t: f(t, edge - t), lo, hi, tol=1e-13)
+    return t, edge - t, ft
 
 
 def phi_uniform(psi, nu, alpha, beta, n_grid=512, refine=True):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
-    Grid over the open triangle in (u, w) = (1/p, 1/q), then coordinate
-    golden-section refinement.  Returns a UniformPhi (value 0.0 when the
-    admissible region carries no finite point).
+    In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable.  a
+    and c come from cached per-psi tables, and the grid-best over the
+    triangle from a running maximum of c.  Refinement keeps the best of:
+    the grid-best polished inside its own cells; the product point of the
+    two 1-D sups, when it lies in the triangle (the factorization); and a
+    golden-section search along the edge u + w = 1.  For concave a and c,
+    which every built-in kind gives except a tabulated psi with non-monotone
+    knot slopes, the sup is one of the last two.  Every candidate is an
+    evaluated admissible point, so the value is a lower estimate for any
+    psi.  Returns a UniformPhi (value 0.0 when the admissible region carries
+    no finite point).
     """
     _check_unit(alpha, "alpha")
     _check_unit(beta, "beta")
     la = math.log(alpha) if alpha > 0 else -math.inf
     lb = math.log(beta) if beta > 0 else -math.inf
-    u_lo = 1.0 / scan_bound(psi)
-    w_lo = 1.0 / scan_bound(nu)
-    us, ws = _triangle_axis(u_lo, n_grid), _triangle_axis(w_lo, n_grid)
-    with np.errstate(invalid="ignore"):
-        a = us * la - psi.log_eval(1.0 / us)
-        c = ws * lb - nu.log_eval(1.0 / ws)
-    a = np.where(np.isnan(a), -np.inf, a)
-    c = np.where(np.isnan(c), -np.inf, c)
-    f = a[:, None] + c[None, :]
-    f[us[:, None] + ws[None, :] > 1.0 - _T_MARGIN] = -np.inf
-    i, j = np.unravel_index(np.argmax(f), f.shape)
-    best = f[i, j]
+    us, a = _axis(psi, la, n_grid)
+    ws, c = _axis(nu, lb, n_grid)
+    i, j, best = _triangle_grid_best(us, a, ws, c)
     if best == -math.inf:
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
     u, w = float(us[i]), float(ws[j])
-
-    def f_u(t):
-        return t * la - psi.log_eval_scalar(1.0 / t)
-
-    def f_w(t):
-        return t * lb - nu.log_eval_scalar(1.0 / t)
-
     if refine:
-        for _ in range(3):
-            hi_u = min(1.0, 1.0 - w - _T_MARGIN)
-            if hi_u > u_lo:
-                u2, fu = golden_max(f_u, u_lo, hi_u, tol=1e-13)
-                if fu + f_w(w) > best:
-                    u, best = u2, fu + f_w(w)
-            hi_w = min(1.0, 1.0 - u - _T_MARGIN)
-            if hi_w > w_lo:
-                w2, fw = golden_max(f_w, w_lo, hi_w, tol=1e-13)
-                if f_u(u) + fw > best:
-                    w, best = w2, f_u(u) + fw
-        # coordinate moves stall when the sup sits on u + w = 1; slide along
-        # that edge explicitly
+
+        def f_u(t):
+            return t * la - psi.log_eval_scalar(1.0 / t)
+
+        def f_w(t):
+            return t * lb - nu.log_eval_scalar(1.0 / t)
+
+        def f(s, t):
+            return f_u(s) + f_w(t)
+
         edge = 1.0 - _T_MARGIN
-
-        def f_edge(t):
-            return f_u(t) + f_w(edge - t)
-
-        lo_e, hi_e = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
-        if hi_e > lo_e:
-            t2, fe = golden_max(f_edge, lo_e, hi_e, tol=1e-13)
-            if fe > best:
-                u, w, best = t2, edge - t2, fe
+        u, w, best = _cell_polish(f, us, ws, i, j, best, edge)
+        u1, fu = grid_golden_max(us, a, f_u, tol=1e-13)
+        w1, fw = grid_golden_max(ws, c, f_w, tol=1e-13)
+        if u1 + w1 <= edge and fu + fw > best:
+            u, w, best = u1, w1, fu + fw
+        on_edge = _edge_max(f, float(us[0]), float(ws[0]))
+        if on_edge is not None and on_edge[2] > best:
+            u, w, best = on_edge
     return UniformPhi(alpha, beta, float(math.exp(best)), 1.0 / u, 1.0 / w)
 
 
 def phi_uniform_theta(psi, nu, alpha, n_grid=512, inner_grid=256):
     """The same sup via the nested route: sup_p alpha^(1/p)/theta(p) with
-    theta(p) = psi(p) / (sup over q >= p' of alpha^(1/q)/nu(q))."""
+    theta(p) = psi(p) / (sup over q >= p' of alpha^(1/q)/nu(q)).
+
+    In u = 1/p the inner sup runs over w = 1/q in [1/b_nu, 1 - u].  It comes
+    from one cached table of c(w) = w ln alpha - ln nu(1/w) and its running
+    maximum, together with c(1 - u).  The outer scan uses that grid value;
+    its golden-section probes also refine the inner sup on the cell around
+    the running argmax, clipped at 1 - u.
+    """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
     u_lo = 1.0 / scan_bound(psi)
+    w_lo = 1.0 / scan_bound(nu)
+    ws, logs = psi_table(nu, _u_grid, w_lo, 1.0, inner_grid)
+    run, arg = _running_max(ws * la - logs)
+
+    def c_of(w):
+        return w * la - nu.log_eval_scalar(1.0 / w)
 
     def objective(u):
         lp = psi.log_eval_scalar(1.0 / u)
-        if math.isinf(lp):
+        top = 1.0 - u
+        if math.isinf(lp) or top < w_lo:
             return -math.inf
-        s = _conjugate_scalar(1.0 / u)
-        inner = truncated_sup_value(nu, s, alpha, n_grid=inner_grid)
-        return -math.inf if inner <= 0 else u * la - lp + math.log(inner)
+        k = int(np.searchsorted(ws, top, side="right")) - 1
+        inner = max(float(run[k]), c_of(top))
+        cell = _cell_max(c_of, ws, int(arg[k]), top) if math.isfinite(run[k]) else None
+        if cell is not None:
+            inner = max(inner, cell[1])
+        return u * la - lp + inner
 
     us = np.linspace(u_lo, 1.0, n_grid)
-    fs = np.array([objective(u) for u in us.tolist()])
+    tops = 1.0 - us
+    tops = tops[tops >= w_lo]  # a prefix, since us increases
+    inner = np.full(n_grid, -np.inf)
+    inner[: tops.size] = np.maximum(
+        run[np.searchsorted(ws, tops, side="right") - 1], tops * la - nu.log_eval(1.0 / tops)
+    )
+    fs = us * la - psi.log_eval(1.0 / us) + inner
     _, best = grid_golden_max(us, fs, objective, tol=1e-12)
     return 0.0 if best == -math.inf else float(math.exp(best))
 
@@ -415,6 +502,14 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     `h` must accept ndarray exponent pairs and return non-negative values.
     `domain` is "T" (open triangle 1/p+1/q<1), "R" (full quadrant),
     "conjugate" (the line q = p/(p-1)), or ((p_lo, p_hi), (q_lo, q_hi)).
+
+    The inf becomes a sup of -ln(h psi nu) in (u, w) = (1/p, 1/q).  psi and nu
+    are evaluated once on each grid axis and h on the whole grid.  The best
+    grid point is refined by golden-section moves inside its own cells, then
+    along each coordinate in turn (h need not be separable); on "T" a
+    golden-section search along the edge u + w = 1, where coordinate moves
+    stall, competes with them.  Probes evaluate psi and nu by
+    `log_eval_scalar` and h on one-element arrays.
     """
     u_cap = 1.0 / scan_bound(psi)
     w_cap = 1.0 / scan_bound(nu)
@@ -422,7 +517,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         def objective(us):
             p = 1.0 / np.asarray(us)
             q = conjugate_exponent(p)
-            return _neg_log_kernel(h, psi, nu, p, q)
+            return _neg_log_kernel(h(p, q), psi.log_eval(p), nu.log_eval(q))
 
         us = np.linspace(max(u_cap, 1e-12), 1.0, n_grid)
         u, best = grid_golden_max(
@@ -446,47 +541,54 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         tri = False
     us = np.linspace(u_rng[0], u_rng[1], n_grid)
     ws = np.linspace(w_rng[0], w_rng[1], n_grid)
-    P, Q = 1.0 / us[:, None], 1.0 / ws[None, :]
-    f = _neg_log_kernel(h, psi, nu, np.broadcast_to(P, (len(us), len(ws))),
-                        np.broadcast_to(Q, (len(us), len(ws))))
+    ps, qs = 1.0 / us, 1.0 / ws
+    P, Q = np.broadcast_arrays(ps[:, None], qs[None, :])
+    f = _neg_log_kernel(h(P, Q), psi.log_eval(ps)[:, None], nu.log_eval(qs)[None, :])
     if tri:
         f[us[:, None] + ws[None, :] > 1.0 - _T_MARGIN] = -np.inf
     i, j = np.unravel_index(np.argmax(f), f.shape)
     best = f[i, j]
     if best == -math.inf:
         return _infeasible("generic", "empty domain")
-    u, w = float(us[i]), float(ws[j])
 
-    def along_u(t):
-        return float(_neg_log_kernel(h, psi, nu, np.array([1.0 / t]), np.array([1.0 / w]))[0])
+    def objective(s, t):
+        # _neg_log_kernel for one pair, in floats
+        p, q = 1.0 / s, 1.0 / t
+        lk = psi.log_eval_scalar(p) + nu.log_eval_scalar(q)
+        if lk == math.inf:
+            return -math.inf
+        hv = float(np.asarray(h(np.array([p]), np.array([q])), dtype=float)[0])
+        if hv > 0:
+            return -(math.log(hv) + lk)
+        return math.inf if hv == 0 else -math.inf
 
-    def along_w(t):
-        return float(_neg_log_kernel(h, psi, nu, np.array([1.0 / u]), np.array([1.0 / t]))[0])
-
+    u, w, best = _cell_polish(objective, us, ws, i, j, best,
+                              1.0 - _T_MARGIN if tri else math.inf)
     for _ in range(3):
         hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]
         if hi_u > u_rng[0]:
-            u2, fu = golden_max(along_u, u_rng[0], hi_u, tol=1e-13)
+            u2, fu = golden_max(lambda t: objective(t, w), u_rng[0], hi_u, tol=1e-13)
             if fu > best:
                 u, best = u2, fu
         hi_w = min(w_rng[1], 1.0 - u - _T_MARGIN) if tri else w_rng[1]
         if hi_w > w_rng[0]:
-            w2, fw = golden_max(along_w, w_rng[0], hi_w, tol=1e-13)
+            w2, fw = golden_max(lambda t: objective(u, t), w_rng[0], hi_w, tol=1e-13)
             if fw > best:
                 w, best = w2, fw
+    edge = _edge_max(objective, u_rng[0], w_rng[0]) if tri else None
+    if edge is not None and edge[2] > best:
+        u, w, best = edge
     return BoundReport(
         math.exp(-best) * norm_xi * norm_eta, "generic", p=1.0 / u, q=1.0 / w
     )
 
 
-def _neg_log_kernel(h, psi, nu, p, q):
-    """-ln(h(p,q) psi(p) nu(q)); the inf becomes a sup of this quantity.
+def _neg_log_kernel(hv, lp, lq):
+    """-ln(h psi nu) from the kernel's values and ln psi, ln nu (broadcast).
 
     A zero kernel at a feasible exponent pair maps to +inf (the bound is 0);
     an infinite generating factor maps to -inf (the pair is infeasible).
     """
-    hv = np.asarray(h(p, q), dtype=float)
-    lp, lq = psi.log_eval(p), nu.log_eval(q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -(np.log(hv) + lp + lq)
+        out = -(np.log(np.asarray(hv, dtype=float)) + lp + lq)
     return np.where(np.isnan(out), -np.inf, out)

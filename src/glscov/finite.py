@@ -232,6 +232,9 @@ _IBRAGIMOV_P = [1.5, 2.0, 4.0]
 #: the exponents at which the checks need each variable's exact L_p norm
 _XI_P = tuple(sorted({p for p, _ in _PQ_GRID} | set(_IBRAGIMOV_P) | {2.0}))
 _ETA_P = tuple(sorted({q for _, q in _PQ_GRID} | {p / (p - 1.0) for p in _IBRAGIMOV_P} | {2.0}))
+#: the campaign's generating functions, shared by every instance: the table
+#: cache is keyed by the psi object, so per-instance copies would always miss
+_PSI1, _PSI2 = power(1.0), power(2.0)
 
 
 def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
@@ -249,18 +252,17 @@ def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
         rep = _bounds.ibragimov_bound(beta, p, lp_xi[p], lp_eta[q])
         out.append((f"ibragimov({p:g})", rep.value))
     out.append(("holder(2)", _bounds.holder_bound(lp_xi[2.0], lp_eta[2.0]).value))
-    psi1, psi2 = power(1.0), power(2.0)
-    nx1, nx2 = _gls_norms_exact(space, xi, (psi1, psi2), n_grid, refine=False)
-    ne2 = gls_norm_exact(space, eta, psi2, n_grid=n_grid, refine=False)
-    rep = _bounds.gls_strong_bound(psi1, psi2, beta, nx1, ne2, n_grid=n_grid, refine=False)
+    nx1, nx2 = _gls_norms_exact(space, xi, (_PSI1, _PSI2), n_grid, refine=False)
+    ne2 = gls_norm_exact(space, eta, _PSI2, n_grid=n_grid, refine=False)
+    rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=n_grid, refine=False)
     if rep.feasible:
         out.append(("gls_strong", rep.value))
-    phi2d = _bounds.phi_uniform(psi1, psi2, alpha, alpha, n_grid=64, refine=True)
+    phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64, refine=True)
     if alpha == 0.0:
         out.append(("gls_uniform", 0.0))
     elif phi2d.value > 0:
         out.append(("gls_uniform", 12.0 * alpha * nx1 * ne2 / phi2d.value))
-    rep = _bounds.gls_identical_bound(psi2, alpha, nx2, ne2, n_grid=n_grid, refine=False)
+    rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2, n_grid=n_grid, refine=False)
     if rep.feasible:
         out.append(("gls_identical", rep.value))
     return alpha, beta, out
