@@ -26,6 +26,9 @@ from .psi import conjugate_exponent, product_zeta, scan_bound
 #: margin keeping two-exponent grids strictly inside the open region 1/p + 1/q < 1
 _T_MARGIN = 1e-9
 
+#: points of the nested route's table of nu
+_INNER_GRID = 256
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -214,7 +217,7 @@ def _edge_max(f, u_lo, w_lo):
     return t, edge - t, ft
 
 
-def phi_uniform(psi, nu, alpha, beta, n_grid=512, refine=True):
+def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
     In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable.  a
@@ -239,30 +242,29 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512, refine=True):
     if best == -math.inf:
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
     u, w = float(us[i]), float(ws[j])
-    if refine:
 
-        def f_u(t):
-            return t * la - psi.log_eval_scalar(1.0 / t)
+    def f_u(t):
+        return t * la - psi.log_eval_scalar(1.0 / t)
 
-        def f_w(t):
-            return t * lb - nu.log_eval_scalar(1.0 / t)
+    def f_w(t):
+        return t * lb - nu.log_eval_scalar(1.0 / t)
 
-        def f(s, t):
-            return f_u(s) + f_w(t)
+    def f(s, t):
+        return f_u(s) + f_w(t)
 
-        edge = 1.0 - _T_MARGIN
-        u, w, best = _cell_polish(f, us, ws, i, j, best, edge)
-        u1, fu = grid_golden_max(us, a, f_u, tol=1e-13)
-        w1, fw = grid_golden_max(ws, c, f_w, tol=1e-13)
-        if u1 + w1 <= edge and fu + fw > best:
-            u, w, best = u1, w1, fu + fw
-        on_edge = _edge_max(f, float(us[0]), float(ws[0]))
-        if on_edge is not None and on_edge[2] > best:
-            u, w, best = on_edge
+    edge = 1.0 - _T_MARGIN
+    u, w, best = _cell_polish(f, us, ws, i, j, best, edge)
+    u1, fu = grid_golden_max(us, a, f_u, tol=1e-13)
+    w1, fw = grid_golden_max(ws, c, f_w, tol=1e-13)
+    if u1 + w1 <= edge and fu + fw > best:
+        u, w, best = u1, w1, fu + fw
+    on_edge = _edge_max(f, float(us[0]), float(ws[0]))
+    if on_edge is not None and on_edge[2] > best:
+        u, w, best = on_edge
     return UniformPhi(alpha, beta, float(math.exp(best)), 1.0 / u, 1.0 / w)
 
 
-def phi_uniform_theta(psi, nu, alpha, n_grid=512, inner_grid=256):
+def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     """The same sup via the nested route: sup_p alpha^(1/p)/theta(p) with
     theta(p) = psi(p) / (sup over q >= p' of alpha^(1/q)/nu(q)).
 
@@ -278,7 +280,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512, inner_grid=256):
     la = math.log(alpha)
     u_lo = 1.0 / scan_bound(psi)
     w_lo = 1.0 / scan_bound(nu)
-    ws, logs = psi_table(nu, _u_grid, w_lo, 1.0, inner_grid)
+    ws, logs = psi_table(nu, _u_grid, w_lo, 1.0, _INNER_GRID)
     run, arg = _running_max(ws * la - logs)
 
     def c_of(w):
@@ -308,25 +310,22 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512, inner_grid=256):
     return 0.0 if best == -math.inf else float(math.exp(best))
 
 
-def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512, theta_route=True):
+def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512):
     """12 alpha ||xi|| ||eta|| / Phi[psi,nu](alpha, alpha).
 
-    Phi is computed by the 2-D triangle sup and (optionally) the nested
-    1-D route; both are lower estimates of the same sup, so the larger one
-    is used and a note records any disagreement beyond 1e-6 relative.
+    Phi is computed by the 2-D triangle sup and the nested 1-D route; both
+    are lower estimates of the same sup, so the larger one is used and a
+    note records any disagreement beyond 1e-6 relative.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return BoundReport(0.0, "gls_uniform", notes=("alpha=0: independent fields",))
     two_d = phi_uniform(psi, nu, alpha, alpha, n_grid=n_grid)
-    notes = [f"phi_2d={two_d.value!r}"]
-    phi = two_d.value
-    if theta_route:
-        theta = phi_uniform_theta(psi, nu, alpha, n_grid=n_grid)
-        notes.append(f"phi_theta={theta!r}")
-        if max(theta, phi) > 0 and abs(theta - phi) > 1e-6 * max(theta, phi):
-            notes.append("route_mismatch")
-        phi = max(phi, theta)
+    theta = phi_uniform_theta(psi, nu, alpha, n_grid=n_grid)
+    notes = [f"phi_2d={two_d.value!r}", f"phi_theta={theta!r}"]
+    phi = max(two_d.value, theta)
+    if phi > 0 and abs(theta - two_d.value) > 1e-6 * phi:
+        notes.append("route_mismatch")
     if phi == 0.0:
         return _infeasible("gls_uniform", "admissible exponent region empty")
     value = 12.0 * alpha * norm_xi * norm_eta / phi

@@ -18,7 +18,7 @@ from . import bounds, clt, finite, tails
 from .fundamental import fundamental as _fundamental
 from .fundamental import fundamental_truncated as _fundamental_truncated
 from .errors import DomainError
-from .psi import eval_psi, psi_from_json, psi_from_obj, psi_to_obj
+from .psi import eval_psi, psi_from_obj, psi_to_obj
 
 EX_USAGE = 64
 
@@ -61,11 +61,16 @@ def _emit_json(obj, out_path):
     _emit(json.dumps(_jsonable(obj)) + "\n", out_path)
 
 
-def _load_psi(spec):
+def _load_json(spec):
+    """The JSON object given inline or in the file at path `spec`."""
     if spec.lstrip().startswith("{"):
-        return psi_from_json(spec)
+        return json.loads(spec)
     with open(spec) as fh:
-        return psi_from_obj(json.load(fh))
+        return json.load(fh)
+
+
+def _load_psi(spec):
+    return psi_from_obj(_load_json(spec))
 
 
 def _parse_grid(text, log=False):
@@ -128,19 +133,13 @@ def _cmd_tail(args):
         raise DomainError("--y-grid must be 'lo,hi,count' (lo may be 'e')")
     lo = math.e * args.norm if parts[0].strip() == "e" else float(parts[0])
     ys = np.linspace(lo, float(parts[1]), int(parts[2]))
-    samples = None
-    if args.samples:
-        samples = np.loadtxt(args.samples, ndmin=1)
-        lines = ["y,bound,empirical"]
-        for y in ys:
-            b = tails.tail_bound(psi, args.norm, float(y))
-            e = tails.empirical_tail(samples, float(y))
-            lines.append(f"{float(y)!r},{float(b)!r},{float(e)!r}")
-    else:
-        lines = ["y,bound"]
-        for y in ys:
-            b = tails.tail_bound(psi, args.norm, float(y))
-            lines.append(f"{float(y)!r},{float(b)!r}")
+    samples = np.loadtxt(args.samples, ndmin=1) if args.samples else None
+    lines = ["y,bound" if samples is None else "y,bound,empirical"]
+    for y in map(float, ys):
+        row = f"{y!r},{float(tails.tail_bound(psi, args.norm, y))!r}"
+        if samples is not None:
+            row += f",{float(tails.empirical_tail(samples, y))!r}"
+        lines.append(row)
     _emit("\n".join(lines) + "\n", args.out)
 
 
@@ -245,11 +244,7 @@ def _cmd_verify(args):
 
 
 def _load_model(spec):
-    if spec.lstrip().startswith("{"):
-        obj = json.loads(spec)
-    else:
-        with open(spec) as fh:
-            obj = json.load(fh)
+    obj = _load_json(spec)
     kind = obj.get("kind")
     if kind == "m_dependent":
         return clt.MDependentModel(tuple(obj["coeffs"]))

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 from .fundamental import fundamental
-from .psi import MomentTable, logsumexp, natural_from_moments, product_zeta, scan_bound
-from .finite import FiniteProbSpace, SigmaField, _mixing_pair
+from .psi import MomentTable, natural_from_moments, product_zeta, scan_bound
+from .finite import _log_moments, _mixing_pair
 
 _DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
@@ -59,7 +59,7 @@ def _require_nontrivial(psi):
         )
 
 
-def y_sequence(profile, n_grid=512, refine=True):
+def y_sequence(profile, n_grid=512):
     """y(k) = alpha(k) / phi^2(alpha(k)) for k = 2..K; 0 where alpha(k) = 0.
 
     The ratio at alpha = 0 is 0/0 in the raw formula; it is defined as 0 by
@@ -73,13 +73,13 @@ def y_sequence(profile, n_grid=512, refine=True):
         if a == 0.0:
             continue
         if a not in cache:
-            phi = fundamental(profile.psi_gamma, a, n_grid=n_grid, refine=refine).value
+            phi = fundamental(profile.psi_gamma, a, n_grid=n_grid).value
             cache[a] = a / phi**2
         out[k - 2] = cache[a]
     return out
 
 
-def z_sequence(profile, n_grid=512, refine=True):
+def z_sequence(profile, n_grid=512):
     """z(k) = 1 / phi[G zeta](1/beta(k)) with zeta(p) = psi(p) psi(p/(p-1))."""
     _require_nontrivial(profile.psi_gamma)
     zeta = product_zeta(profile.psi_gamma, profile.psi_gamma)
@@ -91,7 +91,7 @@ def z_sequence(profile, n_grid=512, refine=True):
             continue
         if b not in cache:
             try:
-                phi = fundamental(zeta, 1.0 / b, n_grid=n_grid, refine=refine).value
+                phi = fundamental(zeta, 1.0 / b, n_grid=n_grid).value
             except DomainError:
                 raise DomainError("product generating function nowhere finite")
             cache[b] = 1.0 / phi
@@ -270,16 +270,8 @@ def sigma_n_estimate(model, n_grid, replications=2000, seed=0):
 
 def natural_function_of_markov(model, p_grid=_DEFAULT_P_GRID):
     """Natural generating function of gamma(0) under the stationary law."""
-    pi = model.stationary()
-    x = np.abs(model.values - model.mean())
-    nz = x > 0
-    entries = []
-    for p in p_grid:
-        if not np.any(nz):
-            entries.append((p, 0.0))
-            continue
-        lse = logsumexp(np.log(pi[nz]) + p * np.log(x[nz]))
-        entries.append((p, float(math.exp(lse / p))))
+    lms = _log_moments(model.stationary(), model.values - model.mean(), p_grid)
+    entries = [(p, math.exp(v / p)) for p, v in zip(p_grid, lms.tolist())]
     return natural_from_moments(MomentTable(tuple(entries)))
 
 
@@ -290,25 +282,16 @@ def markov_mixing_profile(model, K, p_grid=_DEFAULT_P_GRID):
     coordinates (state at time 0, state at time k), which is a lower bound
     on the full past/future coefficients: infinite pasts are not enumerable.
     """
-    n_states = model.values.size
-    if n_states > 8:
-        raise DomainError("state space too large for joint-law enumeration")
     pi = model.stationary()
     alpha_seq = np.zeros(K)
     beta_seq = np.zeros(K)
     # repeated matrix powers accumulate rounding error, so coefficients below
     # this floor are indistinguishable from noise and reported as exact zeros
     noise_floor = 4096.0 * np.finfo(float).eps
-    pk = np.eye(n_states)
+    pk = np.eye(pi.size)
     for k in range(1, K + 1):
         pk = pk @ model.transition
-        joint = pi[:, None] * pk
-        pos = joint.flatten() > 0
-        probs = joint.flatten()[pos]
-        rows = np.repeat(np.arange(n_states), n_states)[pos]
-        cols = np.tile(np.arange(n_states), n_states)[pos]
-        space = FiniteProbSpace(probs / probs.sum())
-        a, b = _mixing_pair(space, SigmaField(rows), SigmaField(cols))
+        a, b = _mixing_pair(pi[:, None] * pk)
         alpha_seq[k - 1] = a if a > noise_floor else 0.0
         beta_seq[k - 1] = b if b > noise_floor else 0.0
     psi = natural_function_of_markov(model, p_grid)

@@ -1,16 +1,17 @@
 """Exact ground truth on small finite probability spaces.
 
-Sigma-fields are generated by partitions of the atoms; every event of such a
-field is a union of blocks, so mixing coefficients are exact maxima over
-bitmask-enumerated block unions.  The randomized campaign replays every
-covariance bound against exact covariances and norms.
+Sigma-fields are generated by partitions of the atoms, so the joint law of
+two fields is the table of block-intersection masses.  Both mixing
+coefficients reduce to one-sided problems on that table: beta is a maximum
+over single blocks of one field, and alpha a maximum over the block unions
+of the smaller field only.  The randomized campaign replays every covariance
+bound against exact covariances and norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .errors import DomainError
 from .psi import logsumexp, power, scan_bound
 from . import bounds as _bounds
 
-#: enumeration is 2^k events per field; above this it is refused
+#: alpha enumerates 2^(k-1) block unions of the smaller field, k blocks;
+#: a pair of fields that both have more blocks than this is refused
 MAX_BLOCKS = 12
 
 
@@ -79,47 +81,48 @@ class RandomVar:
         return True
 
 
-@lru_cache(maxsize=None)
-def _event_indicators(k):
-    """2^k x k indicator matrix of all block unions."""
-    masks = np.arange(2**k)
-    return ((masks[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
-
-
-def _mixing_pair(space, field_f, field_g):
-    k_f, k_g = field_f.block_count, field_g.block_count
-    if k_f > MAX_BLOCKS or k_g > MAX_BLOCKS:
-        raise DomainError("enumeration too large: more than 12 blocks per field")
-    joint = np.zeros((k_f, k_g))
+def _joint_law(space, field_f, field_g):
+    """k_F x k_G table of block-intersection masses P(F_i G_j)."""
+    joint = np.zeros((field_f.block_count, field_g.block_count))
     np.add.at(joint, (field_f.labels, field_g.labels), space.atom_probs)
+    return joint
+
+
+def _mixing_pair(joint):
+    """(alpha, beta) of two partitions from their joint block law
+    joint[i, j] = P(F_i G_j), by one-sided reductions.
+
+    beta: for a fixed A the best B gives the total-variation distance between
+    P(.|A) and P.  It is convex in P(.|A), a mixture of the single-block
+    conditionals, so A is one block of F.  alpha: for a fixed union B of the
+    smaller field's blocks, the best A collects the other field's blocks with
+    d_i = P(A_i B) - P(A_i) P(B) > 0.  d(B^c) = -d(B) and the d_i sum to
+    zero, so B and its complement give the same value, and B leaves out the
+    last block.  Blocks of zero mass are dropped first.
+    """
+    joint = joint[joint.sum(axis=1) > 0][:, joint.sum(axis=0) > 0]
+    if min(joint.shape) > MAX_BLOCKS:
+        raise DomainError(f"both fields have more than {MAX_BLOCKS} blocks")
     p_f, p_g = joint.sum(axis=1), joint.sum(axis=0)
-    ind_f, ind_g = _event_indicators(k_f), _event_indicators(k_g)
-    pa = ind_f @ p_f
-    pb = ind_g @ p_g
-    alpha = 0.0
-    beta = 0.0
-    chunk = 1024
-    right = joint @ ind_g.T  # k_f x 2^k_g
-    for start in range(0, ind_f.shape[0], chunk):
-        rows = ind_f[start : start + chunk]
-        pab = rows @ right
-        pa_c = pa[start : start + chunk]
-        alpha = max(alpha, float(np.abs(pab - pa_c[:, None] * pb[None, :]).max()))
-        pos = pa_c > 0
-        if np.any(pos):
-            cond = pab[pos] / pa_c[pos, None]
-            beta = max(beta, float(np.abs(cond - pb[None, :]).max()))
+    # the marginal is normalized, so a one-block field gives exact zeros
+    cond = joint / p_f[:, None] - p_g / p_g.sum()
+    beta = float(np.maximum(cond, 0.0).sum(axis=1).max())
+    small = joint if joint.shape[0] <= joint.shape[1] else joint.T
+    k = small.shape[0]
+    unions = ((np.arange(2 ** (k - 1))[:, None] >> np.arange(k)) & 1).astype(float)
+    d = unions @ small - (unions @ small.sum(axis=1))[:, None] * small.sum(axis=0)
+    alpha = float(np.maximum(d, 0.0).sum(axis=1).max())
     return alpha, beta
 
 
 def alpha_coefficient(space, field_f, field_g):
     """Exact sup over event pairs of |P(AB) - P(A) P(B)|."""
-    return _mixing_pair(space, field_f, field_g)[0]
+    return _mixing_pair(_joint_law(space, field_f, field_g))[0]
 
 
 def beta_coefficient(space, field_f, field_g):
     """Exact sup over event pairs with P(A) > 0 of |P(B|A) - P(B)|."""
-    return _mixing_pair(space, field_f, field_g)[1]
+    return _mixing_pair(_joint_law(space, field_f, field_g))[1]
 
 
 def exact_cov(space, xi, eta):
@@ -136,15 +139,21 @@ def exact_lp(space, xi, p):
     return _exact_lps(space, xi, (p,))[p]
 
 
-def _exact_lps(space, xi, ps):
-    """{p: exact L_p norm} for finite p >= 1, from one batched logsumexp."""
-    x = np.abs(xi.values)
+def _log_moments(probs, values, ps):
+    """ln E|X|^p for each p in `ps`, X taking `values` with masses `probs`,
+    from one batched logsumexp; -inf where X = 0 almost surely."""
+    x = np.abs(values)
     nz = x > 0
+    ps = np.asarray(ps, dtype=float)
     if not nz.any():
-        return dict.fromkeys(ps, 0.0)
-    logw = np.log(space.atom_probs[nz])
-    lse = logsumexp(logw + np.array(ps)[:, None] * np.log(x[nz]), axis=1)
-    return {p: math.exp(v / p) for p, v in zip(ps, lse.tolist())}
+        return np.full(ps.size, -np.inf)
+    return logsumexp(np.log(probs[nz]) + ps[:, None] * np.log(x[nz]), axis=1)
+
+
+def _exact_lps(space, xi, ps):
+    """{p: exact L_p norm} for finite p >= 1."""
+    lms = _log_moments(space.atom_probs, xi.values, ps)
+    return {p: math.exp(v / p) for p, v in zip(ps, lms.tolist())}
 
 
 def gls_norm_exact(space, xi, psi, n_grid=512, refine=True):
@@ -157,15 +166,9 @@ def _gls_norms_exact(space, xi, psis, n_grid, refine):
 
     The exact moment curve of xi on the shared grid is computed once.
     """
-    x = np.abs(xi.values)
-    nz = x > 0
-    if not np.any(nz):
-        return [0.0] * len(psis)
-    logw = np.log(space.atom_probs[nz])
-    logx = np.log(x[nz])
 
     def log_norms(ps):
-        return logsumexp(logw[None, :] + ps[:, None] * logx[None, :], axis=1) / ps
+        return _log_moments(space.atom_probs, xi.values, ps) / ps
 
     us = np.linspace(1.0 / scan_bound(psis[0]), 1.0, n_grid)
     ps = 1.0 / us
@@ -239,7 +242,7 @@ _PSI1, _PSI2 = power(1.0), power(2.0)
 
 def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
     """Every feasible bound evaluated on one instance, as (name, value) pairs."""
-    alpha, beta = _mixing_pair(space, f_field, g_field)
+    alpha, beta = _mixing_pair(_joint_law(space, f_field, g_field))
     lp_xi = _exact_lps(space, xi, _XI_P)
     lp_eta = _exact_lps(space, eta, _ETA_P)
     out = []
@@ -257,7 +260,7 @@ def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
     rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=n_grid, refine=False)
     if rep.feasible:
         out.append(("gls_strong", rep.value))
-    phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64, refine=True)
+    phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64)
     if alpha == 0.0:
         out.append(("gls_uniform", 0.0))
     elif phi2d.value > 0:

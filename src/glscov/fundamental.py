@@ -210,7 +210,11 @@ def g_prime(psi, x):
     raise DomainError("cannot take a finite difference inside the support")
 
 
-def solve_argmax(psi, delta, n_scan=64):
+#: points of solve_argmax's bracket scan in x = 1/p
+_N_BRACKET_SCAN = 64
+
+
+def solve_argmax(psi, delta):
     """Maximizer p0(delta) of delta^(1/p)/psi(p) via the g'(x) = ln(1/delta) root.
 
     Bisection in x = 1/p.  When no bracket exists (non-monotone derivative or
@@ -222,7 +226,7 @@ def solve_argmax(psi, delta, n_scan=64):
     x_lo = 1.0 / scan_bound(psi)
     if not psi.closed_at_b and math.isfinite(psi.b):
         x_lo *= 1.0 + 1e-12
-    xs = np.geomspace(x_lo, 1.0, n_scan)
+    xs = np.geomspace(x_lo, 1.0, _N_BRACKET_SCAN)
     vals = []
     for x in xs:
         try:

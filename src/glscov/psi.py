@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -205,8 +205,13 @@ def dual_psi(psi):
     return PsiFunction("dual", math.inf, left=psi)
 
 
+@lru_cache(maxsize=8)
 def product_zeta(psi, nu):
-    """p -> psi(p) * nu(p/(p-1)); +inf wherever either factor is."""
+    """p -> psi(p) * nu(p/(p-1)); +inf wherever either factor is.
+
+    The same (psi, nu) objects give the same product object, so its cached
+    scan tables are reused across calls.
+    """
     return PsiFunction("product", psi.b, closed_at_b=psi.closed_at_b, left=psi, right=nu)
 
 

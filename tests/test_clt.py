@@ -17,6 +17,7 @@ from glscov import (
     y_sequence,
     z_sequence,
 )
+from mixing_reference import brute_force_mixing, flattened_space
 
 
 def geometric_profile(K=32, rho=math.e**-1, psi=None):
@@ -145,6 +146,20 @@ def test_markov_iid_chain_zero_profile():
     prof = markov_mixing_profile(model, K=4)
     assert np.allclose(prof.alpha_seq, 0.0, atol=1e-14)
     assert np.allclose(prof.beta_seq, 0.0, atol=1e-14)
+
+
+def test_twelve_state_profile_matches_the_enumeration():
+    rng = np.random.default_rng(12)
+    transition = 0.7 * np.eye(12) + 0.3 * rng.dirichlet(np.ones(12), size=12)
+    model = FiniteMarkovModel(transition, rng.uniform(-1.0, 1.0, size=12))
+    prof = markov_mixing_profile(model, K=2)
+    pi = model.stationary()
+    pk = np.eye(12)
+    for k in (1, 2):
+        pk = pk @ transition
+        alpha, beta = brute_force_mixing(*flattened_space(pi[:, None] * pk))
+        assert prof.alpha_seq[k - 1] == pytest.approx(alpha, abs=1e-15)
+        assert prof.beta_seq[k - 1] == pytest.approx(beta, abs=1e-15)
 
 
 def test_markov_sigma_matches_geometric_series():

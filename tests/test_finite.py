@@ -19,6 +19,8 @@ from glscov import (
     sharpness_probe,
     verify_campaign,
 )
+from glscov.finite import MAX_BLOCKS, _mixing_pair
+from mixing_reference import brute_force_mixing, flattened_space
 
 
 def fair_coin():
@@ -55,6 +57,63 @@ def test_trivial_field_zero_mixing():
     space, full = fair_coin()
     trivial = SigmaField(np.array([0, 0]))
     assert alpha_coefficient(space, trivial, full) == 0.0
+
+
+def _random_joint(rng, i):
+    """Joint block law of instance i: every fourth is 1 x 12, every fourth
+    12 x 3, the rest up to 8 x 8; a third get a zero row, and cells are
+    zeroed at random."""
+    shape = [(1, 12), (12, 3)][i % 4] if i % 4 < 2 else tuple(rng.integers(1, 9, size=2))
+    joint = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+    joint *= rng.random(shape) < 0.8
+    if i % 3 == 0 and shape[0] > 1:
+        joint[rng.integers(shape[0])] = 0.0
+    return joint
+
+
+def test_reductions_match_the_enumeration():
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for i in range(2400):
+        joint = _random_joint(rng, i)
+        if joint.sum() == 0.0:
+            continue
+        space, f_field, g_field = flattened_space(joint)
+        alpha, beta = _mixing_pair(joint / joint.sum())
+        ref_alpha, ref_beta = brute_force_mixing(space, f_field, g_field)
+        assert abs(alpha - ref_alpha) <= 1e-15, (i, alpha, ref_alpha)
+        assert abs(beta - ref_beta) <= 1e-15, (i, beta, ref_beta)
+        checked += 1
+    assert checked >= 2000
+
+
+def test_one_block_field_gives_exact_zeros():
+    # Dirichlet masses sum to 1 only up to rounding; the coefficients of a
+    # trivial field must still be exactly 0, not rounding noise
+    trivial = SigmaField(np.zeros(7, dtype=int))
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        space = FiniteProbSpace(rng.dirichlet(np.ones(7)))
+        other = SigmaField(rng.integers(0, 5, size=7))
+        for pair in ((trivial, other), (other, trivial)):
+            assert alpha_coefficient(space, *pair) == 0.0
+            assert beta_coefficient(space, *pair) == 0.0
+
+
+def test_only_the_smaller_field_is_capped():
+    rng = np.random.default_rng(1)
+    space = FiniteProbSpace(rng.dirichlet(np.ones(20)))
+    fine = SigmaField(np.arange(20))
+    halves = SigmaField(np.arange(20) % 2)
+    p_b = float(space.atom_probs[::2].sum())
+    # F = the atoms: alpha = P(B) P(B^c), beta = max(P(B), P(B^c))
+    assert alpha_coefficient(space, fine, halves) == pytest.approx(p_b * (1.0 - p_b), abs=1e-15)
+    assert beta_coefficient(space, fine, halves) == pytest.approx(max(p_b, 1.0 - p_b), abs=1e-15)
+    assert alpha_coefficient(space, halves, fine) == pytest.approx(p_b * (1.0 - p_b), abs=1e-15)
+    big = SigmaField(np.arange(2 * (MAX_BLOCKS + 1)) % (MAX_BLOCKS + 1))
+    space = FiniteProbSpace(np.full(2 * (MAX_BLOCKS + 1), 1.0 / (2 * (MAX_BLOCKS + 1))))
+    with pytest.raises(DomainError):
+        alpha_coefficient(space, big, big)
 
 
 def test_measurability():

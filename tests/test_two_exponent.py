@@ -124,6 +124,7 @@ def test_one_pair_op_fits_the_table_cache(psi, nu):
     assert info.misses == info.currsize <= TABLE_CACHE_SIZE
     gls_uniform_bound(psi, nu, 0.02, 1.0, 1.0)
     factorization_check(psi, nu, 0.02, 0.03)
+    gls_strong_bound(psi, nu, 0.03, 1.0, 1.0)  # reuses the product's table
     assert psi_table.cache_info().misses == info.misses
 
 
