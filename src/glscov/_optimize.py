@@ -1,25 +1,32 @@
 """One-dimensional maximization helpers: grid scan plus golden-section refinement.
 
 Objectives are evaluated in log space by the callers; a value of -inf marks an
-infeasible point and is simply never selected.
+infeasible point and is simply never selected.  `psi_table` is the one scan
+grid of a generating function: every sup over p reads its grid from it.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
+from .psi import scan_bound
+
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
+#: golden-section steps at most; 200 steps shrink any bracket below 1e-40
+_MAX_ITER = 200
+
 #: scan tables kept at once (about 36 kB each).  The size caps what the cache
-#: holds however many generating functions a caller keeps alive; the 1-D sups
-#: of one psi use at most three tables (fundamental, truncated, conjugate),
-#: and a two-exponent bound on (psi, nu) adds one triangle axis per function
-#: and the nested route's table of nu.
+#: holds however many generating functions a caller keeps alive.  The 1-D sups
+#: of one psi use at most two tables (on [1, b) for fundamental and the
+#: conjugate, on [s, b) for a truncated sup); a two-exponent bound on
+#: (psi, nu) adds one axis table per function, which the nested route shares.
 TABLE_CACHE_SIZE = 8
 
 
-def golden_max(f, a, b, tol=1e-12, max_iter=200):
+def golden_max(f, a, b, tol=1e-12):
     """Golden-section maximization of a scalar function on [a, b].
 
     Returns (x_best, f_best) over every point actually evaluated, so a
@@ -36,7 +43,7 @@ def golden_max(f, a, b, tol=1e-12, max_iter=200):
     c = a + _INV_PHI2 * dist
     d = a + _INV_PHI * dist
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if fc > best_f:
             best_x, best_f = c, fc
         if fd > best_f:
@@ -76,22 +83,29 @@ def grid_golden_max(xs, fs, f, refine=True, tol=1e-12):
     return best_x, best_f
 
 
-def scan_grid(lo, hi, n, extra):
-    """linspace(lo, hi, n) merged with the `extra` abscissae inside [lo, hi]."""
-    extra = extra[(extra >= lo) & (extra <= hi)]
-    return np.unique(np.concatenate([np.linspace(lo, hi, n), extra]))
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def psi_table(psi, grid, lo, hi, n):
-    """A scan grid of [lo, hi] and ln psi on it, built once per argument set.
+def psi_table(psi, s, n):
+    """The scan grid of psi for a sup over p in [s, min(b, P_MAX)], and ln psi on it.
 
-    `grid(psi, lo, hi, n)` returns the abscissae xs and the exponents p they
-    stand for; the result is (xs, ln psi(p)).  Both arrays are read-only,
-    since every caller shares them.
+    The grid is in u = 1/p on [1/min(b, P_MAX), 1/s]: linspace(n), 128
+    geometric points (dense toward p -> infinity), for a finite b 64 more
+    points geometric toward p -> b, and the knots of a tabulated psi.  ln psi
+    at the two ends is taken at the exact exponents min(b, P_MAX) and s, not
+    at 1/(1/p), which can fall outside a closed support.  Returns (us, ln psi);
+    both arrays are read-only, since every caller shares them.
     """
-    xs, ps = grid(psi, lo, hi, n)
+    p_hi = scan_bound(psi)
+    lo, hi = 1.0 / p_hi, 1.0 / s
+    parts = [np.linspace(lo, hi, n), np.geomspace(lo, hi, 128)]
+    if math.isfinite(psi.b):
+        parts.append(lo + (hi - lo) * np.logspace(-12, 0, 64))
+    if psi.kind in ("tabulated", "empirical"):
+        parts.append(1.0 / np.array([p for p, _ in psi.params["points"]]))
+    us = np.unique(np.concatenate(parts))
+    us = us[(us >= lo) & (us <= hi)]
+    ps = 1.0 / us
+    ps[0], ps[-1] = p_hi, s
     logs = psi.log_eval(ps)
-    xs.flags.writeable = False
+    us.flags.writeable = False
     logs.flags.writeable = False
-    return xs, logs
+    return us, logs

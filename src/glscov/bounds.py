@@ -14,20 +14,11 @@ import numpy as np
 
 from ._optimize import golden_max, grid_golden_max, psi_table
 from .errors import DomainError
-from .fundamental import (
-    _u_grid,
-    finite_support_constant,
-    fundamental,
-    fundamental_truncated,
-    g_prime,
-)
+from .fundamental import finite_support_constant, fundamental, fundamental_truncated, g_prime
 from .psi import conjugate_exponent, product_zeta, scan_bound
 
 #: margin keeping two-exponent grids strictly inside the open region 1/p + 1/q < 1
 _T_MARGIN = 1e-9
-
-#: points of the nested route's table of nu
-_INNER_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -105,12 +96,12 @@ def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta, n_grid=2048, refine=True)
     return BoundReport(value, "gls_strong", p=fund.argmax_p)
 
 
-def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta, n_grid=2048):
+def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta):
     """Dual-pair specialization: 2 [phi[G psi](beta^(-1/2))]^(-2) ||xi|| ||eta||."""
     _check_unit(beta, "beta")
     if beta == 0.0:
         return BoundReport(0.0, "gls_dual_pair")
-    phi = fundamental(psi, beta**-0.5, n_grid=n_grid).value
+    phi = fundamental(psi, beta**-0.5).value
     return BoundReport(2.0 * norm_xi * norm_eta / phi**2, "gls_dual_pair")
 
 
@@ -127,16 +118,9 @@ class UniformPhi:
     q: float
 
 
-def _triangle_grid(psi, lo, hi, n):
-    """phi_uniform's axis on [lo, hi] in u = 1/p: uniform plus n/4 geometric
-    points, denser near lo; a `psi_table` grid."""
-    xs = np.unique(np.concatenate([np.linspace(lo, hi, n), np.geomspace(lo, hi, n // 4)]))
-    return xs, 1.0 / xs
-
-
 def _axis(psi, log_x, n_grid):
-    """One axis of the triangle: its grid in u = 1/p and u ln x - ln psi(1/u)."""
-    us, logs = psi_table(psi, _triangle_grid, 1.0 / scan_bound(psi), 1.0, n_grid)
+    """One axis of the triangle: psi's table in u = 1/p and u ln x - ln psi(1/u)."""
+    us, logs = psi_table(psi, 1.0, n_grid)
     with np.errstate(invalid="ignore"):
         vals = us * log_x - logs
     return us, np.where(np.isnan(vals), -np.inf, vals)
@@ -221,16 +205,20 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
     In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable.  a
-    and c come from cached per-psi tables, and the grid-best over the
-    triangle from a running maximum of c.  Refinement keeps the best of:
-    the grid-best polished inside its own cells; the product point of the
-    two 1-D sups, when it lies in the triangle (the factorization); and a
-    golden-section search along the edge u + w = 1.  For concave a and c,
-    which every built-in kind gives except a tabulated psi with non-monotone
-    knot slopes, the sup is one of the last two.  Every candidate is an
-    evaluated admissible point, so the value is a lower estimate for any
-    psi.  Returns a UniformPhi (value 0.0 when the admissible region carries
-    no finite point).
+    and c are read off the cached tables psi_table(psi, 1, n_grid) and
+    psi_table(nu, 1, n_grid), which the nested route shares: linspace(n_grid)
+    and 128 geometric points in u, the ramp toward a finite b, and a
+    tabulated function's knots.  The grid-best over the triangle comes from
+    a running maximum of c.  Refinement keeps the best of: the grid-best
+    polished inside its own cells; the product point of the two 1-D sups,
+    when it lies in the triangle (the factorization); and a golden-section
+    search along the edge u + w = 1.  For concave a and c, which every
+    built-in kind gives except a tabulated psi with non-monotone knot
+    slopes, the sup is one of the last two; for a tabulated psi the knots on
+    the grid put the grid-best on the right local maximum.  Every candidate
+    is an evaluated admissible point, so the value is a lower estimate for
+    any psi.  Returns a UniformPhi (value 0.0 when the admissible region
+    carries no finite point).
     """
     _check_unit(alpha, "alpha")
     _check_unit(beta, "beta")
@@ -269,8 +257,9 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     theta(p) = psi(p) / (sup over q >= p' of alpha^(1/q)/nu(q)).
 
     In u = 1/p the inner sup runs over w = 1/q in [1/b_nu, 1 - u].  It comes
-    from one cached table of c(w) = w ln alpha - ln nu(1/w) and its running
-    maximum, together with c(1 - u).  The outer scan uses that grid value;
+    from c(w) = w ln alpha - ln nu(1/w) on nu's axis table, which
+    phi_uniform at the same n_grid reads too, and its running maximum,
+    together with c(1 - u).  The outer scan uses that grid value;
     its golden-section probes also refine the inner sup on the cell around
     the running argmax, clipped at 1 - u.
     """
@@ -280,8 +269,8 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     la = math.log(alpha)
     u_lo = 1.0 / scan_bound(psi)
     w_lo = 1.0 / scan_bound(nu)
-    ws, logs = psi_table(nu, _u_grid, w_lo, 1.0, _INNER_GRID)
-    run, arg = _running_max(ws * la - logs)
+    ws, c = _axis(nu, la, n_grid)
+    run, arg = _running_max(c)
 
     def c_of(w):
         return w * la - nu.log_eval_scalar(1.0 / w)
@@ -416,7 +405,7 @@ def example_mixed_pair(m, b, beta, alpha, norm_xi=1.0, norm_eta=1.0):
     return BoundReport(value, "example_5_3", notes=("reference_constant_K",))
 
 
-def example_combined(psi, q0, alpha, norm_gls, norm_q0, n_grid=2048):
+def example_combined(psi, q0, alpha, norm_gls, norm_q0):
     """12 alpha^(1-1/q0) ||xi||Gpsi |eta|_{q0} / phi_{q0'}[G psi](alpha).
 
     One variable in a GLS, the other in a plain L_{q0}; the sup is truncated
@@ -429,7 +418,7 @@ def example_combined(psi, q0, alpha, norm_gls, norm_q0, n_grid=2048):
     q0p = q0 / (q0 - 1.0)
     if q0p >= psi.b:
         return _infeasible("example_5_4", "conjugate exponent exceeds the support")
-    phi = fundamental_truncated(psi, q0p, alpha, n_grid=n_grid)
+    phi = fundamental_truncated(psi, q0p, alpha)
     value = 12.0 * alpha ** (1.0 - 1.0 / q0) * norm_gls * norm_q0 / phi.value
     return BoundReport(value, "example_5_4", p=phi.argmax_p, q=q0)
 

@@ -143,62 +143,55 @@ def _cmd_tail(args):
     _emit("\n".join(lines) + "\n", args.out)
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise DomainError(f"--theorem {args.theorem} needs --" + ", --".join(missing))
+def _parse_domain(domain):
+    """'T', 'R', 'conjugate', or a 'p_lo:p_hi,q_lo:q_hi' rectangle."""
+    if ":" not in domain:
+        return domain
+    try:
+        p_part, q_part = domain.split(",")
+        return (
+            tuple(float(x) for x in p_part.split(":")),
+            tuple(float(x) for x in q_part.split(":")),
+        )
+    except ValueError:
+        raise DomainError("rectangle domain must be 'p_lo:p_hi,q_lo:q_hi'")
+
+
+def _generic_bound(c, domain, psi, nu, nx, ne):
+    """generic_bound with the constant kernel c."""
+    return bounds.generic_bound(
+        lambda p, q: np.full(np.broadcast(p, q).shape, c), psi, nu, domain, nx, ne
+    )
+
+
+#: --theorem -> (bound function, the flags it reads, in argument order).  It
+#: is called with the flag values, then the two norms; none may be missing,
+#: and _FLAG_LOADERS parses the ones that are not plain numbers.
+_THEOREMS = {
+    "davydov": (bounds.davydov_bound, ("alpha", "p", "q")),
+    "ibragimov": (bounds.ibragimov_bound, ("beta", "p")),
+    "holder": (bounds.holder_bound, ()),
+    "gls-strong": (bounds.gls_strong_bound, ("psi", "nu", "beta")),
+    "gls-uniform": (bounds.gls_uniform_bound, ("psi", "nu", "alpha")),
+    "gls-identical": (bounds.gls_identical_bound, ("psi", "alpha")),
+    "example-5.1": (bounds.example_power_pair, ("m", "n", "alpha")),
+    "example-5.2": (bounds.example_finite_pair, ("b1", "beta1", "b2", "beta2", "alpha")),
+    "example-5.3": (bounds.example_mixed_pair, ("m", "b", "beta-param", "alpha")),
+    "example-5.4": (bounds.example_combined, ("psi", "q0", "alpha")),
+    "generic": (_generic_bound, ("kernel-const", "domain", "psi", "nu")),
+}
+
+_FLAG_LOADERS = {"psi": _load_psi, "nu": _load_psi, "domain": _parse_domain}
 
 
 def _cmd_bound(args):
-    t = args.theorem
-    nx, ne = args.norm_xi, args.norm_eta
-    if t == "davydov":
-        _require(args, ["alpha", "p", "q"])
-        rep = bounds.davydov_bound(args.alpha, args.p, args.q, nx, ne)
-    elif t == "ibragimov":
-        _require(args, ["beta", "p"])
-        rep = bounds.ibragimov_bound(args.beta, args.p, nx, ne)
-    elif t == "holder":
-        rep = bounds.holder_bound(nx, ne)
-    elif t == "gls-strong":
-        _require(args, ["psi", "nu", "beta"])
-        rep = bounds.gls_strong_bound(_load_psi(args.psi), _load_psi(args.nu), args.beta, nx, ne)
-    elif t == "gls-uniform":
-        _require(args, ["psi", "nu", "alpha"])
-        rep = bounds.gls_uniform_bound(_load_psi(args.psi), _load_psi(args.nu), args.alpha, nx, ne)
-    elif t == "gls-identical":
-        _require(args, ["psi", "alpha"])
-        rep = bounds.gls_identical_bound(_load_psi(args.psi), args.alpha, nx, ne)
-    elif t == "example-5.1":
-        _require(args, ["m", "n", "alpha"])
-        rep = bounds.example_power_pair(args.m, args.n, args.alpha, nx, ne)
-    elif t == "example-5.2":
-        _require(args, ["b1", "beta1", "b2", "beta2", "alpha"])
-        rep = bounds.example_finite_pair(args.b1, args.beta1, args.b2, args.beta2, args.alpha, nx, ne)
-    elif t == "example-5.3":
-        _require(args, ["m", "b", "beta-param", "alpha"])
-        rep = bounds.example_mixed_pair(args.m, args.b, args.beta_param, args.alpha, nx, ne)
-    elif t == "example-5.4":
-        _require(args, ["psi", "q0", "alpha"])
-        rep = bounds.example_combined(_load_psi(args.psi), args.q0, args.alpha, nx, ne)
-    else:  # generic: constant kernel over a named domain
-        _require(args, ["psi", "nu"])
-        c = args.kernel_const
-        domain = args.domain
-        if ":" in domain:
-            try:
-                p_part, q_part = domain.split(",")
-                domain = (
-                    tuple(float(x) for x in p_part.split(":")),
-                    tuple(float(x) for x in q_part.split(":")),
-                )
-            except ValueError:
-                raise DomainError("rectangle domain must be 'p_lo:p_hi,q_lo:q_hi'")
-        rep = bounds.generic_bound(
-            lambda p, q: np.full(np.broadcast(p, q).shape, c),
-            _load_psi(args.psi), _load_psi(args.nu), domain, nx, ne,
-        )
-    _emit_json(rep, args.out)
+    func, flags = _THEOREMS[args.theorem]
+    values = [getattr(args, f.replace("-", "_")) for f in flags]
+    missing = [f for f, v in zip(flags, values) if v is None]
+    if missing:
+        raise DomainError(f"--theorem {args.theorem} needs --" + ", --".join(missing))
+    values = [_FLAG_LOADERS.get(f, lambda v: v)(v) for f, v in zip(flags, values)]
+    _emit_json(func(*values, args.norm_xi, args.norm_eta), args.out)
 
 
 def _cmd_factorization(args):
@@ -322,15 +315,7 @@ def _build_parser():
     p.add_argument("--samples", help="file with one float per line")
 
     p = add("bound", _cmd_bound)
-    p.add_argument(
-        "--theorem",
-        required=True,
-        choices=[
-            "davydov", "ibragimov", "holder", "gls-strong", "gls-uniform",
-            "gls-identical", "example-5.1", "example-5.2", "example-5.3",
-            "example-5.4", "generic",
-        ],
-    )
+    p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     p.add_argument("--psi")
     p.add_argument("--nu")
     p.add_argument("--alpha", type=float)

@@ -314,7 +314,7 @@ def verify_campaign(config=CampaignConfig(), collect_rows=False):
                     "beta": beta,
                     "cov": cov,
                     "tightest_bound": tight_name,
-                    "slack": (tight_val / acov) if acov > 0 else math.inf,
+                    "slack": (tight_val / acov) if acov > config.slack else math.inf,
                 }
             )
     return report

@@ -14,9 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import grid_golden_max, psi_table, scan_grid
+from ._optimize import grid_golden_max, psi_table
 from .errors import DomainError
 from .psi import scan_bound
+
+#: scan points of a 1-D sup on [1, b) or [s, b); the conjugate reads the same
+#: table as fundamental
+N_GRID = 2048
+
+#: scan points of truncated_sup_value
+_N_GRID_VALUE = 512
 
 
 @dataclass(frozen=True)
@@ -28,16 +35,6 @@ class FundamentalResult:
     delta: float
     boundary: str | None = None  # at_one | at_b | at_infinity
     trunc_low: float = 1.0
-
-
-def _u_grid(psi, lo, hi, n):
-    """Scan grid in u = 1/p and its exponents: uniform plus geometric, and for
-    a finite support bound 64 more points geometric toward p -> b (u -> lo)."""
-    extra = [np.geomspace(lo, hi, 128)]
-    if math.isfinite(psi.b):
-        extra.append(lo + (hi - lo) * np.logspace(-12, 0, 64))
-    us = scan_grid(lo, hi, n, np.concatenate(extra))
-    return us, 1.0 / us
 
 
 def _sup(psi, delta, s, n_grid, refine):
@@ -54,7 +51,7 @@ def _sup(psi, delta, s, n_grid, refine):
     def objective(u):
         return u * log_delta - psi.log_eval_scalar(1.0 / u)
 
-    us, logs = psi_table(psi, _u_grid, u_lo, u_hi, n_grid)
+    us, logs = psi_table(psi, s, n_grid)
     u_best, f_best = grid_golden_max(us, us * log_delta - logs, objective, refine=refine)
     if f_best == -math.inf:
         return None
@@ -71,14 +68,14 @@ def _result(psi, delta, s, packed):
         boundary = "at_b" if math.isfinite(psi.b) else "at_infinity"
     return FundamentalResult(
         value=float(math.exp(f_best)),
-        argmax_p=1.0 / u_best,
+        argmax_p=scan_bound(psi) if u_best == u_lo else 1.0 / u_best,
         delta=float(delta),
         boundary=boundary,
         trunc_low=float(s),
     )
 
 
-def fundamental(psi, delta, n_grid=2048, refine=True):
+def fundamental(psi, delta, n_grid=N_GRID, refine=True):
     """Fundamental function: sup over p in [1, b) of delta^(1/p)/psi(p).
 
     delta may exceed 1 (the strong-mixing bound evaluates at 1/beta); the sup
@@ -90,17 +87,17 @@ def fundamental(psi, delta, n_grid=2048, refine=True):
     return _result(psi, delta, 1.0, packed)
 
 
-def fundamental_truncated(psi, s, delta, n_grid=2048, refine=True):
+def fundamental_truncated(psi, s, delta):
     """Sup restricted to p in [s, b); coincides with fundamental() at s = 1."""
     if not 1.0 <= s < psi.b:
         raise DomainError("truncation point must satisfy 1 <= s < b")
-    packed = _sup(psi, delta, float(s), n_grid, refine)
+    packed = _sup(psi, delta, float(s), N_GRID, True)
     if packed is None:
         raise DomainError("empty effective support on the truncated interval")
     return _result(psi, delta, float(s), packed)
 
 
-def truncated_sup_value(psi, s, delta, n_grid=512, refine=True):
+def truncated_sup_value(psi, s, delta):
     """Like fundamental_truncated().value, but 0.0 on an empty domain.
 
     Used where a sup over an empty set should silently contribute nothing
@@ -108,7 +105,7 @@ def truncated_sup_value(psi, s, delta, n_grid=512, refine=True):
     """
     if s > scan_bound(psi):
         return 0.0
-    packed = _sup(psi, delta, float(s), n_grid, refine)
+    packed = _sup(psi, delta, float(s), _N_GRID_VALUE, True)
     if packed is None:
         return 0.0
     return float(math.exp(packed[1]))

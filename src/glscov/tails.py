@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import grid_golden_max, psi_table, scan_grid
+from ._optimize import grid_golden_max, psi_table
 from .errors import DomainError
+from .fundamental import N_GRID
 from .psi import scan_bound
 
 
@@ -27,39 +28,35 @@ class ConjugateInfo:
     unbounded_at_cap: bool
 
 
-def _p_grid(psi, lo, hi, n):
-    """Scan grid in p: uniform on [lo, hi], plus 256 uniform on [1, min(hi, 64)]."""
-    ps = scan_grid(lo, hi, n, np.linspace(1.0, min(hi, 64.0), 256))
-    return ps, ps
-
-
-def conjugate_info(psi, x, n_grid=2048):
+def conjugate_info(psi, x):
     """sup over p in [1, min(b, P_MAX)] of p x - v(p), with provenance.
 
-    `unbounded_at_cap` flags a sup still increasing at the scan cap (the
-    conjugate is then effectively +inf for this x).
+    The scan runs in u = 1/p, on fundamental's table, with the objective
+    (x - ln psi(1/u)) / u.  `unbounded_at_cap` flags a sup still increasing
+    at the scan cap (the conjugate is then effectively +inf for this x).
     """
-    p_cap = scan_bound(psi)
 
-    def objective(p):
-        logs = psi.log_eval_scalar(p)
-        return -math.inf if math.isinf(logs) else p * (x - logs)
+    def objective(u):
+        logs = psi.log_eval_scalar(1.0 / u)
+        return -math.inf if math.isinf(logs) else (x - logs) / u
 
-    ps, logs = psi_table(psi, _p_grid, 1.0, p_cap, n_grid)
+    us, logs = psi_table(psi, 1.0, N_GRID)
     with np.errstate(invalid="ignore"):
-        fs = np.where(np.isinf(logs), -np.inf, ps * (x - logs))
-    p_best, f_best = grid_golden_max(ps, fs, objective, tol=1e-13)
+        fs = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
+    u_best, f_best = grid_golden_max(us, fs, objective, tol=1e-13)
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")
+    p_cap = scan_bound(psi)
+    p_best = p_cap if u_best == us[0] else 1.0 / u_best
     unbounded = False
     if math.isinf(psi.b) and p_best >= p_cap * (1 - 1e-9):
-        unbounded = f_best > objective(p_cap * (1 - 1e-6))
+        unbounded = f_best > objective(1.0 / (p_cap * (1 - 1e-6)))
     return ConjugateInfo(float(f_best), float(p_best), unbounded)
 
 
-def conjugate(psi, x, n_grid=2048):
+def conjugate(psi, x):
     """Young-Fenchel transform v*(x) as a plain float."""
-    return conjugate_info(psi, x, n_grid=n_grid).value
+    return conjugate_info(psi, x).value
 
 
 def tail_bound(psi, norm, y):

@@ -139,3 +139,46 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(target.read_text())
     assert rep["value"] > 0
+
+
+POWER2 = '{"kind":"power","m":2}'
+FINITE4 = '{"kind":"finite_support","b":4,"beta":1}'
+
+#: theorem -> the flags it requires, with working values
+THEOREM_FLAGS = {
+    "davydov": {"alpha": "0.1", "p": "4", "q": "4"},
+    "ibragimov": {"beta": "0.1", "p": "2"},
+    "holder": {},
+    "gls-strong": {"psi": POWER1, "nu": POWER2, "beta": "0.1"},
+    "gls-uniform": {"psi": POWER1, "nu": POWER2, "alpha": "0.01"},
+    "gls-identical": {"psi": POWER2, "alpha": "0.01"},
+    "example-5.1": {"m": "1", "n": "2", "alpha": "0.01"},
+    "example-5.2": {"b1": "4", "beta1": "0.5", "b2": "4", "beta2": "0.5", "alpha": "0.01"},
+    "example-5.3": {"m": "1", "b": "4", "beta-param": "0.5", "alpha": "0.01"},
+    "example-5.4": {"psi": FINITE4, "q0": "2", "alpha": "0.01"},
+    "generic": {"psi": POWER1, "nu": POWER2},
+}
+
+
+def _bound_argv(theorem, flags):
+    argv = ["bound", "--theorem", theorem, "--norm-xi", "1.5", "--norm-eta", "0.5"]
+    for name, value in flags.items():
+        argv += [f"--{name}", value]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "theorem, dropped",
+    [(t, None) for t in THEOREM_FLAGS]
+    + [(t, f) for t, flags in THEOREM_FLAGS.items() for f in flags],
+)
+def test_bound_every_theorem_runs_and_names_a_missing_flag(capsys, theorem, dropped):
+    flags = {k: v for k, v in THEOREM_FLAGS[theorem].items() if k != dropped}
+    code, out = run(capsys, *_bound_argv(theorem, flags))
+    rep = json.loads(out)
+    if dropped is None:
+        assert code == 0
+        assert rep["value"] >= 0.0
+    else:
+        assert code == 2
+        assert rep == {"error": f"--theorem {theorem} needs --{dropped}"}

@@ -169,6 +169,19 @@ def test_campaign_rows_collected():
     assert {"instance", "alpha", "beta", "cov"} <= set(report.rows[0])
 
 
+def test_campaign_rows_skip_rounding_level_covariances_like_the_min_ratio():
+    # instance 11 of seed 42 has |Cov| = 6.2e-33 and every bound 0: its slack
+    # is undefined, as in min_slack_ratio, which only counts |Cov| > slack
+    config = CampaignConfig(instances=12, seed=42)
+    report = verify_campaign(config, collect_rows=True)
+    row = report.rows[11]
+    assert abs(row["cov"]) <= config.slack
+    assert row["slack"] == math.inf
+    counted = [r["slack"] for r in report.rows if abs(r["cov"]) > config.slack]
+    assert min(counted) == report.min_slack_ratio
+    assert all(r["slack"] == math.inf for r in report.rows if abs(r["cov"]) <= config.slack)
+
+
 def test_rademacher_witness_ratio():
     space, fld, var = rademacher_witness()
     assert exact_cov(space, var, var) == pytest.approx(1.0)

@@ -53,6 +53,17 @@ def test_extremal_degeneration():
             assert res.value == pytest.approx(delta ** (1.0 / r), abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-2])
+def test_extremal_sup_sits_on_the_exact_support_end(delta):
+    # 1/(1/1.825) rounds above 1.825, where psi is +inf: the grid end must be
+    # evaluated at p = b itself, or the sup falls back to the next grid point
+    r = 1.825
+    assert 1.0 / (1.0 / r) > r
+    res = fundamental(extremal(r), delta)
+    assert res.value == pytest.approx(delta ** (1.0 / r), rel=1e-14, abs=0.0)
+    assert (res.argmax_p, res.boundary) == (r, "at_b")
+
+
 def test_empty_support_rejected():
     zeta = product_zeta(extremal(2.0), extremal(1.5))  # needs p<=2 and p'<=1.5
     with pytest.raises(DomainError):

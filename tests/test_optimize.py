@@ -12,8 +12,6 @@ from glscov import (
     tail_bound,
 )
 from glscov._optimize import TABLE_CACHE_SIZE, golden_max, psi_table
-from glscov.fundamental import _u_grid
-from glscov.psi import P_MAX
 
 
 def _step(edge, feasible_left):
@@ -49,20 +47,20 @@ def test_sups_identical_on_cache_miss_hit_and_after_eviction(make):
     psi = make()
     psi_table.cache_clear()
     miss = _sups(psi)
-    assert psi_table.cache_info().misses == 3
+    assert psi_table.cache_info().misses == 2
     hit = _sups(psi)
-    assert psi_table.cache_info().hits == 3
+    assert psi_table.cache_info().hits == 4
     for k in range(TABLE_CACHE_SIZE + 1):
         _sups(power(1.0 + k))
     before = psi_table.cache_info().misses
     evicted = _sups(psi)
-    assert psi_table.cache_info().misses == before + 3
+    assert psi_table.cache_info().misses == before + 2
     assert miss == hit == evicted
 
 
 def test_cached_tables_are_read_only_and_bounded():
     psi_table.cache_clear()
-    us, logs = psi_table(power(1.0), _u_grid, 1.0 / P_MAX, 1.0, 64)
+    us, logs = psi_table(power(1.0), 1.0, 64)
     for arr in (us, logs):
         with pytest.raises(ValueError):
             arr[0] = 0.0

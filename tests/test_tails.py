@@ -45,6 +45,16 @@ def test_conjugate_unbounded_flag_for_extremal():
     assert not info.unbounded_at_cap
 
 
+@pytest.mark.parametrize("r", [1.825, 3.0, 7.5])
+def test_conjugate_of_extremal_is_linear(r):
+    # the sup of p x over p in [1, r] sits on the support end p = r, which the
+    # scan in u = 1/p reaches at its first grid point
+    for x in (0.5, 1.0, 4.0):
+        info = conjugate_info(extremal(r), x)
+        assert info.value == pytest.approx(r * x, rel=1e-14, abs=0.0)
+        assert info.argmax_p == r
+
+
 def test_fenchel_young_inequality():
     psi = power(2.0)
     ps = np.linspace(1.0, 40.0, 25)

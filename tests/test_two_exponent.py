@@ -105,6 +105,14 @@ def test_theta_route_adds_at_most_one_table_miss():
     assert psi_table.cache_info().misses <= 1
 
 
+def test_uniform_bound_builds_one_table_per_function():
+    # the nested route reads nu's axis table of the 2-D route
+    psi, nu = power(2.0), finite_support(3.0, 0.5)
+    psi_table.cache_clear()
+    gls_uniform_bound(psi, nu, 0.01, 1.0, 1.0)
+    assert psi_table.cache_info().misses == 2
+
+
 @pytest.mark.parametrize(
     "psi, nu",
     [
@@ -114,7 +122,7 @@ def test_theta_route_adds_at_most_one_table_miss():
     ],
 )
 def test_one_pair_op_fits_the_table_cache(psi, nu):
-    # the triangle axes, the nested route's table of nu, the two 2048-point
+    # the two axis tables (the nested route reads nu's), the two 2048-point
     # fundamental tables and the product's table: nothing may be evicted
     psi_table.cache_clear()
     gls_strong_bound(psi, nu, 0.05, 1.0, 1.0)
@@ -221,23 +229,7 @@ def test_two_exponent_sups_never_looser_than_pinned(name):
     assert 12.0 * alpha * nx * ne / gen == pytest.approx(dense, rel=1e-6)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(
-            name,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the interior sup pairs a with a non-global local max of "
-                "the non-concave c; its grid value is 0.03 low at the steep knot, "
-                "so the grid-best and its polish sit at another local max",
-            ),
-        )
-        if name == "finite_tabulated"
-        else name
-        for name in sorted(PAIRS)
-    ],
-)
+@pytest.mark.parametrize("name", sorted(PAIRS))
 def test_two_dimensional_route_matches_the_dense_sup(name):
     psi, nu, alpha, beta, _, _ = PAIRS[name]
     dense = math.exp(_dense_log_sup(psi, nu, math.log(alpha), math.log(beta)))
