@@ -2,7 +2,10 @@
 
 Objectives are evaluated in log space by the callers; a value of -inf marks an
 infeasible point and is simply never selected.  `psi_table` is the one scan
-grid of a generating function: every sup over p reads its grid from it.
+grid of a generating function: every sup over p reads its grid from it.  The
+grid holds every breakpoint of a piecewise log-linear psi, so a 1-D sup whose
+objective is linear or monotone on each cell between them is the grid
+maximum, and its caller skips the golden-section refinement.
 """
 
 import math
@@ -10,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .psi import scan_bound
+from .psi import log_eval_piecewise, scan_bound
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -89,23 +92,30 @@ def psi_table(psi, s, n):
 
     The grid is in u = 1/p on [1/min(b, P_MAX), 1/s]: linspace(n), 128
     geometric points (dense toward p -> infinity), for a finite b 64 more
-    points geometric toward p -> b, and the knots of a tabulated psi.  ln psi
-    at the two ends is taken at the exact exponents min(b, P_MAX) and s, not
-    at 1/(1/p), which can fall outside a closed support.  Returns (us, ln psi);
-    both arrays are read-only, since every caller shares them.
+    points geometric toward p -> b, and psi's breakpoints when it is
+    piecewise log-linear.  ln psi at the two ends is taken at the exact
+    exponents min(b, P_MAX) and s, not at 1/(1/p), which can fall outside a
+    closed support; a piecewise psi is interpolated in u between its
+    breakpoints, so every closed support end of its factors is feasible too.
+    Returns (us, ln psi); both arrays are read-only, since every caller
+    shares them.
     """
     p_hi = scan_bound(psi)
     lo, hi = 1.0 / p_hi, 1.0 / s
     parts = [np.linspace(lo, hi, n), np.geomspace(lo, hi, 128)]
     if math.isfinite(psi.b):
         parts.append(lo + (hi - lo) * np.logspace(-12, 0, 64))
-    if psi.kind in ("tabulated", "empirical"):
-        parts.append(1.0 / np.array([p for p, _ in psi.params["points"]]))
+    breakpoints = psi.breakpoints
+    if breakpoints is not None:
+        parts.append(breakpoints)
     us = np.unique(np.concatenate(parts))
     us = us[(us >= lo) & (us <= hi)]
-    ps = 1.0 / us
-    ps[0], ps[-1] = p_hi, s
-    logs = psi.log_eval(ps)
+    if breakpoints is None:
+        ps = 1.0 / us
+        ps[0], ps[-1] = p_hi, s
+        logs = psi.log_eval(ps)
+    else:
+        logs = log_eval_piecewise(psi, us)
     us.flags.writeable = False
     logs.flags.writeable = False
     return us, logs

@@ -267,7 +267,8 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    u_lo = 1.0 / scan_bound(psi)
+    p_top = scan_bound(psi)
+    u_lo = 1.0 / p_top
     w_lo = 1.0 / scan_bound(nu)
     ws, c = _axis(nu, la, n_grid)
     run, arg = _running_max(c)
@@ -288,13 +289,15 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
         return u * la - lp + inner
 
     us = np.linspace(u_lo, 1.0, n_grid)
+    ps = 1.0 / us
+    ps[0] = p_top  # 1/(1/b) can round past a closed support end
     tops = 1.0 - us
     tops = tops[tops >= w_lo]  # a prefix, since us increases
     inner = np.full(n_grid, -np.inf)
     inner[: tops.size] = np.maximum(
         run[np.searchsorted(ws, tops, side="right") - 1], tops * la - nu.log_eval(1.0 / tops)
     )
-    fs = us * la - psi.log_eval(1.0 / us) + inner
+    fs = us * la - psi.log_eval(ps) + inner
     _, best = grid_golden_max(us, fs, objective, tol=1e-12)
     return 0.0 if best == -math.inf else float(math.exp(best))
 
@@ -499,37 +502,40 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     stall, competes with them.  Probes evaluate psi and nu by
     `log_eval_scalar` and h on one-element arrays.
     """
-    u_cap = 1.0 / scan_bound(psi)
-    w_cap = 1.0 / scan_bound(nu)
+    # the grid axes end at the exact exponents, not at 1/(1/b), which can
+    # round past a closed support end
     if domain == "conjugate":
-        def objective(us):
-            p = 1.0 / np.asarray(us)
+        def objective(p):
+            p = np.asarray(p, dtype=float)
             q = conjugate_exponent(p)
             return _neg_log_kernel(h(p, q), psi.log_eval(p), nu.log_eval(q))
 
-        us = np.linspace(max(u_cap, 1e-12), 1.0, n_grid)
+        p_top = scan_bound(psi)
+        us = np.linspace(1.0 / p_top, 1.0, n_grid)
+        ps = 1.0 / us
+        ps[0], ps[-1] = p_top, 1.0
         u, best = grid_golden_max(
-            us, objective(us), lambda t: float(objective(np.array([t]))[0])
+            us, objective(ps), lambda t: float(objective(np.array([1.0 / t]))[0])
         )
         if best == -math.inf:
             return _infeasible("generic", "empty domain")
-        p = 1.0 / u
+        p = p_top if u == us[0] else 1.0 / u
         return BoundReport(
             math.exp(-best) * norm_xi * norm_eta, "generic", p=p,
             q=float(conjugate_exponent(np.array([p]))[0]),
         )
-    if domain == "T":
-        u_rng, w_rng, tri = (u_cap, 1.0), (w_cap, 1.0), True
-    elif domain == "R":
-        u_rng, w_rng, tri = (u_cap, 1.0), (w_cap, 1.0), False
+    if domain in ("T", "R"):
+        p_top, q_top, p_bot, q_bot = scan_bound(psi), scan_bound(nu), 1.0, 1.0
     else:
         (p_lo, p_hi), (q_lo, q_hi) = domain
-        u_rng = (1.0 / min(p_hi, scan_bound(psi)), 1.0 / max(p_lo, 1.0))
-        w_rng = (1.0 / min(q_hi, scan_bound(nu)), 1.0 / max(q_lo, 1.0))
-        tri = False
+        p_top, q_top = min(p_hi, scan_bound(psi)), min(q_hi, scan_bound(nu))
+        p_bot, q_bot = max(p_lo, 1.0), max(q_lo, 1.0)
+    tri = domain == "T"
+    u_rng, w_rng = (1.0 / p_top, 1.0 / p_bot), (1.0 / q_top, 1.0 / q_bot)
     us = np.linspace(u_rng[0], u_rng[1], n_grid)
     ws = np.linspace(w_rng[0], w_rng[1], n_grid)
     ps, qs = 1.0 / us, 1.0 / ws
+    ps[0], ps[-1], qs[0], qs[-1] = p_top, p_bot, q_top, q_bot
     P, Q = np.broadcast_arrays(ps[:, None], qs[None, :])
     f = _neg_log_kernel(h(P, Q), psi.log_eval(ps)[:, None], nu.log_eval(qs)[None, :])
     if tri:
@@ -567,7 +573,8 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     if edge is not None and edge[2] > best:
         u, w, best = edge
     return BoundReport(
-        math.exp(-best) * norm_xi * norm_eta, "generic", p=1.0 / u, q=1.0 / w
+        math.exp(-best) * norm_xi * norm_eta, "generic",
+        p=p_top if u == u_rng[0] else 1.0 / u, q=q_top if w == w_rng[0] else 1.0 / w,
     )
 
 

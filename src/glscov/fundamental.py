@@ -3,7 +3,9 @@
 The sup over p of delta^(1/p) / psi(p) is computed in the u = 1/p coordinate
 on (1/b, 1]: the delta term is log-linear in u and the singularities sit at
 the interval ends, where a dense grid plus golden-section refinement behaves
-well.
+well.  For a piecewise log-linear psi (tabulated, empirical, and products of
+these) the objective is linear in u between psi's breakpoints, which are all
+on the grid, so the grid maximum is the sup and no refinement runs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ def _sup(psi, delta, s, n_grid, refine):
         return u * log_delta - psi.log_eval_scalar(1.0 / u)
 
     us, logs = psi_table(psi, s, n_grid)
+    # linear in u between the breakpoints of a piecewise psi: the grid is exact
+    refine = refine and psi.breakpoints is None
     u_best, f_best = grid_golden_max(us, us * log_delta - logs, objective, refine=refine)
     if f_best == -math.inf:
         return None

@@ -32,8 +32,12 @@ def conjugate_info(psi, x):
     """sup over p in [1, min(b, P_MAX)] of p x - v(p), with provenance.
 
     The scan runs in u = 1/p, on fundamental's table, with the objective
-    (x - ln psi(1/u)) / u.  `unbounded_at_cap` flags a sup still increasing
-    at the scan cap (the conjugate is then effectively +inf for this x).
+    (x - ln psi(1/u)) / u.  For a piecewise log-linear psi, ln psi(1/u) =
+    a + c u on each cell between breakpoints, so the objective (x - a)/u - c
+    is monotone there and the grid maximum, breakpoints included, is the
+    sup; other kinds refine it by golden-section search.  `unbounded_at_cap`
+    flags a sup still increasing at the scan cap (the conjugate is then
+    effectively +inf for this x).
     """
 
     def objective(u):
@@ -43,7 +47,9 @@ def conjugate_info(psi, x):
     us, logs = psi_table(psi, 1.0, N_GRID)
     with np.errstate(invalid="ignore"):
         fs = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
-    u_best, f_best = grid_golden_max(us, fs, objective, tol=1e-13)
+    u_best, f_best = grid_golden_max(
+        us, fs, objective, refine=psi.breakpoints is None, tol=1e-13
+    )
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")
     p_cap = scan_bound(psi)

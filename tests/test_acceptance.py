@@ -200,6 +200,7 @@ def test_criterion_8_identical_power_constant(criterion):
 
 
 def test_criterion_9_gaussian_tail_and_fenchel_young(criterion):
+    t0 = time.perf_counter()
     rng = np.random.default_rng(2026)
     samples = rng.standard_normal(1_000_000)
     p_grid = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 20.0, 24.0]
@@ -222,11 +223,13 @@ def test_criterion_9_gaussian_tail_and_fenchel_young(criterion):
                 break
         if not fy_ok:
             break
+    elapsed = time.perf_counter() - t0
     ok = dominated and fy_ok
     criterion(
         9, ok,
         f"gaussian tails: empirical never exceeds the bound on 50 levels "
-        f"({dominated}); Fenchel-Young holds on the 100x100 grid ({fy_ok})",
+        f"({dominated}); Fenchel-Young holds on the 100x100 grid ({fy_ok}), "
+        f"runtime {elapsed:.2f}s",
     )
 
 

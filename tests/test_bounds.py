@@ -87,6 +87,27 @@ def test_gls_strong_extremal_pair_sup_on_the_support_edge(r1, r2, beta):
     assert got == pytest.approx(2.0 * beta ** (1.0 - 1.0 / r2), rel=1e-9)
 
 
+def test_theta_route_reaches_a_closed_support_end():
+    # 1/(1/1.825) rounds past 1.825, where extremal(1.825) is +inf: the outer
+    # axis must evaluate psi at the exact end exponent, where the sup sits
+    assert 1.0 / (1.0 / 1.825) > 1.825
+    alpha = 0.01
+    got = phi_uniform_theta(extremal(1.825), extremal(4.0), alpha)
+    assert got == pytest.approx(alpha ** (1.0 / 1.825 + 1.0 / 4.0), rel=1e-14, abs=0.0)
+
+
+def test_generic_bound_reaches_a_closed_support_end():
+    # the Davydov kernel on an extremal pair: the inf sits at (p, q) = (1.825, 4)
+    alpha = 0.01
+    rep = generic_bound(
+        lambda p, q: 12.0 * alpha ** (1.0 - 1.0 / p - 1.0 / q),
+        extremal(1.825), extremal(4.0), "T", 1.0, 1.0,
+    )
+    want = 12.0 * alpha ** (1.0 - 1.0 / 1.825 - 1.0 / 4.0)
+    assert rep.value == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert (rep.p, rep.q) == (1.825, 4.0)
+
+
 def test_dual_pair_identity():
     # nu = dual(psi) makes the product zeta = psi^2, so the strong bound equals
     # the specialized dual-pair formula

@@ -11,7 +11,9 @@ from glscov import (
     UserSamplesModel,
     gls_strong_bound,
     markov_mixing_profile,
+    fundamental,
     power,
+    product_zeta,
     sigma_n_estimate,
     summability_report,
     y_sequence,
@@ -67,6 +69,29 @@ def test_z_matches_strong_bound_identity():
         beta = math.exp(-float(k))
         want = gls_strong_bound(power(1.0), power(1.0), beta, 1.0, 1.0).value / 2.0
         assert z[j] == pytest.approx(want, rel=1e-9)
+
+
+def test_z_sup_on_the_support_end_of_the_product():
+    # zeta(p) = psi(p) psi(p/(p-1)) of a natural psi with knots up to p = 16 is
+    # finite for p in [16/15, 16]; at large 1/beta the sup sits at p = 16/15,
+    # where p/(p-1) evaluates to 16.000000000000004, past psi's support.  There
+    # z = psi(16/15) psi(16) beta^(15/16), with ln psi(16/15) interpolated in
+    # 1/p between the knots p = 1 and p = 1.5 (u = 1 and u = 2/3).
+    transition = np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.3, 0.6]])
+    chain = FiniteMarkovModel(transition, np.array([3.0, -1.0, 0.5]))
+    prof = markov_mixing_profile(chain, 24)
+    psi = prof.psi_gamma
+    knots = dict(psi.params["points"])
+    assert max(knots) == 16.0
+    log_end = (13.0 * math.log(knots[1.0]) + 3.0 * math.log(knots[1.5])) / 16.0 + math.log(
+        knots[16.0]
+    )
+    z = z_sequence(prof)
+    for k in range(2, 25):
+        beta = float(prof.beta_seq[k - 1])
+        assert fundamental(product_zeta(psi, psi), 1.0 / beta, n_grid=512).argmax_p == 16.0 / 15.0
+        want = math.exp(log_end + 15.0 / 16.0 * math.log(beta))
+        assert z[k - 2] == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_summability_geometric():

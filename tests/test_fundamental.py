@@ -1,11 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import piecewise_reference as ref
 from glscov import (
     DomainError,
+    PsiFunction,
     closed_form_finite,
     closed_form_power,
+    conjugate,
     extremal,
     finite_support,
     finite_support_constant,
@@ -66,6 +70,11 @@ def test_extremal_sup_sits_on_the_exact_support_end(delta):
 
 def test_empty_support_rejected():
     zeta = product_zeta(extremal(2.0), extremal(1.5))  # needs p<=2 and p'<=1.5
+    with pytest.raises(DomainError):
+        fundamental(zeta, 0.5)
+    # the same for piecewise factors: no breakpoint is left
+    zeta = product_zeta(tabulated([(1.0, 1.0), (2.0, 2.0)]), tabulated([(1.5, 1.0)]))
+    assert zeta.breakpoints.size == 0
     with pytest.raises(DomainError):
         fundamental(zeta, 0.5)
 
@@ -134,3 +143,64 @@ def test_solve_argmax_power():
     for m, delta in [(1.0, math.exp(-2.0)), (2.0, 1e-3)]:
         p0 = solve_argmax(power(m), delta)
         assert p0 == pytest.approx(m * math.log(1.0 / delta), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# piecewise log-linear psi: the sup sits on a breakpoint or a scan end
+
+DELTAS = (1e-12, 1e-6, 1e-2, 0.5, 4.0, 1e6)
+
+
+@pytest.mark.parametrize("name", ["tabulated", "empirical", "product"])
+def test_piecewise_sups_are_the_brute_force_max_over_breakpoints(name):
+    psi, verts = ref.piecewise_case(name)
+    for delta in DELTAS:
+        got = math.log(fundamental(psi, delta).value)
+        assert got == pytest.approx(ref.log_fundamental(verts, delta), rel=1e-13, abs=1e-13)
+        for s in (1.7, 2.5, 6.0):
+            got = math.log(fundamental_truncated(psi, s, delta).value)
+            want = ref.log_fundamental(verts, delta, s)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref.knot_sets(), ref.knot_sets(), st.floats(-30.0, 15.0), st.floats(1.0, 12.0))
+def test_piecewise_sups_match_the_brute_force_on_random_knots(knots, knots_2, log_delta, s):
+    # ln psi(1/u) is neither convex nor concave; the breakpoints still carry
+    # every sup, which the dense scan confirms for the reference itself
+    delta = math.exp(log_delta)
+    verts = ref.vertices(knots)
+    prod = ref.product_vertices(verts, ref.vertices(knots_2))
+    cases = [(tabulated(knots), verts), (product_zeta(tabulated(knots), tabulated(knots_2)), prod)]
+    for psi, vs in cases:
+        want = ref.log_fundamental(vs, delta)
+        assert want >= ref.dense_max(vs, lambda u, a: u * log_delta - a, vs[0][0], 1.0) - 1e-12
+        got = math.log(fundamental(psi, delta).value)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+    if s < knots[-1][0]:
+        got = math.log(fundamental_truncated(tabulated(knots), s, delta).value)
+        assert got == pytest.approx(ref.log_fundamental(verts, delta, s), rel=1e-13, abs=1e-13)
+
+
+def test_piecewise_sups_make_no_scalar_probe(monkeypatch):
+    # the grid maximum is the sup on a piecewise psi, so neither fundamental
+    # nor the conjugate refines; a power psi still does
+    calls = []
+    probe = PsiFunction.log_eval_scalar
+
+    def counted(self, p):
+        calls.append(p)
+        return probe(self, p)
+
+    monkeypatch.setattr(PsiFunction, "log_eval_scalar", counted)
+    for name in ("tabulated", "empirical", "product"):
+        psi, _ = ref.piecewise_case(name)
+        fundamental(psi, 1e-3)
+        fundamental_truncated(psi, 1.5, 1e-3)
+        conjugate(psi, 1.0)
+    assert calls == []
+    fundamental(power(2.0), 1e-3)
+    assert calls
+    calls.clear()
+    conjugate(power(2.0), 1.0)
+    assert calls

@@ -24,7 +24,7 @@ from glscov import (
     psi_to_json,
     tabulated,
 )
-from glscov.psi import logsumexp
+from glscov.psi import log_eval_piecewise, logsumexp
 
 
 def test_conjugate_exponent_values():
@@ -157,6 +157,33 @@ def test_product_zeta_multiplies():
     for p in (1.5, 2.0, 5.0):
         expected = eval_psi(psi, p) * eval_psi(nu, p / (p - 1.0))
         assert eval_psi(zeta, p) == pytest.approx(expected)
+
+
+def test_breakpoints_of_piecewise_kinds():
+    tab = tabulated([(1.5, 2.0), (4.0, 3.0), (2.0, 1.0)])
+    # the knots in u = 1/p, and u = 1 where the flat extension below p = 1.5 ends
+    assert tab.breakpoints.tolist() == [0.25, 0.5, 1.0 / 1.5, 1.0]
+    nu = tabulated([(1.0, 1.0), (8.0, 2.0)])
+    zeta = product_zeta(tab, nu)
+    # psi's knots and one minus nu's, where both are finite: u in [1/4, 7/8]
+    assert zeta.breakpoints.tolist() == [0.25, 0.5, 1.0 / 1.5, 0.875]
+    for psi in (power(1.0), finite_support(3.0, 1.0), extremal(4.0), dual_psi(power(2.0)),
+                product_zeta(tab, power(1.0)), product_zeta(power(1.0), nu)):
+        assert psi.breakpoints is None
+
+
+def test_product_breakpoint_on_the_right_support_end_is_finite():
+    # at u = 1 - 1/16 the conjugate exponent of 1/u rounds past 16, where the
+    # right factor ends; interpolated in u the closed end stays finite
+    psi = tabulated([(1.0, 1.0), (2.0, 1.5), (16.0, 4.0)])
+    zeta = product_zeta(psi, psi)
+    u = 1.0 - 1.0 / 16.0
+    assert float(conjugate_exponent(1.0 / u)) > 16.0
+    assert math.isinf(zeta.log_eval(np.array([1.0 / u]))[0])
+    got = log_eval_piecewise(zeta, np.array([u, np.nextafter(u, 1.0)]))
+    lerp = math.log(1.5) * (1.0 - (u - 0.5) / 0.5)  # ln psi(1/u) on the cell u in [1/2, 1]
+    assert got[0] == pytest.approx(lerp + math.log(4.0), rel=1e-15)
+    assert math.isinf(got[1])
 
 
 def test_json_round_trip_pointwise():

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import piecewise_reference as ref
 from glscov import (
     DomainError,
     conjugate,
@@ -11,6 +13,8 @@ from glscov import (
     extremal,
     orlicz_N,
     power,
+    product_zeta,
+    tabulated,
     tail_bound,
     v_of,
 )
@@ -53,6 +57,29 @@ def test_conjugate_of_extremal_is_linear(r):
         info = conjugate_info(extremal(r), x)
         assert info.value == pytest.approx(r * x, rel=1e-14, abs=0.0)
         assert info.argmax_p == r
+
+
+XS = (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 6.0)
+
+
+@pytest.mark.parametrize("name", ["tabulated", "empirical", "product"])
+def test_piecewise_conjugate_is_the_brute_force_max_over_breakpoints(name):
+    # (x - ln psi(1/u))/u is monotone on each cell between breakpoints
+    psi, verts = ref.piecewise_case(name)
+    for x in XS:
+        assert conjugate(psi, x) == pytest.approx(ref.conjugate(verts, x), rel=1e-13, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref.knot_sets(), ref.knot_sets(), st.floats(-1.0, 4.0))
+def test_piecewise_conjugate_matches_the_brute_force_on_random_knots(knots, knots_2, x):
+    verts = ref.vertices(knots)
+    prod = ref.product_vertices(verts, ref.vertices(knots_2))
+    cases = [(tabulated(knots), verts), (product_zeta(tabulated(knots), tabulated(knots_2)), prod)]
+    for psi, vs in cases:
+        want = ref.conjugate(vs, x)
+        assert want >= ref.dense_max(vs, lambda u, a: (x - a) / u, vs[0][0], 1.0) - 1e-12
+        assert conjugate(psi, x) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_fenchel_young_inequality():
