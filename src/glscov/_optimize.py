@@ -6,6 +6,11 @@ grid of a generating function: every sup over p reads its grid from it.  The
 grid holds every breakpoint of a piecewise log-linear psi, so a 1-D sup whose
 objective is linear or monotone on each cell between them is the grid
 maximum, and its caller skips the golden-section refinement.
+
+Sups over p scan u = 1/p, and only this module knows how a scan meets its
+ends: a scan point u stands for p = 1/u, but a scan end for its exact end
+exponent, since 1/(1/b) can round past a closed support end.  `u_axis` and
+`exponent` apply that rule; `log_ratio` is the objective u ln x - ln psi(1/u).
 """
 
 import math
@@ -66,6 +71,16 @@ def golden_max(f, a, b, tol=1e-12):
     return best_x, best_f
 
 
+def cell_max(f, xs, i, cap=math.inf, tol=1e-13):
+    """golden_max of f on the two grid cells around xs[i], clipped at cap.
+
+    Returns (x, f(x)), or None when the clipped cells are empty.
+    """
+    lo = float(xs[max(i - 1, 0)])
+    hi = min(float(xs[min(i + 1, xs.size - 1)]), cap)
+    return golden_max(f, lo, hi, tol=tol) if hi > lo else None
+
+
 def grid_golden_max(xs, fs, f, refine=True, tol=1e-12):
     """Maximize an objective given by its values `fs` on the sorted grid `xs`.
 
@@ -77,13 +92,30 @@ def grid_golden_max(xs, fs, f, refine=True, tol=1e-12):
     best_x, best_f = float(xs[i]), float(fs[i])
     if not np.isfinite(best_f) or not refine:
         return best_x, best_f
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    if b > a:
-        x, fx = golden_max(f, a, b, tol=tol * max(1.0, float(xs[-1] - xs[0])))
-        if fx > best_f:
-            best_x, best_f = x, fx
+    cell = cell_max(f, xs, i, tol=tol * max(1.0, float(xs[-1] - xs[0])))
+    if cell is not None and cell[1] > best_f:
+        best_x, best_f = cell
     return best_x, best_f
+
+
+def _exponents(us, p_hi, p_lo):
+    """1/u on the ascending scan points us, with the exact end exponents."""
+    ps = 1.0 / us
+    ps[0], ps[-1] = p_hi, p_lo
+    return ps
+
+
+def u_axis(p_hi, p_lo, n):
+    """linspace(n) in u = 1/p on [1/p_hi, 1/p_lo], and the exponents on it."""
+    us = np.linspace(1.0 / p_hi, 1.0 / p_lo, n)
+    return us, _exponents(us, p_hi, p_lo)
+
+
+def exponent(u, p_hi, p_lo):
+    """The exponent of scan point u on [1/p_hi, 1/p_lo]: 1/u, or an exact end."""
+    if u == 1.0 / p_hi:
+        return float(p_hi)
+    return float(p_lo) if u == 1.0 / p_lo else 1.0 / u
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -94,11 +126,10 @@ def psi_table(psi, s, n):
     geometric points (dense toward p -> infinity), for a finite b 64 more
     points geometric toward p -> b, and psi's breakpoints when it is
     piecewise log-linear.  ln psi at the two ends is taken at the exact
-    exponents min(b, P_MAX) and s, not at 1/(1/p), which can fall outside a
-    closed support; a piecewise psi is interpolated in u between its
-    breakpoints, so every closed support end of its factors is feasible too.
-    Returns (us, ln psi); both arrays are read-only, since every caller
-    shares them.
+    exponents min(b, P_MAX) and s; a piecewise psi is read from its
+    breakpoint table at u itself, so every closed support end of its
+    factors is feasible too.  Returns (us, ln psi); both arrays are
+    read-only, since every caller shares them.
     """
     p_hi = scan_bound(psi)
     lo, hi = 1.0 / p_hi, 1.0 / s
@@ -111,11 +142,24 @@ def psi_table(psi, s, n):
     us = np.unique(np.concatenate(parts))
     us = us[(us >= lo) & (us <= hi)]
     if breakpoints is None:
-        ps = 1.0 / us
-        ps[0], ps[-1] = p_hi, s
-        logs = psi.log_eval(ps)
+        logs = psi.log_eval(_exponents(us, p_hi, s))
     else:
         logs = log_eval_piecewise(psi, us)
     us.flags.writeable = False
     logs.flags.writeable = False
     return us, logs
+
+
+def log_ratio(psi, log_x, s, n):
+    """u ln x - ln psi(1/u) for a sup over p in [s, min(b, P_MAX)].
+
+    Returns psi_table(psi, s, n)'s grid, the objective on it and the
+    objective as a scalar probe of u.  u > 0 and ln psi > -inf, so no value
+    is NaN; -inf marks an infeasible point.
+    """
+    us, logs = psi_table(psi, s, n)
+
+    def probe(u):
+        return u * log_x - psi.log_eval_scalar(1.0 / u)
+
+    return us, us * log_x - logs, probe

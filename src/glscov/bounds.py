@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import golden_max, grid_golden_max, psi_table
+from ._optimize import cell_max, exponent, golden_max, grid_golden_max, log_ratio, u_axis
 from .errors import DomainError
 from .fundamental import finite_support_constant, fundamental, fundamental_truncated, g_prime
 from .psi import conjugate_exponent, product_zeta, scan_bound
@@ -118,14 +118,6 @@ class UniformPhi:
     q: float
 
 
-def _axis(psi, log_x, n_grid):
-    """One axis of the triangle: psi's table in u = 1/p and u ln x - ln psi(1/u)."""
-    us, logs = psi_table(psi, 1.0, n_grid)
-    with np.errstate(invalid="ignore"):
-        vals = us * log_x - logs
-    return us, np.where(np.isnan(vals), -np.inf, vals)
-
-
 def _running_max(c):
     """Prefix maximum of c and the first index attaining it."""
     run = np.maximum.accumulate(c)
@@ -160,16 +152,6 @@ def _triangle_grid_best(us, a, ws, c):
     return i, int(arg[last[i]]), float(rows[i])
 
 
-def _cell_max(f, xs, i, cap):
-    """golden_max of f on the two grid cells around xs[i], clipped at cap.
-
-    Returns (x, f(x)), or None when the clipped cells are empty.
-    """
-    lo = float(xs[max(i - 1, 0)])
-    hi = min(float(xs[min(i + 1, xs.size - 1)]), cap)
-    return golden_max(f, lo, hi, tol=1e-13) if hi > lo else None
-
-
 def _cell_polish(f, us, ws, i, j, best, cap):
     """Golden-section moves of the grid point (us[i], ws[j]) inside its own
     cells, first in u and then in w, keeping u + w <= cap.
@@ -178,10 +160,10 @@ def _cell_polish(f, us, ws, i, j, best, cap):
     that no other candidate reaches.  Returns (u, w, value).
     """
     u, w = float(us[i]), float(ws[j])
-    cell = _cell_max(lambda t: f(t, w), us, i, cap - w)
+    cell = cell_max(lambda t: f(t, w), us, i, cap - w)
     if cell is not None and cell[1] > best:
         u, best = cell
-    cell = _cell_max(lambda t: f(u, t), ws, j, cap - u)
+    cell = cell_max(lambda t: f(u, t), ws, j, cap - u)
     if cell is not None and cell[1] > best:
         w, best = cell
     return u, w, best
@@ -204,15 +186,13 @@ def _edge_max(f, u_lo, w_lo):
 def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
-    In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable.  a
-    and c are read off the cached tables psi_table(psi, 1, n_grid) and
-    psi_table(nu, 1, n_grid), which the nested route shares: linspace(n_grid)
-    and 128 geometric points in u, the ramp toward a finite b, and a
-    tabulated function's knots.  The grid-best over the triangle comes from
-    a running maximum of c.  Refinement keeps the best of: the grid-best
-    polished inside its own cells; the product point of the two 1-D sups,
-    when it lies in the triangle (the factorization); and a golden-section
-    search along the edge u + w = 1.  For concave a and c, which every
+    In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable; a and
+    c are `log_ratio` on one cached table per function, which the nested
+    route shares.  The grid-best over the triangle comes from a running
+    maximum of c.  Refinement keeps the best of: the grid-best polished
+    inside its own cells; the product point of the two 1-D sups, when it
+    lies in the triangle (the factorization); and a golden-section search
+    along the edge u + w = 1.  For concave a and c, which every
     built-in kind gives except a tabulated psi with non-monotone knot
     slopes, the sup is one of the last two; for a tabulated psi the knots on
     the grid put the grid-best on the right local maximum.  Every candidate
@@ -224,32 +204,26 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     _check_unit(beta, "beta")
     la = math.log(alpha) if alpha > 0 else -math.inf
     lb = math.log(beta) if beta > 0 else -math.inf
-    us, a = _axis(psi, la, n_grid)
-    ws, c = _axis(nu, lb, n_grid)
+    us, a, a_at = log_ratio(psi, la, 1.0, n_grid)
+    ws, c, c_at = log_ratio(nu, lb, 1.0, n_grid)
     i, j, best = _triangle_grid_best(us, a, ws, c)
     if best == -math.inf:
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
-    u, w = float(us[i]), float(ws[j])
-
-    def f_u(t):
-        return t * la - psi.log_eval_scalar(1.0 / t)
-
-    def f_w(t):
-        return t * lb - nu.log_eval_scalar(1.0 / t)
 
     def f(s, t):
-        return f_u(s) + f_w(t)
+        return a_at(s) + c_at(t)
 
     edge = 1.0 - _T_MARGIN
     u, w, best = _cell_polish(f, us, ws, i, j, best, edge)
-    u1, fu = grid_golden_max(us, a, f_u, tol=1e-13)
-    w1, fw = grid_golden_max(ws, c, f_w, tol=1e-13)
+    u1, fu = grid_golden_max(us, a, a_at, tol=1e-13)
+    w1, fw = grid_golden_max(ws, c, c_at, tol=1e-13)
     if u1 + w1 <= edge and fu + fw > best:
         u, w, best = u1, w1, fu + fw
     on_edge = _edge_max(f, float(us[0]), float(ws[0]))
     if on_edge is not None and on_edge[2] > best:
         u, w, best = on_edge
-    return UniformPhi(alpha, beta, float(math.exp(best)), 1.0 / u, 1.0 / w)
+    return UniformPhi(alpha, beta, float(math.exp(best)),
+                      exponent(u, scan_bound(psi), 1.0), exponent(w, scan_bound(nu), 1.0))
 
 
 def phi_uniform_theta(psi, nu, alpha, n_grid=512):
@@ -257,24 +231,19 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     theta(p) = psi(p) / (sup over q >= p' of alpha^(1/q)/nu(q)).
 
     In u = 1/p the inner sup runs over w = 1/q in [1/b_nu, 1 - u].  It comes
-    from c(w) = w ln alpha - ln nu(1/w) on nu's axis table, which
-    phi_uniform at the same n_grid reads too, and its running maximum,
-    together with c(1 - u).  The outer scan uses that grid value;
-    its golden-section probes also refine the inner sup on the cell around
-    the running argmax, clipped at 1 - u.
+    from the running maximum of c(w) = w ln alpha - ln nu(1/w) on nu's
+    table, which phi_uniform at the same n_grid reads too, and c(1 - u).
+    The outer scan uses that grid value; its golden-section probes also
+    refine the inner sup on the cell around the running argmax, clipped at
+    1 - u.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    p_top = scan_bound(psi)
-    u_lo = 1.0 / p_top
-    w_lo = 1.0 / scan_bound(nu)
-    ws, c = _axis(nu, la, n_grid)
+    ws, c, c_at = log_ratio(nu, la, 1.0, n_grid)
+    w_lo = float(ws[0])
     run, arg = _running_max(c)
-
-    def c_of(w):
-        return w * la - nu.log_eval_scalar(1.0 / w)
 
     def objective(u):
         lp = psi.log_eval_scalar(1.0 / u)
@@ -282,15 +251,13 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
         if math.isinf(lp) or top < w_lo:
             return -math.inf
         k = int(np.searchsorted(ws, top, side="right")) - 1
-        inner = max(float(run[k]), c_of(top))
-        cell = _cell_max(c_of, ws, int(arg[k]), top) if math.isfinite(run[k]) else None
+        inner = max(float(run[k]), c_at(top))
+        cell = cell_max(c_at, ws, int(arg[k]), top) if math.isfinite(run[k]) else None
         if cell is not None:
             inner = max(inner, cell[1])
         return u * la - lp + inner
 
-    us = np.linspace(u_lo, 1.0, n_grid)
-    ps = 1.0 / us
-    ps[0] = p_top  # 1/(1/b) can round past a closed support end
+    us, ps = u_axis(scan_bound(psi), 1.0, n_grid)
     tops = 1.0 - us
     tops = tops[tops >= w_lo]  # a prefix, since us increases
     inner = np.full(n_grid, -np.inf)
@@ -502,8 +469,6 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     stall, competes with them.  Probes evaluate psi and nu by
     `log_eval_scalar` and h on one-element arrays.
     """
-    # the grid axes end at the exact exponents, not at 1/(1/b), which can
-    # round past a closed support end
     if domain == "conjugate":
         def objective(p):
             p = np.asarray(p, dtype=float)
@@ -511,15 +476,13 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             return _neg_log_kernel(h(p, q), psi.log_eval(p), nu.log_eval(q))
 
         p_top = scan_bound(psi)
-        us = np.linspace(1.0 / p_top, 1.0, n_grid)
-        ps = 1.0 / us
-        ps[0], ps[-1] = p_top, 1.0
+        us, ps = u_axis(p_top, 1.0, n_grid)
         u, best = grid_golden_max(
             us, objective(ps), lambda t: float(objective(np.array([1.0 / t]))[0])
         )
         if best == -math.inf:
             return _infeasible("generic", "empty domain")
-        p = p_top if u == us[0] else 1.0 / u
+        p = exponent(u, p_top, 1.0)
         return BoundReport(
             math.exp(-best) * norm_xi * norm_eta, "generic", p=p,
             q=float(conjugate_exponent(np.array([p]))[0]),
@@ -531,11 +494,9 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         p_top, q_top = min(p_hi, scan_bound(psi)), min(q_hi, scan_bound(nu))
         p_bot, q_bot = max(p_lo, 1.0), max(q_lo, 1.0)
     tri = domain == "T"
-    u_rng, w_rng = (1.0 / p_top, 1.0 / p_bot), (1.0 / q_top, 1.0 / q_bot)
-    us = np.linspace(u_rng[0], u_rng[1], n_grid)
-    ws = np.linspace(w_rng[0], w_rng[1], n_grid)
-    ps, qs = 1.0 / us, 1.0 / ws
-    ps[0], ps[-1], qs[0], qs[-1] = p_top, p_bot, q_top, q_bot
+    us, ps = u_axis(p_top, p_bot, n_grid)
+    ws, qs = u_axis(q_top, q_bot, n_grid)
+    u_rng, w_rng = (float(us[0]), float(us[-1])), (float(ws[0]), float(ws[-1]))
     P, Q = np.broadcast_arrays(ps[:, None], qs[None, :])
     f = _neg_log_kernel(h(P, Q), psi.log_eval(ps)[:, None], nu.log_eval(qs)[None, :])
     if tri:
@@ -574,7 +535,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         u, w, best = edge
     return BoundReport(
         math.exp(-best) * norm_xi * norm_eta, "generic",
-        p=p_top if u == u_rng[0] else 1.0 / u, q=q_top if w == w_rng[0] else 1.0 / w,
+        p=exponent(u, p_top, p_bot), q=exponent(w, q_top, q_bot),
     )
 
 

@@ -20,6 +20,9 @@ from .finite import _log_moments, _mixing_pair
 
 _DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
+#: scan points of the fundamental functions in y(k) and z(k)
+_N_GRID = 512
+
 
 @dataclass(frozen=True, eq=False)
 class CltProfile:
@@ -59,7 +62,7 @@ def _require_nontrivial(psi):
         )
 
 
-def y_sequence(profile, n_grid=512):
+def y_sequence(profile):
     """y(k) = alpha(k) / phi^2(alpha(k)) for k = 2..K; 0 where alpha(k) = 0.
 
     The ratio at alpha = 0 is 0/0 in the raw formula; it is defined as 0 by
@@ -73,13 +76,13 @@ def y_sequence(profile, n_grid=512):
         if a == 0.0:
             continue
         if a not in cache:
-            phi = fundamental(profile.psi_gamma, a, n_grid=n_grid).value
+            phi = fundamental(profile.psi_gamma, a, n_grid=_N_GRID).value
             cache[a] = a / phi**2
         out[k - 2] = cache[a]
     return out
 
 
-def z_sequence(profile, n_grid=512):
+def z_sequence(profile):
     """z(k) = 1 / phi[G zeta](1/beta(k)) with zeta(p) = psi(p) psi(p/(p-1))."""
     _require_nontrivial(profile.psi_gamma)
     zeta = product_zeta(profile.psi_gamma, profile.psi_gamma)
@@ -91,7 +94,7 @@ def z_sequence(profile, n_grid=512):
             continue
         if b not in cache:
             try:
-                phi = fundamental(zeta, 1.0 / b, n_grid=n_grid).value
+                phi = fundamental(zeta, 1.0 / b, n_grid=_N_GRID).value
             except DomainError:
                 raise DomainError("product generating function nowhere finite")
             cache[b] = 1.0 / phi

@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optimize import grid_golden_max
+from ._optimize import grid_golden_max, u_axis
 from .errors import DomainError
 from .psi import logsumexp, power, scan_bound
 from . import bounds as _bounds
+
+#: scan points of the campaign's sups and exact GLS norms
+_N_GRID = 256
 
 #: alpha enumerates 2^(k-1) block unions of the smaller field, k blocks;
 #: a pair of fields that both have more blocks than this is refused
@@ -38,10 +41,6 @@ class FiniteProbSpace:
             raise DomainError("atom probabilities must be strictly positive")
         if abs(p.sum() - 1.0) > 1e-12:
             raise DomainError("atom probabilities must sum to 1")
-
-    @property
-    def n_atoms(self):
-        return self.atom_probs.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +169,7 @@ def _gls_norms_exact(space, xi, psis, n_grid, refine):
     def log_norms(ps):
         return _log_moments(space.atom_probs, xi.values, ps) / ps
 
-    us = np.linspace(1.0 / scan_bound(psis[0]), 1.0, n_grid)
-    ps = 1.0 / us
+    us, ps = u_axis(scan_bound(psis[0]), 1.0, n_grid)
     curve = log_norms(ps)
     out = []
     for psi in psis:
@@ -196,7 +194,6 @@ class CampaignConfig:
     max_atoms: int = 10
     max_blocks: int = 4
     slack: float = 1e-12
-    n_grid: int = 256  # optimizer resolution inside the campaign
 
 
 @dataclass
@@ -240,7 +237,7 @@ _ETA_P = tuple(sorted({q for _, q in _PQ_GRID} | {p / (p - 1.0) for p in _IBRAGI
 _PSI1, _PSI2 = power(1.0), power(2.0)
 
 
-def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
+def _instance_checks(space, f_field, g_field, xi, eta):
     """Every feasible bound evaluated on one instance, as (name, value) pairs."""
     alpha, beta = _mixing_pair(_joint_law(space, f_field, g_field))
     lp_xi = _exact_lps(space, xi, _XI_P)
@@ -255,9 +252,9 @@ def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
         rep = _bounds.ibragimov_bound(beta, p, lp_xi[p], lp_eta[q])
         out.append((f"ibragimov({p:g})", rep.value))
     out.append(("holder(2)", _bounds.holder_bound(lp_xi[2.0], lp_eta[2.0]).value))
-    nx1, nx2 = _gls_norms_exact(space, xi, (_PSI1, _PSI2), n_grid, refine=False)
-    ne2 = gls_norm_exact(space, eta, _PSI2, n_grid=n_grid, refine=False)
-    rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=n_grid, refine=False)
+    nx1, nx2 = _gls_norms_exact(space, xi, (_PSI1, _PSI2), _N_GRID, refine=False)
+    ne2 = gls_norm_exact(space, eta, _PSI2, n_grid=_N_GRID, refine=False)
+    rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=_N_GRID, refine=False)
     if rep.feasible:
         out.append(("gls_strong", rep.value))
     phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64)
@@ -265,7 +262,7 @@ def _instance_checks(space, f_field, g_field, xi, eta, n_grid):
         out.append(("gls_uniform", 0.0))
     elif phi2d.value > 0:
         out.append(("gls_uniform", 12.0 * alpha * nx1 * ne2 / phi2d.value))
-    rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2, n_grid=n_grid, refine=False)
+    rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2, n_grid=_N_GRID, refine=False)
     if rep.feasible:
         out.append(("gls_identical", rep.value))
     return alpha, beta, out
@@ -282,7 +279,7 @@ def verify_campaign(config=CampaignConfig(), collect_rows=False):
         rng = np.random.default_rng((config.seed, i))
         space, ff, gg, xi, eta = _random_instance(rng, config.max_atoms, config.max_blocks)
         cov = exact_cov(space, xi, eta)
-        alpha, beta, checks = _instance_checks(space, ff, gg, xi, eta, config.n_grid)
+        alpha, beta, checks = _instance_checks(space, ff, gg, xi, eta)
         acov = abs(cov)
         tight_name, tight_val = None, math.inf
         for name, val in checks:

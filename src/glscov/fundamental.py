@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import grid_golden_max, psi_table
+from ._optimize import exponent, grid_golden_max, log_ratio
 from .errors import DomainError
 from .psi import scan_bound
 
@@ -40,30 +40,24 @@ class FundamentalResult:
 
 
 def _sup(psi, delta, s, n_grid, refine):
-    """sup over p in [s, b) of delta^(1/p)/psi(p); 0.0 on an empty domain."""
+    """(u, ln value) at the sup over p in [s, b) of delta^(1/p)/psi(p); None if empty."""
     if delta <= 0:
         raise DomainError("delta must be positive")
-    b_scan = scan_bound(psi)
-    u_lo = 1.0 / b_scan
-    u_hi = 1.0 / s
-    if u_hi < u_lo:
+    if 1.0 / s < 1.0 / scan_bound(psi):
         return None  # empty domain
-    log_delta = math.log(delta)
-
-    def objective(u):
-        return u * log_delta - psi.log_eval_scalar(1.0 / u)
-
-    us, logs = psi_table(psi, s, n_grid)
+    us, fs, probe = log_ratio(psi, math.log(delta), s, n_grid)
     # linear in u between the breakpoints of a piecewise psi: the grid is exact
     refine = refine and psi.breakpoints is None
-    u_best, f_best = grid_golden_max(us, us * log_delta - logs, objective, refine=refine)
+    u_best, f_best = grid_golden_max(us, fs, probe, refine=refine)
     if f_best == -math.inf:
         return None
-    return u_best, f_best, u_lo, u_hi
+    return u_best, f_best
 
 
 def _result(psi, delta, s, packed):
-    u_best, f_best, u_lo, u_hi = packed
+    u_best, f_best = packed
+    b_scan = scan_bound(psi)
+    u_lo, u_hi = 1.0 / b_scan, 1.0 / s
     span = max(u_hi - u_lo, 1e-300)
     boundary = None
     if u_hi - u_best <= 1e-9 * span and s == 1.0:
@@ -72,7 +66,7 @@ def _result(psi, delta, s, packed):
         boundary = "at_b" if math.isfinite(psi.b) else "at_infinity"
     return FundamentalResult(
         value=float(math.exp(f_best)),
-        argmax_p=scan_bound(psi) if u_best == u_lo else 1.0 / u_best,
+        argmax_p=exponent(u_best, b_scan, s),
         delta=float(delta),
         boundary=boundary,
         trunc_low=float(s),

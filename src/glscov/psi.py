@@ -121,16 +121,16 @@ class PsiFunction:
         or monotone in u on each cell sits on one of them or at a scan end.
         """
         k = self.kind
-        if k in ("tabulated", "empirical") or (
-            k == "product"
-            and self.left.breakpoints is not None
-            and self.right.breakpoints is not None
-        ):
+        if k in ("tabulated", "empirical") or (k == "product" and self.params["piecewise"]):
             return self._table[0]
         return None
 
     def log_eval(self, p):
-        """ln psi(p) for p >= 1 (scalar or ndarray); +inf outside support."""
+        """ln psi(p) for p >= 1 (scalar or ndarray); +inf outside support.
+
+        A piecewise psi is read from its breakpoint table at u = 1/p, as every
+        sup reads it, so each closed support end of its factors is finite.
+        """
         p = np.asarray(p, dtype=float)
         # ndarray.any skips np.any's Python-level dispatch, which dominated
         # the cost of the many one-point calls
@@ -147,20 +147,13 @@ class PsiFunction:
             return out
         if k == "extremal":
             return np.where(p <= self.params["r"], 0.0, np.inf)
-        if k in ("tabulated", "empirical"):
-            us, logs = self._table
-            out = np.full(p.shape, np.inf)
-            inside = p <= self.b
-            with np.errstate(divide="ignore"):
-                u = 1.0 / p[inside]
-            # np.interp clamps at both ends: flat extension on [1, p_min)
-            out[inside] = np.interp(u, us, logs)
-            return out
-        if k == "product":
-            return self.left.log_eval(p) + self.right.log_eval(conjugate_exponent(p))
         if k == "dual":
             return self.left.log_eval(conjugate_exponent(p))
-        raise ValueError(f"unknown generating-function kind {k!r}")
+        if k == "product" and not self.params["piecewise"]:
+            return self.left.log_eval(p) + self.right.log_eval(conjugate_exponent(p))
+        if self.breakpoints is None:
+            raise ValueError(f"unknown generating-function kind {k!r}")
+        return log_eval_piecewise(self, 1.0 / p)
 
     def log_eval_scalar(self, p):
         """log_eval for one float p, without building an array.
@@ -178,16 +171,17 @@ class PsiFunction:
             return -beta * math.log(b - p) if p < b else math.inf
         if k == "extremal":
             return 0.0 if p <= self.params["r"] else math.inf
-        if k in ("tabulated", "empirical"):
-            us, logs = self._table
-            return float(np.interp(1.0 / p, us, logs)) if p <= self.b else math.inf
-        if k == "product":
+        if k == "dual":
+            return self.left.log_eval_scalar(_conjugate_scalar(p))
+        if k == "product" and not self.params["piecewise"]:
             return self.left.log_eval_scalar(p) + self.right.log_eval_scalar(
                 _conjugate_scalar(p)
             )
-        if k == "dual":
-            return self.left.log_eval_scalar(_conjugate_scalar(p))
-        raise ValueError(f"unknown generating-function kind {k!r}")
+        if self.breakpoints is None:
+            raise ValueError(f"unknown generating-function kind {k!r}")
+        us, logs = self._table
+        u = 1.0 / p
+        return float(np.interp(u, us, logs)) if us.size and us[0] <= u <= us[-1] else math.inf
 
     def __call__(self, p):
         return eval_psi(self, p)
@@ -256,17 +250,20 @@ def product_zeta(psi, nu):
     """p -> psi(p) * nu(p/(p-1)); +inf wherever either factor is.
 
     The same (psi, nu) objects give the same product object, so its cached
-    scan tables are reused across calls.
+    scan tables are reused across calls.  Whether both factors are piecewise
+    is decided once here, so a smooth product's evaluation never tests them.
     """
-    return PsiFunction("product", psi.b, closed_at_b=psi.closed_at_b, left=psi, right=nu)
+    piecewise = psi.breakpoints is not None and nu.breakpoints is not None
+    return PsiFunction("product", psi.b, closed_at_b=psi.closed_at_b,
+                       params={"piecewise": piecewise}, left=psi, right=nu)
 
 
 def log_eval_piecewise(psi, us):
     """ln psi(1/u) on an array of u for a psi whose breakpoints are not None.
 
-    Interpolates in u between the breakpoints instead of evaluating at
-    p = 1/u: 1/(1/b) and the conjugate exponent of 1/u can round past a
-    closed support end, which this keeps finite at its breakpoint.
+    Interpolates in u between the breakpoints: finite exactly on
+    [first, last] breakpoint, so a closed support end stays finite however
+    1/(1/b) or the conjugate exponent of 1/u rounds.
     """
     bp, logs = psi._table
     us = np.asarray(us, dtype=float)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import grid_golden_max, psi_table
+from ._optimize import exponent, grid_golden_max, psi_table
 from .errors import DomainError
 from .fundamental import N_GRID
 from .psi import scan_bound
@@ -53,7 +53,7 @@ def conjugate_info(psi, x):
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")
     p_cap = scan_bound(psi)
-    p_best = p_cap if u_best == us[0] else 1.0 / u_best
+    p_best = exponent(u_best, p_cap, 1.0)
     unbounded = False
     if math.isinf(psi.b) and p_best >= p_cap * (1 - 1e-9):
         unbounded = f_best > objective(1.0 / (p_cap * (1 - 1e-6)))

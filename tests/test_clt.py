@@ -64,7 +64,7 @@ def test_y_closed_form_power():
 def test_z_matches_strong_bound_identity():
     # z(k) is half the identical-pair strong bound at beta(k) with unit norms
     prof = geometric_profile(K=8)
-    z = z_sequence(prof, n_grid=2048)
+    z = z_sequence(prof)
     for j, k in enumerate(range(2, 9)):
         beta = math.exp(-float(k))
         want = gls_strong_bound(power(1.0), power(1.0), beta, 1.0, 1.0).value / 2.0

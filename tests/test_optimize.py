@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from glscov import (
@@ -11,7 +12,7 @@ from glscov import (
     product_zeta,
     tail_bound,
 )
-from glscov._optimize import TABLE_CACHE_SIZE, golden_max, psi_table
+from glscov._optimize import TABLE_CACHE_SIZE, exponent, golden_max, psi_table, u_axis
 
 
 def _step(edge, feasible_left):
@@ -69,3 +70,13 @@ def test_cached_tables_are_read_only_and_bounded():
     info = psi_table.cache_info()
     assert info.maxsize == TABLE_CACHE_SIZE
     assert info.currsize == TABLE_CACHE_SIZE
+
+
+def test_u_axis_and_exponent_are_exact_at_both_ends():
+    for p_hi, p_lo in ((1.825, 1.0), (6.0, 1.51), (1e6, 1.46)):
+        us, ps = u_axis(p_hi, p_lo, 17)
+        assert (ps[0], ps[-1]) == (p_hi, p_lo)
+        assert np.array_equal(ps[1:-1], 1.0 / us[1:-1])
+        assert exponent(float(us[0]), p_hi, p_lo) == p_hi
+        assert exponent(float(us[-1]), p_hi, p_lo) == p_lo
+        assert exponent(float(us[5]), p_hi, p_lo) == 1.0 / us[5]

@@ -179,8 +179,8 @@ def test_product_breakpoint_on_the_right_support_end_is_finite():
     zeta = product_zeta(psi, psi)
     u = 1.0 - 1.0 / 16.0
     assert float(conjugate_exponent(1.0 / u)) > 16.0
-    assert math.isinf(zeta.log_eval(np.array([1.0 / u]))[0])
     got = log_eval_piecewise(zeta, np.array([u, np.nextafter(u, 1.0)]))
+    assert zeta.log_eval(np.array([1.0 / u]))[0] == got[0]
     lerp = math.log(1.5) * (1.0 - (u - 0.5) / 0.5)  # ln psi(1/u) on the cell u in [1/2, 1]
     assert got[0] == pytest.approx(lerp + math.log(4.0), rel=1e-15)
     assert math.isinf(got[1])

@@ -19,8 +19,8 @@ from glscov import (
     power,
     tabulated,
 )
-from glscov._optimize import TABLE_CACHE_SIZE, psi_table
-from glscov.bounds import _T_MARGIN, _axis, _triangle_grid_best
+from glscov._optimize import TABLE_CACHE_SIZE, log_ratio, psi_table
+from glscov.bounds import _T_MARGIN, _triangle_grid_best
 from glscov.psi import P_MAX
 
 #: knot slopes in (1/p, ln psi) that are not monotone: h(u) = ln psi(1/u) is
@@ -62,8 +62,8 @@ def test_grid_best_is_the_masked_scan_on_random_pairs(seed):
     psi, nu = _random_psi(rng), _random_psi(rng)
     n = int(rng.choice([16, 64, 512]))
     la, lb = rng.uniform(-12.0, -0.1, size=2)
-    us, a = _axis(psi, la, n)
-    ws, c = _axis(nu, lb, n)
+    us, a, _ = log_ratio(psi, la, 1.0, n)
+    ws, c, _ = log_ratio(nu, lb, 1.0, n)
     _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -91,8 +91,8 @@ def test_grid_best_non_convex_tabulated():
     psi, nu = tabulated(NON_CONVEX), power(1.0)
     for la in (-1.0, -2.5, -4.0, -7.0):
         for first, second in ((psi, nu), (nu, psi)):
-            us, a = _axis(first, la, 512)
-            ws, c = _axis(second, 0.6 * la, 512)
+            us, a, _ = log_ratio(first, la, 1.0, 512)
+            ws, c, _ = log_ratio(second, 0.6 * la, 1.0, 512)
             _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
