@@ -7,10 +7,11 @@ grid holds every breakpoint of a piecewise log-linear psi, so a 1-D sup whose
 objective is linear or monotone on each cell between them is the grid
 maximum, and its caller skips the golden-section refinement.
 
-Sups over p scan u = 1/p, and only this module knows how a scan meets its
-ends: a scan point u stands for p = 1/u, but a scan end for its exact end
-exponent, since 1/(1/b) can round past a closed support end.  `u_axis` and
-`exponent` apply that rule; `log_ratio` is the objective u ln x - ln psi(1/u).
+Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
+scan turns u back into p for psi.  A reported exponent, and the exponents
+handed to functions of p (kernels, moments), take a scan end as its exact
+end exponent: `exponent` and `u_axis`.  `log_ratio` is the objective
+u ln x - ln psi(1/u).
 """
 
 import math
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .psi import log_eval_piecewise, scan_bound
+from .psi import scan_bound
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
@@ -98,17 +99,16 @@ def grid_golden_max(xs, fs, f, refine=True, tol=1e-12):
     return best_x, best_f
 
 
-def _exponents(us, p_hi, p_lo):
-    """1/u on the ascending scan points us, with the exact end exponents."""
+def u_axis(p_hi, p_lo, n):
+    """linspace(n) in u = 1/p on [1/p_hi, 1/p_lo], and the exponents on it.
+
+    The exponents are 1/u with the exact end exponents, for functions of p
+    such as kernels and moments; psi itself is read at u.
+    """
+    us = np.linspace(1.0 / p_hi, 1.0 / p_lo, n)
     ps = 1.0 / us
     ps[0], ps[-1] = p_hi, p_lo
-    return ps
-
-
-def u_axis(p_hi, p_lo, n):
-    """linspace(n) in u = 1/p on [1/p_hi, 1/p_lo], and the exponents on it."""
-    us = np.linspace(1.0 / p_hi, 1.0 / p_lo, n)
-    return us, _exponents(us, p_hi, p_lo)
+    return us, ps
 
 
 def exponent(u, p_hi, p_lo):
@@ -125,10 +125,7 @@ def psi_table(psi, s, n):
     The grid is in u = 1/p on [1/min(b, P_MAX), 1/s]: linspace(n), 128
     geometric points (dense toward p -> infinity), for a finite b 64 more
     points geometric toward p -> b, and psi's breakpoints when it is
-    piecewise log-linear.  ln psi at the two ends is taken at the exact
-    exponents min(b, P_MAX) and s; a piecewise psi is read from its
-    breakpoint table at u itself, so every closed support end of its
-    factors is feasible too.  Returns (us, ln psi); both arrays are
+    piecewise log-linear.  Returns (us, ln psi(1/us)); both arrays are
     read-only, since every caller shares them.
     """
     p_hi = scan_bound(psi)
@@ -141,10 +138,7 @@ def psi_table(psi, s, n):
         parts.append(breakpoints)
     us = np.unique(np.concatenate(parts))
     us = us[(us >= lo) & (us <= hi)]
-    if breakpoints is None:
-        logs = psi.log_eval(_exponents(us, p_hi, s))
-    else:
-        logs = log_eval_piecewise(psi, us)
+    logs = psi.log_u(us)
     us.flags.writeable = False
     logs.flags.writeable = False
     return us, logs
@@ -160,6 +154,6 @@ def log_ratio(psi, log_x, s, n):
     us, logs = psi_table(psi, s, n)
 
     def probe(u):
-        return u * log_x - psi.log_eval_scalar(1.0 / u)
+        return u * log_x - psi.log_u_scalar(u)
 
     return us, us * log_x - logs, probe

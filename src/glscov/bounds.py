@@ -246,7 +246,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     run, arg = _running_max(c)
 
     def objective(u):
-        lp = psi.log_eval_scalar(1.0 / u)
+        lp = psi.log_u_scalar(u)
         top = 1.0 - u
         if math.isinf(lp) or top < w_lo:
             return -math.inf
@@ -257,14 +257,14 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
             inner = max(inner, cell[1])
         return u * la - lp + inner
 
-    us, ps = u_axis(scan_bound(psi), 1.0, n_grid)
+    us, _ = u_axis(scan_bound(psi), 1.0, n_grid)
     tops = 1.0 - us
     tops = tops[tops >= w_lo]  # a prefix, since us increases
     inner = np.full(n_grid, -np.inf)
     inner[: tops.size] = np.maximum(
-        run[np.searchsorted(ws, tops, side="right") - 1], tops * la - nu.log_eval(1.0 / tops)
+        run[np.searchsorted(ws, tops, side="right") - 1], tops * la - nu.log_u(tops)
     )
-    fs = us * la - psi.log_eval(ps) + inner
+    fs = us * la - psi.log_u(us) + inner
     _, best = grid_golden_max(us, fs, objective, tol=1e-12)
     return 0.0 if best == -math.inf else float(math.exp(best))
 
@@ -461,24 +461,24 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     `domain` is "T" (open triangle 1/p+1/q<1), "R" (full quadrant),
     "conjugate" (the line q = p/(p-1)), or ((p_lo, p_hi), (q_lo, q_hi)).
 
-    The inf becomes a sup of -ln(h psi nu) in (u, w) = (1/p, 1/q).  psi and nu
-    are evaluated once on each grid axis and h on the whole grid.  The best
-    grid point is refined by golden-section moves inside its own cells, then
-    along each coordinate in turn (h need not be separable); on "T" a
-    golden-section search along the edge u + w = 1, where coordinate moves
-    stall, competes with them.  Probes evaluate psi and nu by
-    `log_eval_scalar` and h on one-element arrays.
+    The inf becomes a sup of -ln(h psi nu) in (u, w) = (1/p, 1/q), with
+    w = 1 - u on the conjugate line.  psi and nu are evaluated once on each
+    grid axis and h on the whole grid.  The best grid point is refined by
+    golden-section moves inside its own cells, then along each coordinate in
+    turn (h need not be separable); on "T" a golden-section search along the
+    edge u + w = 1, where coordinate moves stall, competes with them.  Probes
+    evaluate psi and nu by `log_u_scalar` and h on one-element arrays.
     """
     if domain == "conjugate":
-        def objective(p):
-            p = np.asarray(p, dtype=float)
-            q = conjugate_exponent(p)
-            return _neg_log_kernel(h(p, q), psi.log_eval(p), nu.log_eval(q))
+        def objective(us, ps):
+            hv = h(ps, conjugate_exponent(ps))
+            return _neg_log_kernel(hv, psi.log_u(us), nu.log_u(1.0 - us))
 
         p_top = scan_bound(psi)
         us, ps = u_axis(p_top, 1.0, n_grid)
         u, best = grid_golden_max(
-            us, objective(ps), lambda t: float(objective(np.array([1.0 / t]))[0])
+            us, objective(us, ps),
+            lambda t: float(objective(np.array([t]), np.array([1.0 / t]))[0]),
         )
         if best == -math.inf:
             return _infeasible("generic", "empty domain")
@@ -498,7 +498,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     ws, qs = u_axis(q_top, q_bot, n_grid)
     u_rng, w_rng = (float(us[0]), float(us[-1])), (float(ws[0]), float(ws[-1]))
     P, Q = np.broadcast_arrays(ps[:, None], qs[None, :])
-    f = _neg_log_kernel(h(P, Q), psi.log_eval(ps)[:, None], nu.log_eval(qs)[None, :])
+    f = _neg_log_kernel(h(P, Q), psi.log_u(us)[:, None], nu.log_u(ws)[None, :])
     if tri:
         f[us[:, None] + ws[None, :] > 1.0 - _T_MARGIN] = -np.inf
     i, j = np.unravel_index(np.argmax(f), f.shape)
@@ -508,11 +508,10 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
 
     def objective(s, t):
         # _neg_log_kernel for one pair, in floats
-        p, q = 1.0 / s, 1.0 / t
-        lk = psi.log_eval_scalar(p) + nu.log_eval_scalar(q)
+        lk = psi.log_u_scalar(s) + nu.log_u_scalar(t)
         if lk == math.inf:
             return -math.inf
-        hv = float(np.asarray(h(np.array([p]), np.array([q])), dtype=float)[0])
+        hv = float(np.asarray(h(np.array([1.0 / s]), np.array([1.0 / t])), dtype=float)[0])
         if hv > 0:
             return -(math.log(hv) + lk)
         return math.inf if hv == 0 else -math.inf

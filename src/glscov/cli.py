@@ -268,8 +268,8 @@ def _cmd_clt(args):
         report["verdicts"] = {"y": ry.verdict, "z": rz.verdict}
         report["tail_ratios"] = {"y": ry.tail_ratio, "z": rz.tail_ratio}
         report["profile_note"] = (
-            "single-coordinate fields: coefficients are lower bounds on the "
-            "full past/future profile"
+            "single-coordinate fields: for a Markov chain these coefficients "
+            "equal the full past/future profile"
         )
     ns = [int(float(x)) for x in args.n_grid.split(",")]
     est = clt.sigma_n_estimate(model, ns, replications=args.reps, seed=args.seed)

@@ -279,11 +279,12 @@ def natural_function_of_markov(model, p_grid=_DEFAULT_P_GRID):
 
 
 def markov_mixing_profile(model, K, p_grid=_DEFAULT_P_GRID):
-    """Exact single-coordinate mixing profile of a finite chain.
+    """Exact past/future mixing profile of a finite chain.
 
     Coefficients are computed for the fields generated by the single
-    coordinates (state at time 0, state at time k), which is a lower bound
-    on the full past/future coefficients: infinite pasts are not enumerable.
+    coordinates (state at time 0, state at time k).  For a Markov chain these
+    equal the coefficients of the full past and future (Bradley, Probab.
+    Surveys 2, 2005, section 7).
     """
     pi = model.stationary()
     alpha_seq = np.zeros(K)

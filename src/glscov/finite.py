@@ -175,10 +175,9 @@ def _gls_norms_exact(space, xi, psis, n_grid, refine):
     for psi in psis:
 
         def objective(t, psi=psi):
-            p = np.array([1.0 / t])
-            return float((log_norms(p) - psi.log_eval(p))[0])
+            return float(log_norms(np.array([1.0 / t]))[0]) - psi.log_u_scalar(t)
 
-        _, best = grid_golden_max(us, curve - psi.log_eval(ps), objective, refine=refine)
+        _, best = grid_golden_max(us, curve - psi.log_u(us), objective, refine=refine)
         out.append(0.0 if best == -math.inf else float(math.exp(best)))
     return out
 

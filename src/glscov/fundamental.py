@@ -35,7 +35,7 @@ class FundamentalResult:
     value: float
     argmax_p: float
     delta: float
-    boundary: str | None = None  # at_one | at_b | at_infinity
+    boundary: str | None = None  # at_one | at_s (s > 1) | at_b | at_infinity
     trunc_low: float = 1.0
 
 
@@ -60,8 +60,8 @@ def _result(psi, delta, s, packed):
     u_lo, u_hi = 1.0 / b_scan, 1.0 / s
     span = max(u_hi - u_lo, 1e-300)
     boundary = None
-    if u_hi - u_best <= 1e-9 * span and s == 1.0:
-        boundary = "at_one"
+    if u_hi - u_best <= 1e-9 * span:
+        boundary = "at_one" if s == 1.0 else "at_s"
     elif u_best - u_lo <= 1e-9 * span:
         boundary = "at_b" if math.isfinite(psi.b) else "at_infinity"
     return FundamentalResult(
@@ -169,10 +169,9 @@ def g_transform(psi, x):
     """g(x) = -ln psi(1/x) for 1/x inside the support."""
     if x <= 0:
         raise DomainError("g-transform needs x > 0")
-    p = 1.0 / x
-    if p < 1.0:
+    if x > 1.0:
         raise DomainError("1/x lies outside the support of psi")
-    val = psi.log_eval_scalar(p)
+    val = psi.log_u_scalar(x)
     if math.isinf(val):
         raise DomainError("1/x lies outside the support of psi")
     return -val
@@ -193,7 +192,7 @@ def g_prime(psi, x):
             raise DomainError("1/x lies outside the support of psi")
         return beta / (x * x * (b - p))
     if psi.kind == "extremal":
-        if 1.0 / x > psi.params["r"]:
+        if x < 1.0 / psi.params["r"]:
             raise DomainError("1/x lies outside the support of psi")
         return 0.0
     h = max(1e-6 * x, 1e-9)

@@ -2,7 +2,8 @@
 
 A generating function psi lives on [1, b) for a support bound b in (1, inf];
 beyond a finite b it is extended by +inf.  All evaluation happens in log
-space, vectorized over numpy arrays, so products and suprema never overflow.
+space and in the scan coordinate u = 1/p of every sup (`log_u`), vectorized
+over numpy arrays, so products and suprema never overflow.
 """
 
 from __future__ import annotations
@@ -37,15 +38,6 @@ def logsumexp(a, axis=None):
     with np.errstate(divide="ignore"):
         s = np.log(np.exp(a - m).sum(axis=axis))
     return s + m.squeeze(axis=axis)
-
-
-def _conjugate_scalar(p):
-    """conjugate_exponent for one float."""
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 def conjugate_exponent(p):
@@ -125,63 +117,77 @@ class PsiFunction:
             return self._table[0]
         return None
 
-    def log_eval(self, p):
-        """ln psi(p) for p >= 1 (scalar or ndarray); +inf outside support.
+    def log_u(self, u):
+        """ln psi(1/u) on u in [0, 1] (scalar or ndarray); +inf outside support.
 
-        A piecewise psi is read from its breakpoint table at u = 1/p, as every
-        sup reads it, so each closed support end of its factors is finite.
+        Every sup scans u = 1/p, and psi is read there directly: no p is
+        rebuilt from 1/u, which can round past a closed support end.  u = 0
+        stands for p = infinity.
         """
-        p = np.asarray(p, dtype=float)
-        # ndarray.any skips np.any's Python-level dispatch, which dominated
-        # the cost of the many one-point calls
-        if (p < 1.0).any():
-            raise DomainError("generating functions are defined for p >= 1 only")
+        u = np.asarray(u, dtype=float)
         k = self.kind
         if k == "power":
-            return np.log(p) / self.params["m"]
+            with np.errstate(divide="ignore"):
+                return -np.log(u) / self.params["m"]
         if k == "finite_support":
             b, beta = self.params["b"], self.params["beta"]
-            out = np.full(p.shape, np.inf)
-            inside = p < b
+            with np.errstate(divide="ignore", over="ignore"):
+                p = 1.0 / u
+            out = np.full(u.shape, np.inf)
+            # u = 1/b stands for p = b, outside the open support, however
+            # 1/u rounds; p < b keeps b - p positive
+            inside = (u > 1.0 / b) & (p < b)
             out[inside] = -beta * np.log(b - p[inside])
             return out
         if k == "extremal":
-            return np.where(p <= self.params["r"], 0.0, np.inf)
+            return np.where(u >= 1.0 / self.params["r"], 0.0, np.inf)
         if k == "dual":
-            return self.left.log_eval(conjugate_exponent(p))
+            return self.left.log_u(1.0 - u)
         if k == "product" and not self.params["piecewise"]:
-            return self.left.log_eval(p) + self.right.log_eval(conjugate_exponent(p))
+            return self.left.log_u(u) + self.right.log_u(1.0 - u)
         if self.breakpoints is None:
             raise ValueError(f"unknown generating-function kind {k!r}")
-        return log_eval_piecewise(self, 1.0 / p)
+        bp, logs = self._table
+        if bp.size == 0:
+            return np.full(u.shape, np.inf)
+        return np.where((u >= bp[0]) & (u <= bp[-1]), np.interp(u, bp, logs), np.inf)
 
-    def log_eval_scalar(self, p):
-        """log_eval for one float p, without building an array.
+    def log_u_scalar(self, u):
+        """log_u for one float u, without building an array.
 
-        For the scalar loops of golden-section searches; agrees with
-        log_eval up to the rounding of math.log against numpy's log.
+        For the scalar probes of golden-section searches; agrees with log_u
+        up to the rounding of math.log against numpy's log.
         """
-        if p < 1.0:
-            raise DomainError("generating functions are defined for p >= 1 only")
         k = self.kind
         if k == "power":
-            return math.log(p) / self.params["m"]
+            return -math.log(u) / self.params["m"] if u > 0.0 else math.inf
         if k == "finite_support":
-            b, beta = self.params["b"], self.params["beta"]
-            return -beta * math.log(b - p) if p < b else math.inf
+            b = self.params["b"]
+            if u <= 1.0 / b:
+                return math.inf
+            p = 1.0 / u
+            return -self.params["beta"] * math.log(b - p) if p < b else math.inf
         if k == "extremal":
-            return 0.0 if p <= self.params["r"] else math.inf
+            return 0.0 if u >= 1.0 / self.params["r"] else math.inf
         if k == "dual":
-            return self.left.log_eval_scalar(_conjugate_scalar(p))
+            return self.left.log_u_scalar(1.0 - u)
         if k == "product" and not self.params["piecewise"]:
-            return self.left.log_eval_scalar(p) + self.right.log_eval_scalar(
-                _conjugate_scalar(p)
-            )
+            return self.left.log_u_scalar(u) + self.right.log_u_scalar(1.0 - u)
         if self.breakpoints is None:
             raise ValueError(f"unknown generating-function kind {k!r}")
         us, logs = self._table
-        u = 1.0 / p
         return float(np.interp(u, us, logs)) if us.size and us[0] <= u <= us[-1] else math.inf
+
+    def log_eval(self, p):
+        """ln psi(p) for p >= 1 (scalar or ndarray); +inf outside support.
+
+        The p-space entry to `log_u`, for callers that hold exponents.
+        """
+        p = np.asarray(p, dtype=float)
+        # ndarray.any skips np.any's Python-level dispatch
+        if (p < 1.0).any():
+            raise DomainError("generating functions are defined for p >= 1 only")
+        return self.log_u(1.0 / p)
 
     def __call__(self, p):
         return eval_psi(self, p)
@@ -256,20 +262,6 @@ def product_zeta(psi, nu):
     piecewise = psi.breakpoints is not None and nu.breakpoints is not None
     return PsiFunction("product", psi.b, closed_at_b=psi.closed_at_b,
                        params={"piecewise": piecewise}, left=psi, right=nu)
-
-
-def log_eval_piecewise(psi, us):
-    """ln psi(1/u) on an array of u for a psi whose breakpoints are not None.
-
-    Interpolates in u between the breakpoints: finite exactly on
-    [first, last] breakpoint, so a closed support end stays finite however
-    1/(1/b) or the conjugate exponent of 1/u rounds.
-    """
-    bp, logs = psi._table
-    us = np.asarray(us, dtype=float)
-    if bp.size == 0:
-        return np.full(us.shape, np.inf)
-    return np.where((us >= bp[0]) & (us <= bp[-1]), np.interp(us, bp, logs), np.inf)
 
 
 def scan_bound(psi):

@@ -18,7 +18,7 @@ def v_of(psi, p):
     """v(p) = p ln psi(p); +inf outside the support."""
     if p < 1.0:
         raise DomainError("p must lie in [1, infinity)")
-    return p * psi.log_eval_scalar(float(p))
+    return p * psi.log_u_scalar(1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def conjugate_info(psi, x):
     """
 
     def objective(u):
-        logs = psi.log_eval_scalar(1.0 / u)
+        logs = psi.log_u_scalar(u)
         return -math.inf if math.isinf(logs) else (x - logs) / u
 
     us, logs = psi_table(psi, 1.0, N_GRID)

@@ -227,3 +227,32 @@ def test_generic_bound_vanishing_kernel_gives_zero():
         psi, nu, "R", 1.0, 1.0,
     )
     assert rep.value == 0.0
+
+
+def _ibragimov(beta):
+    def h(p, q):
+        return 2.0 * beta ** (1.0 / p) * np.ones_like(q)
+
+    return h
+
+
+@pytest.mark.parametrize(
+    "psi,nu,want",
+    [
+        (power(1.0), power(2.0), (0.11086450547408064, 1.0961298104355204, 11.402600353308257)),
+        # p <= 3 and p/(p-1) <= 1.5 leave the single point p = 3
+        (extremal(3.0), extremal(1.5), (0.4308869380063768, 3.0, 1.5)),
+        (finite_support(4.0, 0.5), power(1.0),
+         (0.15143606277876048, 1.256864149601187, 4.8931084838138075)),
+        # the inf sits at p = 1, q = infinity, where 1 - u = 0
+        (power(2.0), dual_psi(power(1.0)), (0.02, 1.0, math.inf)),
+    ],
+    ids=["power_power", "extremal_extremal", "finite_power", "power_dual"],
+)
+def test_generic_bound_on_the_conjugate_line(psi, nu, want):
+    rep = generic_bound(_ibragimov(0.01), psi, nu, "conjugate", 1.0, 1.0)
+    value, p, q = want
+    assert rep.value == pytest.approx(value, rel=1e-14, abs=0.0)
+    # the maximum is flat in p, which the value pins far tighter than p
+    assert rep.p == pytest.approx(p, rel=1e-7)
+    assert rep.q == pytest.approx(q, rel=1e-7)

@@ -19,6 +19,7 @@ from glscov import (
     y_sequence,
     z_sequence,
 )
+from glscov.finite import _mixing_pair
 from mixing_reference import brute_force_mixing, flattened_space
 
 
@@ -185,6 +186,28 @@ def test_twelve_state_profile_matches_the_enumeration():
         alpha, beta = brute_force_mixing(*flattened_space(pi[:, None] * pk))
         assert prof.alpha_seq[k - 1] == pytest.approx(alpha, abs=1e-15)
         assert prof.beta_seq[k - 1] == pytest.approx(beta, abs=1e-15)
+
+
+def test_markov_profile_equals_the_past_future_coefficients():
+    # for a Markov chain the single-coordinate coefficients are the
+    # past/future ones (Bradley, Probab. Surveys 2, 2005, section 7): the
+    # windows (X_-1, X_0) and (X_k, X_k+1) give the same alpha and beta
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 4))
+        transition = rng.dirichlet(np.ones(n), size=n)
+        model = FiniteMarkovModel(transition, rng.uniform(-1.0, 1.0, size=n))
+        prof = markov_mixing_profile(model, K=3)
+        pi = model.stationary()
+        first = pi[:, None] * transition  # P(X_-1 = a, X_0 = b)
+        pk = np.eye(n)
+        for k in (1, 2, 3):
+            pk = pk @ transition
+            # P(X_-1 = a, X_0 = b, X_k = c, X_k+1 = d), rows (a, b), columns (c, d)
+            joint = np.einsum("ab,bc,cd->abcd", first, pk, transition).reshape(n * n, n * n)
+            alpha, beta = _mixing_pair(joint)
+            assert prof.alpha_seq[k - 1] == pytest.approx(alpha, abs=1e-14)
+            assert prof.beta_seq[k - 1] == pytest.approx(beta, abs=1e-14)
 
 
 def test_markov_sigma_matches_geometric_series():

@@ -60,12 +60,20 @@ def test_extremal_degeneration():
 @pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-2])
 def test_extremal_sup_sits_on_the_exact_support_end(delta):
     # 1/(1/1.825) rounds above 1.825, where psi is +inf: the grid end must be
-    # evaluated at p = b itself, or the sup falls back to the next grid point
+    # read at u = 1/b itself, or the sup falls back to the next grid point
     r = 1.825
     assert 1.0 / (1.0 / r) > r
     res = fundamental(extremal(r), delta)
     assert res.value == pytest.approx(delta ** (1.0 / r), rel=1e-14, abs=0.0)
     assert (res.argmax_p, res.boundary) == (r, "at_b")
+
+
+def test_sup_at_the_lower_scan_end_is_flagged():
+    # at delta = 0.9 the objective of power(1) rises on all of [1/b, 1/s]
+    for s, flag in ((1.0, "at_one"), (1.46, "at_s"), (2.0, "at_s")):
+        res = fundamental_truncated(power(1.0), s, 0.9)
+        assert (res.argmax_p, res.boundary) == (s, flag)
+    assert fundamental(power(1.0), 0.9).boundary == "at_one"
 
 
 def test_empty_support_rejected():
@@ -186,13 +194,13 @@ def test_piecewise_sups_make_no_scalar_probe(monkeypatch):
     # the grid maximum is the sup on a piecewise psi, so neither fundamental
     # nor the conjugate refines; a power psi still does
     calls = []
-    probe = PsiFunction.log_eval_scalar
+    probe = PsiFunction.log_u_scalar
 
-    def counted(self, p):
-        calls.append(p)
-        return probe(self, p)
+    def counted(self, u):
+        calls.append(u)
+        return probe(self, u)
 
-    monkeypatch.setattr(PsiFunction, "log_eval_scalar", counted)
+    monkeypatch.setattr(PsiFunction, "log_u_scalar", counted)
     for name in ("tabulated", "empirical", "product"):
         psi, _ = ref.piecewise_case(name)
         fundamental(psi, 1e-3)

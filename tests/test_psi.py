@@ -24,7 +24,7 @@ from glscov import (
     psi_to_json,
     tabulated,
 )
-from glscov.psi import log_eval_piecewise, logsumexp
+from glscov.psi import logsumexp
 
 
 def test_conjugate_exponent_values():
@@ -79,42 +79,78 @@ def test_tabulated_interpolates_and_extends_flat():
     assert eval_psi(psi, 1 / mid_u) == pytest.approx(math.sqrt(2.0))
 
 
-_SCALAR_CASES = [
-    (power(2.0), [1.0, 1.5, 4.0, 1e12, math.inf]),
+#: (psi, u = 1/p to check, support ends in u); u = 0 stands for p = infinity
+_U_CASES = [
+    (power(2.0), [1.0, 1 / 1.5, 0.25, 1e-12, 0.0], []),
     # b = 3 itself lies outside the open support
-    (finite_support(3.0, 1.5), [1.0, 2.0, 2.999, 3.0, 10.0]),
+    (finite_support(3.0, 1.5), [1.0, 0.5, 1 / 2.999, 1 / 3.0, 0.1], [1 / 3.0]),
+    # 1/(1/3.946312461594403) rounds below b: u = 1/b must still read +inf
+    (finite_support(3.946312461594403, 1.0), [1.0, 0.5], [1 / 3.946312461594403]),
+    # beta = 0: psi = 1 on [1, b), so only the support test decides
+    (finite_support(2.5, 0.0), [1.0, 0.5, 0.45], [1 / 2.5]),
     # closed at r = 4: finite there, +inf just beyond
-    (extremal(4.0), [1.0, 4.0, 4.0 + 1e-12, 7.0]),
+    (extremal(4.0), [1.0, 0.25, 1 / (4.0 + 1e-12), 1 / 7.0], [1 / 4.0]),
     # flat left of the first knot, closed at b = 8
-    (tabulated([(2.0, 1.0), (3.0, 1.3), (8.0, 2.0)]), [1.0, 2.0, 2.5, 5.0, 8.0, 8.5]),
-    (product_zeta(power(1.0), finite_support(3.0, 1.0)), [1.0, 1.4, 1.6, 2.0, 5.0]),
-    (dual_psi(power(2.0)), [1.0, 1.5, 2.0, 10.0, math.inf]),
+    (tabulated([(2.0, 1.0), (3.0, 1.3), (8.0, 2.0)]), [1.0, 0.5, 0.4, 0.2, 0.125, 1 / 8.5],
+     [1 / 8.0]),
+    # the right factor's support ends at 1/q = 1/3, i.e. u = 2/3
+    (product_zeta(power(1.0), finite_support(3.0, 1.0)), [1.0, 1 / 1.4, 1 / 1.6, 0.5, 0.2],
+     [1.0 - 1.0 / 3.0]),
+    (dual_psi(power(2.0)), [1.0, 1 / 1.5, 0.5, 0.1, 0.0], []),
 ]
 
 
+def _assert_scalar_matches_array(psi, u):
+    want = float(psi.log_u(np.array([u]))[0])
+    got = psi.log_u_scalar(u)
+    assert isinstance(got, float)
+    assert not math.isnan(got) and not math.isnan(want), u
+    if math.isinf(want):
+        assert got == want, u
+    else:
+        assert math.isclose(got, want, rel_tol=1e-15, abs_tol=1e-300), u
+
+
+def _end_neighbours(u):
+    """u and its two float neighbours inside [0, 1]."""
+    near = (np.nextafter(u, -1.0), u, np.nextafter(u, 2.0))
+    return [float(v) for v in near if 0.0 <= v <= 1.0]
+
+
 @pytest.mark.parametrize(
-    "psi,ps", _SCALAR_CASES, ids=[psi.kind for psi, _ in _SCALAR_CASES]
+    "psi,us,ends", _U_CASES,
+    ids=["power", "finite_support", "finite_support_rounding", "finite_support_beta0",
+         "extremal", "tabulated", "product", "dual"],
 )
-def test_log_eval_scalar_matches_log_eval(psi, ps):
-    for p in ps:
-        want = float(psi.log_eval(np.array([p]))[0])
-        got = psi.log_eval_scalar(p)
-        assert isinstance(got, float)
-        if math.isinf(want):
-            assert got == want, p
-        else:
-            assert math.isclose(got, want, rel_tol=1e-15, abs_tol=1e-300), p
-    assert any(math.isinf(psi.log_eval_scalar(p)) for p in ps)
-    with pytest.raises(DomainError):
-        psi.log_eval_scalar(0.5)
+def test_log_u_scalar_matches_log_u(psi, us, ends):
+    checked = list(us) + [0.0, 1.0]
+    for end in [1.0 / psi.b] + ends:
+        checked += _end_neighbours(end)
+    for u in checked:
+        _assert_scalar_matches_array(psi, u)
+    assert any(math.isinf(psi.log_u_scalar(u)) for u in checked)
 
 
-def test_log_eval_scalar_support_edge():
-    assert extremal(4.0).log_eval_scalar(4.0) == 0.0
-    assert tabulated([(2.0, 1.0), (8.0, 2.0)]).log_eval_scalar(8.0) == pytest.approx(
+@given(st.floats(0.0, 1.0))
+def test_log_u_scalar_matches_log_u_on_random_u(u):
+    for psi, _, _ in _U_CASES:
+        _assert_scalar_matches_array(psi, u)
+
+
+def test_log_u_at_the_support_ends():
+    assert extremal(4.0).log_u_scalar(1 / 4.0) == 0.0
+    assert tabulated([(2.0, 1.0), (8.0, 2.0)]).log_u_scalar(1 / 8.0) == pytest.approx(
         math.log(2.0)
     )
-    assert finite_support(3.0, 1.5).log_eval_scalar(3.0) == math.inf
+    assert finite_support(3.0, 1.5).log_u_scalar(1 / 3.0) == math.inf
+    # the open end stays +inf where 1/(1/b) rounds below b, in p and in u
+    b = 3.946312461594403
+    assert 1.0 / (1.0 / b) < b
+    for beta in (0.0, 1.0):
+        assert eval_psi(finite_support(b, beta), b) == math.inf
+        assert finite_support(b, beta).log_u_scalar(1.0 / b) == math.inf
+    with pytest.raises(DomainError):
+        extremal(4.0).log_eval(0.5)
 
 
 def test_logsumexp_matches_direct_summation():
@@ -179,7 +215,7 @@ def test_product_breakpoint_on_the_right_support_end_is_finite():
     zeta = product_zeta(psi, psi)
     u = 1.0 - 1.0 / 16.0
     assert float(conjugate_exponent(1.0 / u)) > 16.0
-    got = log_eval_piecewise(zeta, np.array([u, np.nextafter(u, 1.0)]))
+    got = zeta.log_u(np.array([u, np.nextafter(u, 1.0)]))
     assert zeta.log_eval(np.array([1.0 / u]))[0] == got[0]
     lerp = math.log(1.5) * (1.0 - (u - 0.5) / 0.5)  # ln psi(1/u) on the cell u in [1/2, 1]
     assert got[0] == pytest.approx(lerp + math.log(4.0), rel=1e-15)

@@ -16,6 +16,7 @@ from glscov import (
     example_combined,
     exact_lp,
     extremal,
+    finite_support,
     fundamental_truncated,
     generic_bound,
     gls_norm_exact,
@@ -25,7 +26,6 @@ from glscov import (
     product_zeta,
     tabulated,
 )
-from glscov.psi import log_eval_piecewise
 
 #: 1/(1/1.825) rounds to 1.8250000000000002, past the closed end of extremal(1.825)
 R = 1.825
@@ -77,7 +77,31 @@ def test_piecewise_product_is_finite_at_the_right_factors_closed_end():
     # the last knot of the right factor
     t = tabulated([(1.0, 1.0), (2.0, 1.5), (16.0, 4.0)])
     zeta = product_zeta(t, t)
-    want = float(log_eval_piecewise(zeta, np.array([1.0 - 1.0 / 16.0]))[0])
+    want = float(zeta.log_u(np.array([1.0 - 1.0 / 16.0]))[0])
     assert math.isfinite(want)
     assert zeta.log_eval(np.array([16.0 / 15.0]))[0] == want
-    assert zeta.log_eval_scalar(16.0 / 15.0) == want
+    assert zeta.log_u_scalar(1.0 - 1.0 / 16.0) == want
+
+
+def _davydov(alpha):
+    def h(p, q):
+        return 12.0 * alpha ** (1.0 - 1.0 / p - 1.0 / q)
+
+    return h
+
+
+def test_probes_read_psi_at_the_closed_support_end():
+    # 1/(1/3.722) rounds past 3.722: a probe that rebuilt p from u read +inf
+    r = 3.722
+    assert 1.0 / (1.0 / r) > r
+    assert extremal(r).log_u_scalar(1.0 / r) == 0.0
+
+
+def test_generic_bound_with_the_sup_on_a_closed_support_end_matches_the_uniform_bound():
+    # the sup sits at q = r, p inside the support: probes must reach w = 1/r
+    alpha = math.exp(-11.997)
+    psi, nu = finite_support(4.498, 0.012), extremal(3.722)
+    gen = generic_bound(_davydov(alpha), psi, nu, "T", 1.0, 1.0)
+    uni = gls_uniform_bound(psi, nu, alpha, 1.0, 1.0)
+    assert gen.q == 3.722
+    assert gen.value == pytest.approx(uni.value, rel=1e-12, abs=0.0)
