@@ -1,11 +1,18 @@
-"""One-dimensional maximization helpers: grid scan plus golden-section refinement.
+"""One-dimensional maximization: a grid scan, then a refinement of its best point.
 
 Objectives are evaluated in log space by the callers; a value of -inf marks an
 infeasible point and is simply never selected.  `psi_table` is the one scan
 grid of a generating function: every sup over p reads its grid from it.  The
 grid holds every breakpoint of a piecewise log-linear psi, so a 1-D sup whose
 objective is linear or monotone on each cell between them is the grid
-maximum, and its caller skips the golden-section refinement.
+maximum, and its caller skips the refinement.
+
+`grid_golden_max` refines by safeguarded Newton (`newton_max`) when the
+caller hands it a derivative probe, which the 1-D sups over a smooth psi
+do (`log_ratio`, the conjugate), and by golden-section search otherwise:
+for psi that are extremal or have a piecewise factor, for kernels and
+moment curves, and next to an infeasible grid point.  Newton never takes
+more evaluations than the golden search on the same cells.
 
 Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
 scan turns u back into p for psi.  A reported exponent, and the exponents
@@ -82,18 +89,77 @@ def cell_max(f, xs, i, cap=math.inf, tol=1e-13):
     return golden_max(f, lo, hi, tol=tol) if hi > lo else None
 
 
-def grid_golden_max(xs, fs, f, refine=True, tol=1e-12):
+def _golden_evals(width, tol):
+    """Objective evaluations golden_max makes on a bracket of this width."""
+    if width <= tol:
+        return 2
+    evals = 4
+    while width > tol and evals < _MAX_ITER + 4:
+        width *= _INV_PHI
+        evals += 1
+    return evals
+
+
+def newton_max(df, lo, x, hi, tol):
+    """Safeguarded Newton on f' for the max of a smooth f on [lo, hi], from x.
+
+    df(x) returns (f(x), f'(x), f''(x)).  The sign of f' at x picks the side
+    of x that holds the max, and every later point shrinks that bracket by
+    the sign of f' there.  A Newton step that leaves the bracket, or one
+    taken where f'' >= 0, becomes a bisection.  So does every step once
+    another Newton step could leave too few evaluations to finish by
+    bisection within golden_max's count on [lo, hi]: no refinement costs
+    more than the golden search it replaces.  Stops once a Newton step or
+    the bracket is below tol.  Returns (x_best, f_best) over every point
+    evaluated.
+    """
+    budget = _golden_evals(hi - lo, tol)
+    fx, d1, d2 = df(x)
+    best_x, best_f = x, fx
+    if d1 == 0:
+        return best_x, best_f
+    a, b = (x, hi) if d1 > 0 else (lo, x)
+    evals = 1
+    while b - a > tol:
+        step = -d1 / d2 if d2 < 0 else math.nan
+        if abs(step) <= tol:
+            break
+        bisections = math.ceil(math.log2((b - a) / tol))
+        if not a < x + step < b or evals + 1 + bisections > budget:
+            step = 0.5 * (a + b) - x
+        x += step
+        fx, d1, d2 = df(x)
+        evals += 1
+        if fx >= best_f:  # on a tie the later iterate is nearer the root
+            best_x, best_f = x, fx
+        if d1 > 0:
+            a = x
+        elif d1 < 0:
+            b = x
+        else:
+            break
+    return best_x, best_f
+
+
+def grid_golden_max(xs, fs, f, refine=True, tol=1e-12, df=None):
     """Maximize an objective given by its values `fs` on the sorted grid `xs`.
 
-    Takes the best grid point, then refines by golden-section search with the
-    scalar objective `f` on the cell bracketing it.  Returns (x_best, f_best);
-    f_best is -inf when the objective is -inf everywhere.
+    Takes the best grid point, then refines it with the scalar objective `f`
+    on the two grid cells around it: by `newton_max` when the caller hands
+    a derivative probe `df` (a smooth objective) and both neighbouring grid
+    values are finite, by golden-section search otherwise.  Returns
+    (x_best, f_best); f_best is -inf when the objective is -inf everywhere.
     """
     i = int(np.argmax(fs))
     best_x, best_f = float(xs[i]), float(fs[i])
     if not np.isfinite(best_f) or not refine:
         return best_x, best_f
-    cell = cell_max(f, xs, i, tol=tol * max(1.0, float(xs[-1] - xs[0])))
+    tol *= max(1.0, float(xs[-1] - xs[0]))
+    j, k = max(i - 1, 0), min(i + 1, xs.size - 1)
+    if df is not None and fs[j] > -np.inf and fs[k] > -np.inf:
+        cell = newton_max(df, float(xs[j]), best_x, float(xs[k]), tol)
+    else:
+        cell = cell_max(f, xs, i, tol=tol)
     if cell is not None and cell[1] > best_f:
         best_x, best_f = cell
     return best_x, best_f
@@ -147,13 +213,18 @@ def psi_table(psi, s, n):
 def log_ratio(psi, log_x, s, n):
     """u ln x - ln psi(1/u) for a sup over p in [s, min(b, P_MAX)].
 
-    Returns psi_table(psi, s, n)'s grid, the objective on it and the
-    objective as a scalar probe of u.  u > 0 and ln psi > -inf, so no value
-    is NaN; -inf marks an infeasible point.
+    Returns psi_table(psi, s, n)'s grid, the objective on it, the objective
+    as a scalar probe of u and, for a smooth psi, its derivative probe u ->
+    (f, f', f'') for `grid_golden_max` (None otherwise).  u > 0 and
+    ln psi > -inf, so no value is NaN; -inf marks an infeasible point.
     """
     us, logs = psi_table(psi, s, n)
 
     def probe(u):
         return u * log_x - psi.log_u_scalar(u)
 
-    return us, us * log_x - logs, probe
+    def newton(u):
+        d1, d2 = psi.dlog_u_scalar(u)
+        return u * log_x - psi.log_u_scalar(u), log_x - d1, -d2
+
+    return us, us * log_x - logs, probe, newton if psi.smooth else None

@@ -204,8 +204,8 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     _check_unit(beta, "beta")
     la = math.log(alpha) if alpha > 0 else -math.inf
     lb = math.log(beta) if beta > 0 else -math.inf
-    us, a, a_at = log_ratio(psi, la, 1.0, n_grid)
-    ws, c, c_at = log_ratio(nu, lb, 1.0, n_grid)
+    us, a, a_at, a_newton = log_ratio(psi, la, 1.0, n_grid)
+    ws, c, c_at, c_newton = log_ratio(nu, lb, 1.0, n_grid)
     i, j, best = _triangle_grid_best(us, a, ws, c)
     if best == -math.inf:
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
@@ -215,8 +215,8 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
 
     edge = 1.0 - _T_MARGIN
     u, w, best = _cell_polish(f, us, ws, i, j, best, edge)
-    u1, fu = grid_golden_max(us, a, a_at, tol=1e-13)
-    w1, fw = grid_golden_max(ws, c, c_at, tol=1e-13)
+    u1, fu = grid_golden_max(us, a, a_at, tol=1e-13, df=a_newton)
+    w1, fw = grid_golden_max(ws, c, c_at, tol=1e-13, df=c_newton)
     if u1 + w1 <= edge and fu + fw > best:
         u, w, best = u1, w1, fu + fw
     on_edge = _edge_max(f, float(us[0]), float(ws[0]))
@@ -241,7 +241,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_at = log_ratio(nu, la, 1.0, n_grid)
+    ws, c, c_at, _ = log_ratio(nu, la, 1.0, n_grid)
     w_lo = float(ws[0])
     run, arg = _running_max(c)
 

@@ -2,19 +2,20 @@
 
 The sup over p of delta^(1/p) / psi(p) is computed in the u = 1/p coordinate
 on (1/b, 1]: the delta term is log-linear in u and the singularities sit at
-the interval ends, where a dense grid plus golden-section refinement behaves
-well.  For a piecewise log-linear psi (tabulated, empirical, and products of
-these) the objective is linear in u between psi's breakpoints, which are all
-on the grid, so the grid maximum is the sup and no refinement runs.
+the interval ends, where a dense grid plus a refinement of its best point
+behaves well.  For a smooth psi (`PsiFunction.smooth`) the objective
+u ln delta - ln psi(1/u) is concave with exact derivatives, and the
+refinement is safeguarded Newton; an extremal psi, or one with a piecewise
+factor that is not piecewise itself, refines by golden-section search.  For
+a piecewise log-linear psi (tabulated, empirical, and products of these)
+the objective is linear in u between psi's breakpoints, which are all on
+the grid, so the grid maximum is the sup and no refinement runs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._optimize import exponent, grid_golden_max, log_ratio
 from .errors import DomainError
@@ -45,10 +46,10 @@ def _sup(psi, delta, s, n_grid, refine):
         raise DomainError("delta must be positive")
     if 1.0 / s < 1.0 / scan_bound(psi):
         return None  # empty domain
-    us, fs, probe = log_ratio(psi, math.log(delta), s, n_grid)
+    us, fs, probe, newton = log_ratio(psi, math.log(delta), s, n_grid)
     # linear in u between the breakpoints of a piecewise psi: the grid is exact
     refine = refine and psi.breakpoints is None
-    u_best, f_best = grid_golden_max(us, fs, probe, refine=refine)
+    u_best, f_best = grid_golden_max(us, fs, probe, refine=refine, df=newton)
     if f_best == -math.inf:
         return None
     return u_best, f_best
@@ -178,78 +179,27 @@ def g_transform(psi, x):
 
 
 def g_prime(psi, x):
-    """dg/dx, closed form for the power and finite-support families.
+    """dg/dx = -d ln psi(1/x)/dx, from `PsiFunction.dlog_u_scalar`.
 
-    Other kinds (tabulated, products) fall back to a central finite
-    difference with step h = max(1e-6 x, 1e-9).
+    Exact for every smooth kind (duals and products by the chain rule); a
+    piecewise log-linear psi gives the slope of the cell holding x, and
+    extremal 0.
     """
-    if psi.kind == "power":
-        return 1.0 / (psi.params["m"] * x)
-    if psi.kind == "finite_support":
-        b, beta = psi.params["b"], psi.params["beta"]
-        p = 1.0 / x
-        if not 1.0 <= p < b:
-            raise DomainError("1/x lies outside the support of psi")
-        return beta / (x * x * (b - p))
-    if psi.kind == "extremal":
-        if x < 1.0 / psi.params["r"]:
-            raise DomainError("1/x lies outside the support of psi")
-        return 0.0
-    h = max(1e-6 * x, 1e-9)
-    for _ in range(6):
-        try:
-            return (g_transform(psi, x + h) - g_transform(psi, x - h)) / (2.0 * h)
-        except DomainError:
-            h *= 0.1
-    raise DomainError("cannot take a finite difference inside the support")
-
-
-#: points of solve_argmax's bracket scan in x = 1/p
-_N_BRACKET_SCAN = 64
+    if not 0.0 < x <= 1.0:
+        raise DomainError("1/x lies outside the support of psi")
+    d1, d2 = psi.dlog_u_scalar(x)
+    if d2 == math.inf:
+        raise DomainError("1/x lies outside the support of psi")
+    return -d1
 
 
 def solve_argmax(psi, delta):
-    """Maximizer p0(delta) of delta^(1/p)/psi(p) via the g'(x) = ln(1/delta) root.
+    """Maximizer p0(delta) of delta^(1/p)/psi(p): fundamental's argmax.
 
-    Bisection in x = 1/p.  When no bracket exists (non-monotone derivative or
-    boundary optimum) falls back to the grid maximizer with a warning.
+    Inside the support it is the root of g'(1/p) = ln(1/delta), which
+    fundamental's Newton refinement solves for a smooth psi; at a scan end
+    it is that end.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("solve_argmax needs delta in (0, 1)")
-    target = math.log(1.0 / delta)
-    x_lo = 1.0 / scan_bound(psi)
-    if not psi.closed_at_b and math.isfinite(psi.b):
-        x_lo *= 1.0 + 1e-12
-    xs = np.geomspace(x_lo, 1.0, _N_BRACKET_SCAN)
-    vals = []
-    for x in xs:
-        try:
-            vals.append(g_prime(psi, x) - target)
-        except DomainError:
-            vals.append(math.nan)
-    vals = np.array(vals)
-    brackets = [
-        (xs[i], xs[i + 1])
-        for i in range(len(xs) - 1)
-        if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and vals[i] * vals[i + 1] <= 0
-    ]
-    if len(brackets) != 1:
-        warnings.warn(
-            "no unique bracket for the maximizer equation; "
-            "falling back to the grid maximizer",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return fundamental(psi, delta).argmax_p
-    a, b = brackets[0]
-    fa = g_prime(psi, a) - target
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = g_prime(psi, mid) - target
-        if fa * fm <= 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a < 1e-15 * b:
-            break
-    return 2.0 / (a + b)
+    return fundamental(psi, delta).argmax_p

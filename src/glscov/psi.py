@@ -24,6 +24,9 @@ P_MAX = 1.0e6
 PSI_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PSI_FLOOR)
 
+#: dlog_u_scalar outside the support, where log_u_scalar is +inf
+_OUTSIDE = (math.inf, math.inf)
+
 
 def logsumexp(a, axis=None):
     """ln sum exp(a) over `axis` (all of `a` when None), shifted by the maximum.
@@ -144,7 +147,12 @@ class PsiFunction:
         if k == "dual":
             return self.left.log_u(1.0 - u)
         if k == "product" and not self.params["piecewise"]:
-            return self.left.log_u(u) + self.right.log_u(1.0 - u)
+            # a dual right factor read at 1 - u is its inner psi read at u:
+            # reading that directly skips the rounding of 1 - (1 - u), which
+            # at large p costs ln psi most of its relative precision
+            r = self.right
+            right = r.left.log_u(u) if r.kind == "dual" else r.log_u(1.0 - u)
+            return self.left.log_u(u) + right
         if self.breakpoints is None:
             raise ValueError(f"unknown generating-function kind {k!r}")
         bp, logs = self._table
@@ -172,11 +180,78 @@ class PsiFunction:
         if k == "dual":
             return self.left.log_u_scalar(1.0 - u)
         if k == "product" and not self.params["piecewise"]:
-            return self.left.log_u_scalar(u) + self.right.log_u_scalar(1.0 - u)
+            r = self.right  # a dual at 1 - u is its inner psi at u, as in log_u
+            if r.kind == "dual":
+                return self.left.log_u_scalar(u) + r.left.log_u_scalar(u)
+            return self.left.log_u_scalar(u) + r.log_u_scalar(1.0 - u)
         if self.breakpoints is None:
             raise ValueError(f"unknown generating-function kind {k!r}")
         us, logs = self._table
         return float(np.interp(u, us, logs)) if us.size and us[0] <= u <= us[-1] else math.inf
+
+    @property
+    def smooth(self):
+        """Whether ln psi(1/u) is smooth inside its support.
+
+        power and finite_support, and duals and products built only from
+        these: `dlog_u_scalar` then gives an exact g'' as well, and a sup over
+        u refines by Newton.  extremal, tabulated and empirical psi, and
+        anything with such a factor, are not.
+        """
+        k = self.kind
+        if k in ("power", "finite_support"):
+            return True
+        if k == "dual":
+            return self.left.smooth
+        return k == "product" and self.left.smooth and self.right.smooth
+
+    def dlog_u_scalar(self, u):
+        """(g'(u), g''(u)) of g(u) = ln psi(1/u) at one float u.
+
+        One formula per kind, the chain rule for a dual (inner psi at 1 - u)
+        and a product (right factor at 1 - u).  A piecewise log-linear psi
+        gives the slope of the cell holding u (the right one at a breakpoint)
+        and g'' = 0, extremal (0, 0).  (inf, inf) wherever log_u_scalar is
+        +inf, so no result is NaN.
+        """
+        k = self.kind
+        if k == "power":
+            if u <= 0.0:
+                return _OUTSIDE
+            m = self.params["m"]
+            return -1.0 / (m * u), 1.0 / (m * u * u)
+        if k == "finite_support":
+            b = self.params["b"]
+            if u <= 1.0 / b:
+                return _OUTSIDE
+            d = b - 1.0 / u  # as in log_u_scalar: positive exactly inside
+            if d <= 0.0:
+                return _OUTSIDE
+            beta, s = self.params["beta"], u * u * d  # s = b u^2 - u
+            return -beta / s, beta * (1.0 + 2.0 * u * d) / (s * s)
+        if k == "extremal":
+            return (0.0, 0.0) if u >= 1.0 / self.params["r"] else _OUTSIDE
+        if k == "dual":
+            d1, d2 = self.left.dlog_u_scalar(1.0 - u)
+            return _OUTSIDE if d2 == math.inf else (-d1, d2)
+        if k == "product" and not self.params["piecewise"]:
+            l1, l2 = self.left.dlog_u_scalar(u)
+            r = self.right  # a dual at 1 - u is its inner psi at u, as in log_u
+            if r.kind == "dual":
+                r1, r2 = r.left.dlog_u_scalar(u)
+            else:
+                r1, r2 = r.dlog_u_scalar(1.0 - u)
+                r1 = -r1
+            return _OUTSIDE if math.inf in (l2, r2) else (l1 + r1, l2 + r2)
+        if self.breakpoints is None:
+            raise ValueError(f"unknown generating-function kind {k!r}")
+        us, logs = self._table
+        if not (us.size and us[0] <= u <= us[-1]):
+            return _OUTSIDE
+        if us.size == 1:
+            return 0.0, 0.0
+        i = min(int(np.searchsorted(us, u, side="right")), us.size - 1)
+        return float((logs[i] - logs[i - 1]) / (us[i] - us[i - 1])), 0.0
 
     def log_eval(self, p):
         """ln psi(p) for p >= 1 (scalar or ndarray); +inf outside support.

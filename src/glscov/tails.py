@@ -1,5 +1,10 @@
 """Young-Fenchel machinery: v(p) = p ln psi(p), its conjugate, tail bounds,
-and the exponential Orlicz function built from the conjugate."""
+and the exponential Orlicz function built from the conjugate.
+
+The conjugate is a 1-D sup over u = 1/p on fundamental's table: exact on
+the grid for a piecewise log-linear psi, refined by safeguarded Newton on
+exact derivatives for a smooth psi, and by golden-section search for the
+rest (extremal psi and products with one piecewise factor)."""
 
 from __future__ import annotations
 
@@ -15,9 +20,18 @@ from .psi import scan_bound
 
 
 def v_of(psi, p):
-    """v(p) = p ln psi(p); +inf outside the support."""
+    """v(p) = p ln psi(p); +inf outside the support.
+
+    At p = inf it is the limit of g(u)/u as u -> 0, with g(u) = ln psi(1/u):
+    g'(0) when g(0) = 0 (a dual reads its inner psi at 1), +-inf by the sign
+    of g(0) otherwise.  For a finite p so large that a dual's 1 - 1/p rounds
+    to 1, it reads psi(1) and returns 0 (-0.0) rather than near that limit.
+    """
     if p < 1.0:
         raise DomainError("p must lie in [1, infinity)")
+    if p == math.inf:
+        g0 = psi.log_u_scalar(0.0)
+        return psi.dlog_u_scalar(0.0)[0] if g0 == 0.0 else math.copysign(math.inf, g0)
     return p * psi.log_u_scalar(1.0 / p)
 
 
@@ -35,7 +49,9 @@ def conjugate_info(psi, x):
     (x - ln psi(1/u)) / u.  For a piecewise log-linear psi, ln psi(1/u) =
     a + c u on each cell between breakpoints, so the objective (x - a)/u - c
     is monotone there and the grid maximum, breakpoints included, is the
-    sup; other kinds refine it by golden-section search.  `unbounded_at_cap`
+    sup.  A smooth psi refines it by Newton with f' = -(g' + f)/u and
+    f'' = -(g'' + 2 f')/u, g = ln psi(1/u); other kinds by golden-section
+    search.  `unbounded_at_cap`
     flags a sup still increasing at the scan cap (the conjugate is then
     effectively +inf for this x).
     """
@@ -44,11 +60,18 @@ def conjugate_info(psi, x):
         logs = psi.log_u_scalar(u)
         return -math.inf if math.isinf(logs) else (x - logs) / u
 
+    def newton(u):
+        d1, d2 = psi.dlog_u_scalar(u)
+        f = (x - psi.log_u_scalar(u)) / u
+        f1 = -(d1 + f) / u
+        return f, f1, -(d2 + 2.0 * f1) / u
+
     us, logs = psi_table(psi, 1.0, N_GRID)
     with np.errstate(invalid="ignore"):
         fs = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
     u_best, f_best = grid_golden_max(
-        us, fs, objective, refine=psi.breakpoints is None, tol=1e-13
+        us, fs, objective, refine=psi.breakpoints is None, tol=1e-13,
+        df=newton if psi.smooth else None,
     )
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")

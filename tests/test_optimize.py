@@ -1,9 +1,11 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from glscov import (
+    conjugate_info,
     dual_psi,
     finite_support,
     fundamental,
@@ -12,7 +14,16 @@ from glscov import (
     product_zeta,
     tail_bound,
 )
-from glscov._optimize import TABLE_CACHE_SIZE, exponent, golden_max, psi_table, u_axis
+from glscov import _optimize
+from glscov._optimize import (
+    TABLE_CACHE_SIZE,
+    exponent,
+    golden_max,
+    grid_golden_max,
+    newton_max,
+    psi_table,
+    u_axis,
+)
 
 
 def _step(edge, feasible_left):
@@ -30,6 +41,142 @@ def test_golden_max_two_infeasible_probes_shrink_toward_the_finite_end(feasible_
     x, fx = golden_max(_step(edge, feasible_left), 0.0, 1.0, tol=1e-12)
     assert x == pytest.approx(edge, abs=1e-11)
     assert fx == pytest.approx(edge if feasible_left else -edge, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# Newton refinement of smooth sups against golden section
+
+
+def _smooth_cases(seed=13, n=84):
+    """Seeded smooth sups: (psi, ln delta, s, x) over every smooth shape."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        m, b, beta = rng.uniform(0.5, 4.0), rng.uniform(1.5, 6.0), rng.uniform(0.0, 2.0)
+        psi = (
+            power(m),
+            finite_support(b, beta),
+            finite_support(b, 10.0 ** rng.uniform(-4.0, -1.0)),  # sup near p -> b
+            product_zeta(power(m), dual_psi(power(m))),
+            product_zeta(power(m), finite_support(b, beta)),
+            product_zeta(finite_support(b, beta), power(m)),
+        )[i % 6]
+        log_delta = -(10.0 ** rng.uniform(-1.0, math.log10(300.0)))
+        s = 1.0 + rng.uniform(0.1, 0.6) * (min(psi.b, 8.0) - 1.0)
+        out.append((psi, log_delta, s, rng.uniform(-1.0, 6.0)))
+    return out
+
+
+def _run(cases):
+    rows = []
+    for psi, log_delta, s, x in cases:
+        for r in (fundamental(psi, math.exp(log_delta)),
+                  fundamental_truncated(psi, s, math.exp(log_delta))):
+            rows.append((math.log(r.value), r.boundary))
+        r = conjugate_info(psi, x)
+        rows.append((r.value, r.unbounded_at_cap))
+    return rows
+
+
+def _golden_only(monkeypatch):
+    """Refine every 1-D sup by golden section, ignoring the derivative probe."""
+    plain = _optimize.grid_golden_max
+
+    def golden(*args, df=None, **kwargs):
+        return plain(*args, **kwargs)
+
+    for name in ("glscov.fundamental", "glscov.tails"):
+        monkeypatch.setattr(importlib.import_module(name), "grid_golden_max", golden)
+
+
+def test_newton_sups_match_golden_section(monkeypatch):
+    cases = _smooth_cases()
+    assert all(psi.smooth for psi, _, _, _ in cases)
+    newton = _run(cases)
+    _golden_only(monkeypatch)
+    golden = _run(cases)
+    for (got, flag), (want, want_flag) in zip(newton, golden):
+        assert flag == want_flag
+        assert got >= want - 1e-14 * max(1.0, abs(want))
+
+
+def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
+    counts = []
+
+    def counted(df, lo, x, hi, tol):
+        n = [0]
+
+        def probe(u):
+            n[0] += 1
+            return df(u)
+
+        out = newton_max(probe, lo, x, hi, tol)
+        counts.append((n[0], _optimize._golden_evals(hi - lo, tol)))
+        return out
+
+    monkeypatch.setattr(_optimize, "newton_max", counted)
+    _run(_smooth_cases())
+    assert len(counts) > 200
+    assert all(n <= min(48, golden) for n, golden in counts)
+    assert sum(n for n, _ in counts) / len(counts) <= 8.0
+
+
+def _concave_probe(top):
+    """(f, f', f'') of -(x - top)^2."""
+    return lambda x: (-(x - top) ** 2, -2.0 * (x - top), -2.0)
+
+
+@pytest.mark.parametrize("edge", ["left", "right"])
+def test_an_infeasible_neighbour_cell_takes_the_golden_path(edge):
+    # the grid max sits next to a -inf grid value: the bracket reaches past
+    # psi's support, where a derivative means nothing
+    xs = np.linspace(0.0, 1.0, 11)
+    top = 0.12 if edge == "left" else 0.88
+
+    def f(x):
+        feasible = x > 0.05 if edge == "left" else x < 0.95
+        return -((x - top) ** 2) if feasible else -math.inf
+
+    def df(x):
+        raise AssertionError("Newton probe called next to an infeasible cell")
+
+    fs = np.array([f(x) for x in xs])
+    x, fx = grid_golden_max(xs, fs, f, df=df)
+    assert x == pytest.approx(top, abs=1e-9)
+    x, fx = grid_golden_max(xs, fs, f, df=_concave_probe(top))
+    assert x == pytest.approx(top, abs=1e-9)  # no -inf neighbour: Newton
+
+
+def test_newton_max_bisects_where_f_is_not_concave():
+    # f = -(x^2 - 1)^2 has f'' > 0 for x < 1/sqrt(3): the start at 0.4 bisects
+    def df(x):
+        return -((x * x - 1.0) ** 2), -4.0 * x * (x * x - 1.0), 4.0 - 12.0 * x * x
+
+    x, fx = newton_max(df, 0.0, 0.4, 1.5, 1e-12)
+    assert x == pytest.approx(1.0, abs=1e-12)
+    assert fx == pytest.approx(0.0, abs=1e-20)
+
+    # f = -|x - 0.7| has f'' = 0 on both sides of its kink: bisection alone
+    def kink(x):
+        return -abs(x - 0.7), -math.copysign(1.0, x - 0.7), 0.0
+
+    x, fx = newton_max(kink, 0.0, 0.3, 1.0, 1e-12)
+    assert x == pytest.approx(0.7, abs=1e-12)
+
+
+def test_newton_max_never_costs_more_than_golden_section():
+    # a probe whose Newton steps crawl and never shrink the bracket: the
+    # kernel switches to bisection in time to stay within golden's count
+    n = [0]
+
+    def crawl(x):
+        n[0] += 1
+        return x, 1.0, -1e9
+
+    lo, hi, tol = 0.0, 1e-3, 1e-12
+    x, _ = newton_max(crawl, lo, 5e-4, hi, tol)
+    assert x == pytest.approx(hi, abs=2 * tol)
+    assert n[0] <= _optimize._golden_evals(hi - lo, tol)
 
 
 def _sups(psi):

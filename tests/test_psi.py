@@ -153,6 +153,81 @@ def test_log_u_at_the_support_ends():
         extremal(4.0).log_eval(0.5)
 
 
+#: (psi, lo, hi, poles): g(u) = ln psi(1/u) is smooth on the open interval
+#: (lo, hi), and its derivatives blow up at the poles
+_SMOOTH = [
+    (power(0.7), 0.0, 1.0, [0.0]),
+    (power(3.0), 0.0, 1.0, [0.0]),
+    (finite_support(3.0, 1.5), 1.0 / 3.0, 1.0, [1.0 / 3.0]),
+    (finite_support(1.6, 0.25), 1.0 / 1.6, 1.0, [1.0 / 1.6]),
+    (finite_support(2.5, 0.0), 1.0 / 2.5, 1.0, [1.0 / 2.5]),
+    (dual_psi(power(2.0)), 0.0, 1.0, [1.0]),
+    (product_zeta(power(1.5), dual_psi(power(1.5))), 0.0, 1.0, [0.0]),
+]
+
+
+@given(st.floats(0.01, 0.99))
+def test_dlog_u_scalar_matches_central_differences(t):
+    for psi, lo, hi, poles in _SMOOTH:
+        assert psi.smooth
+        u = lo + t * (hi - lo)
+        h = 5e-4 * min(abs(u - pole) for pole in poles)
+        g = psi.log_u_scalar
+        d1 = (g(u + h) - g(u - h)) / (2.0 * h)
+        d2 = (g(u + h) - 2.0 * g(u) + g(u - h)) / (h * h)
+        got1, got2 = psi.dlog_u_scalar(u)
+        assert got1 == pytest.approx(d1, rel=1e-6, abs=1e-12), (psi.kind, u)
+        assert got2 == pytest.approx(d2, rel=1e-6, abs=1e-12), (psi.kind, u)
+
+
+def test_dlog_u_scalar_chain_rule_is_exact():
+    inner, right = power(2.0), finite_support(3.0, 0.5)
+    dual = dual_psi(inner)
+    mixed = product_zeta(power(1.5), right)
+    with_dual = product_zeta(power(1.5), dual)
+    for u in (0.05, 0.3, 0.5, 0.6):
+        i1, i2 = inner.dlog_u_scalar(1.0 - u)
+        assert dual.dlog_u_scalar(u) == (-i1, i2)
+        (l1, l2), (r1, r2) = power(1.5).dlog_u_scalar(u), right.dlog_u_scalar(1.0 - u)
+        assert mixed.dlog_u_scalar(u) == (l1 - r1, l2 + r2)
+        # a dual factor at 1 - u is its inner psi at u, read there directly
+        i1, i2 = inner.dlog_u_scalar(u)
+        assert with_dual.dlog_u_scalar(u) == (l1 + i1, l2 + i2)
+        assert with_dual.log_u_scalar(u) == power(1.5).log_u_scalar(u) + inner.log_u_scalar(u)
+
+
+def test_dlog_u_scalar_outside_the_support_is_infinite():
+    outside = (math.inf, math.inf)
+    b = 3.946312461594403  # 1/(1/b) rounds below b
+    cases = [
+        (power(2.0), [0.0]),
+        (finite_support(3.0, 1.5), [1.0 / 3.0, 0.2, 0.0]),
+        (finite_support(b, 1.0), [1.0 / b]),
+        (finite_support(2.5, 0.0), [1.0 / 2.5]),
+        (extremal(4.0), [0.2, 0.0]),
+        (tabulated([(2.0, 1.0), (8.0, 2.0)]), [0.1, 0.0]),
+        (dual_psi(power(2.0)), [1.0]),
+        (product_zeta(power(1.0), finite_support(3.0, 1.0)), [1.0 - 1.0 / 3.0, 0.9, 1.0]),
+        (product_zeta(power(1.0), dual_psi(power(2.0))), [0.0]),
+    ]
+    for psi, us in cases:
+        for u in us:
+            assert psi.log_u_scalar(u) == math.inf
+            assert psi.dlog_u_scalar(u) == outside, (psi.kind, u)
+
+
+def test_dlog_u_scalar_of_piecewise_kinds_is_the_cell_slope():
+    psi = tabulated([(2.0, 1.0), (4.0, 2.0), (8.0, 2.0)])
+    assert not psi.smooth and not extremal(4.0).smooth
+    assert not product_zeta(power(1.0), psi).smooth
+    slope = -math.log(2.0) / 0.25  # ln psi from ln 2 at u = 1/4 down to 0 at u = 1/2
+    assert psi.dlog_u_scalar(0.3) == (pytest.approx(slope, rel=1e-15), 0.0)
+    assert psi.dlog_u_scalar(0.25) == (pytest.approx(slope, rel=1e-15), 0.0)  # the right cell
+    assert psi.dlog_u_scalar(0.125) == (0.0, 0.0)
+    assert psi.dlog_u_scalar(0.75) == (0.0, 0.0)  # flat below the first knot
+    assert extremal(4.0).dlog_u_scalar(0.5) == (0.0, 0.0)
+
+
 def test_logsumexp_matches_direct_summation():
     rows = np.array([[0.0, -1.0, 2.5, -30.0], [700.0, 705.0, 706.0, 709.0]])
     direct = [math.log(sum(math.exp(x) for x in row)) for row in rows]

@@ -9,6 +9,7 @@ from glscov import (
     DomainError,
     conjugate,
     conjugate_info,
+    dual_psi,
     empirical_tail,
     extremal,
     orlicz_N,
@@ -23,6 +24,27 @@ from glscov import (
 def test_v_of_power():
     psi = power(1.0)
     assert v_of(psi, 3.0) == pytest.approx(3.0 * math.log(3.0))
+
+
+def test_v_of_at_infinity_is_the_limit():
+    # v(p) = p ln psi(p) -> lim g(u)/u as u = 1/p -> 0, with g(u) = ln psi(1/u)
+    assert v_of(dual_psi(power(2.0)), math.inf) == 0.5  # g(u) = -ln(1 - u)/2
+    assert v_of(dual_psi(power(2.0)), 1e6) == pytest.approx(0.5, rel=1e-6)
+    for m in (0.5, 1.0, 4.0):
+        assert v_of(power(m), math.inf) == math.inf
+    assert v_of(product_zeta(power(1.0), dual_psi(power(1.0))), math.inf) == math.inf
+
+
+def test_conjugate_of_a_product_with_its_dual_at_large_p():
+    # zeta(p) = psi(p) psi(p'') = p^(2/m): v*(x) = 2 e^(x m/2 - 1)/m at
+    # p = e^(x m/2 - 1) ~ 8900, where reading the dual factor at
+    # 1 - (1 - u) would cost ln zeta ~1e-12 of its relative precision
+    m, x = 3.6473163764213354, 5.534127135240082
+    zeta = product_zeta(power(m), dual_psi(power(m)))
+    info = conjugate_info(zeta, x)
+    p = math.exp(x * m / 2.0 - 1.0)
+    assert info.value == pytest.approx(2.0 * p / m, rel=1e-14)
+    assert info.argmax_p == pytest.approx(p, rel=1e-9)
 
 
 def test_conjugate_power_one_closed_form():

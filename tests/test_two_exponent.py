@@ -62,8 +62,8 @@ def test_grid_best_is_the_masked_scan_on_random_pairs(seed):
     psi, nu = _random_psi(rng), _random_psi(rng)
     n = int(rng.choice([16, 64, 512]))
     la, lb = rng.uniform(-12.0, -0.1, size=2)
-    us, a, _ = log_ratio(psi, la, 1.0, n)
-    ws, c, _ = log_ratio(nu, lb, 1.0, n)
+    us, a, _, _ = log_ratio(psi, la, 1.0, n)
+    ws, c, _, _ = log_ratio(nu, lb, 1.0, n)
     _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -91,8 +91,8 @@ def test_grid_best_non_convex_tabulated():
     psi, nu = tabulated(NON_CONVEX), power(1.0)
     for la in (-1.0, -2.5, -4.0, -7.0):
         for first, second in ((psi, nu), (nu, psi)):
-            us, a, _ = log_ratio(first, la, 1.0, 512)
-            ws, c, _ = log_ratio(second, 0.6 * la, 1.0, 512)
+            us, a, _, _ = log_ratio(first, la, 1.0, 512)
+            ws, c, _, _ = log_ratio(second, 0.6 * la, 1.0, 512)
             _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
