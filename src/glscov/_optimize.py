@@ -7,12 +7,14 @@ grid holds every breakpoint of a piecewise log-linear psi, so a 1-D sup whose
 objective is linear or monotone on each cell between them is the grid
 maximum, and its caller skips the refinement.
 
-`grid_golden_max` refines by safeguarded Newton (`newton_max`) when the
-caller hands it a derivative probe, which the 1-D sups over a smooth psi
-do (`log_ratio`, the conjugate), and by golden-section search otherwise:
-for psi that are extremal or have a piecewise factor, for kernels and
-moment curves, and next to an infeasible grid point.  Newton never takes
-more evaluations than the golden search on the same cells.
+`cell_max` refines a grid point on its two cells by safeguarded Newton
+(`newton_max`) when the caller hands it a derivative probe, which the sups
+over a smooth psi do (`log_ratio`, the conjugate, the two-exponent cell
+moves), and by golden-section search otherwise: for psi that are extremal
+or have a piecewise factor, for kernels and moment curves, and next to an
+infeasible grid point.  `grid_golden_max` is a grid scan plus `cell_max`.
+Newton never takes more evaluations than the golden search on the same
+cells.
 
 Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
 scan turns u back into p for psi.  A reported exponent, and the exponents
@@ -79,14 +81,24 @@ def golden_max(f, a, b, tol=1e-12):
     return best_x, best_f
 
 
-def cell_max(f, xs, i, cap=math.inf, tol=1e-13):
-    """golden_max of f on the two grid cells around xs[i], clipped at cap.
+def cell_max(f, xs, i, cap=math.inf, tol=1e-13, df=None, fs=None):
+    """Max of f on the two grid cells around xs[i], clipped at cap.
 
-    Returns (x, f(x)), or None when the clipped cells are empty.
+    Refines by `newton_max` from xs[i] when the caller hands a derivative
+    probe `df` (f is smooth) and both neighbouring grid values `fs` are
+    finite, by golden_max otherwise: a cell next to an infeasible grid point
+    reaches past the support, where a derivative means nothing.  Returns
+    (x, f(x)), or None when the clipped cells are empty.
     """
-    lo = float(xs[max(i - 1, 0)])
-    hi = min(float(xs[min(i + 1, xs.size - 1)]), cap)
-    return golden_max(f, lo, hi, tol=tol) if hi > lo else None
+    j, k = max(i - 1, 0), min(i + 1, xs.size - 1)
+    lo, hi = float(xs[j]), float(xs[k])
+    if cap < hi:
+        hi = cap
+    if hi <= lo:
+        return None
+    if df is not None and fs[j] > -np.inf and fs[k] > -np.inf:
+        return newton_max(df, lo, min(float(xs[i]), hi), hi, tol)
+    return golden_max(f, lo, hi, tol=tol)
 
 
 def _golden_evals(width, tol):
@@ -105,27 +117,48 @@ def newton_max(df, lo, x, hi, tol):
 
     df(x) returns (f(x), f'(x), f''(x)).  The sign of f' at x picks the side
     of x that holds the max, and every later point shrinks that bracket by
-    the sign of f' there.  A Newton step that leaves the bracket, or one
-    taken where f'' >= 0, becomes a bisection.  So does every step once
+    the sign of f' there.
+
+    A Newton step past an end of [lo, hi] not yet evaluated tries that end,
+    where a clipped cell or an edge can hold the sup: f' >= 0 at hi (<= 0
+    at lo) ends the search there.  Otherwise the step is retaken as a
+    bisection, since Newton from an end near a support edge mistakes huge
+    curvature for convergence.  Any other step that leaves the bracket, or
+    one taken where f'' >= 0, becomes a bisection.  So does every step once
     another Newton step could leave too few evaluations to finish by
     bisection within golden_max's count on [lo, hi]: no refinement costs
-    more than the golden search it replaces.  Stops once a Newton step or
-    the bracket is below tol.  Returns (x_best, f_best) over every point
-    evaluated.
+    more than the golden search it replaces.
+
+    Stops once a Newton step or the bracket is below tol, and at once when
+    f(x) = -inf, where f' picks no side.  Returns (x_best, f_best) over every
+    point evaluated.
     """
     budget = _golden_evals(hi - lo, tol)
     fx, d1, d2 = df(x)
     best_x, best_f = x, fx
-    if d1 == 0:
+    if d1 == 0 or fx == -math.inf:
         return best_x, best_f
     a, b = (x, hi) if d1 > 0 else (lo, x)
+    tried = (x,)
     evals = 1
     while b - a > tol:
         step = -d1 / d2 if d2 < 0 else math.nan
         if abs(step) <= tol:
             break
         bisections = math.ceil(math.log2((b - a) / tol))
-        if not a < x + step < b or evals + 1 + bisections > budget:
+        if not a < x + step < b:
+            end = b if x + step >= b else a if x + step <= a else None  # None: NaN
+            if end in (lo, hi) and end not in tried and evals + 1 + bisections <= budget:
+                tried += (end,)
+                fe, e1, _ = df(end)
+                evals += 1
+                if fe >= best_f:
+                    best_x, best_f = end, fe
+                if fe > -math.inf and (e1 >= 0 if end == b else e1 <= 0):
+                    break
+                continue
+            step = 0.5 * (a + b) - x
+        elif evals + 1 + bisections > budget:
             step = 0.5 * (a + b) - x
         x += step
         fx, d1, d2 = df(x)
@@ -145,9 +178,8 @@ def grid_golden_max(xs, fs, f, refine=True, tol=1e-12, df=None):
     """Maximize an objective given by its values `fs` on the sorted grid `xs`.
 
     Takes the best grid point, then refines it with the scalar objective `f`
-    on the two grid cells around it: by `newton_max` when the caller hands
-    a derivative probe `df` (a smooth objective) and both neighbouring grid
-    values are finite, by golden-section search otherwise.  Returns
+    on the two grid cells around it (`cell_max`: by Newton on the derivative
+    probe `df` of a smooth objective, by golden section otherwise).  Returns
     (x_best, f_best); f_best is -inf when the objective is -inf everywhere.
     """
     i = int(np.argmax(fs))
@@ -155,11 +187,7 @@ def grid_golden_max(xs, fs, f, refine=True, tol=1e-12, df=None):
     if not np.isfinite(best_f) or not refine:
         return best_x, best_f
     tol *= max(1.0, float(xs[-1] - xs[0]))
-    j, k = max(i - 1, 0), min(i + 1, xs.size - 1)
-    if df is not None and fs[j] > -np.inf and fs[k] > -np.inf:
-        cell = newton_max(df, float(xs[j]), best_x, float(xs[k]), tol)
-    else:
-        cell = cell_max(f, xs, i, tol=tol)
+    cell = cell_max(f, xs, i, tol=tol, df=df, fs=fs)
     if cell is not None and cell[1] > best_f:
         best_x, best_f = cell
     return best_x, best_f

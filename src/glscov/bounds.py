@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import cell_max, exponent, golden_max, grid_golden_max, log_ratio, u_axis
+from ._optimize import (
+    cell_max,
+    exponent,
+    golden_max,
+    grid_golden_max,
+    log_ratio,
+    newton_max,
+    u_axis,
+)
 from .errors import DomainError
 from .fundamental import finite_support_constant, fundamental, fundamental_truncated, g_prime
 from .psi import conjugate_exponent, product_zeta, scan_bound
@@ -152,35 +160,67 @@ def _triangle_grid_best(us, a, ws, c):
     return i, int(arg[last[i]]), float(rows[i])
 
 
-def _cell_polish(f, us, ws, i, j, best, cap):
-    """Golden-section moves of the grid point (us[i], ws[j]) inside its own
-    cells, first in u and then in w, keeping u + w <= cap.
+def _cell_polish(along_u, along_w, us, ws, i, j, best, cap):
+    """Moves of the grid point (us[i], ws[j]) inside its own cells, first in
+    u and then in w, keeping u + w <= cap.
 
     Where the objective is not concave its grid-best can hold a local sup
-    that no other candidate reaches.  Returns (u, w, value).
+    that no other candidate reaches.  along_u(w) returns `cell_max`'s
+    (f, df, fs) for the u-move at fixed w: the objective along u, its
+    derivative probe or None, and grid values along us whose finiteness
+    admits Newton.  along_w(u) does the same for the w-move at fixed u.
+    Returns (u, w, value).
     """
     u, w = float(us[i]), float(ws[j])
-    cell = cell_max(lambda t: f(t, w), us, i, cap - w)
+    f, df, fs = along_u(w)
+    cell = cell_max(f, us, i, cap - w, df=df, fs=fs)
     if cell is not None and cell[1] > best:
         u, best = cell
-    cell = cell_max(lambda t: f(u, t), ws, j, cap - u)
+    f, df, fs = along_w(u)
+    cell = cell_max(f, ws, j, cap - u, df=df, fs=fs)
     if cell is not None and cell[1] > best:
         w, best = cell
     return u, w, best
 
 
-def _edge_max(f, u_lo, w_lo):
-    """Golden-section max of f(u, w) along the edge u + w = 1 - margin.
+def _edge_max(f, u_lo, w_lo, da=None, dc=None):
+    """Max of f(u, w) along the edge u + w = 1 - margin.
 
     Coordinate moves stall there, so the triangle sups search it explicitly.
-    Returns (u, w, value), or None when the edge misses [u_lo, 1] x [w_lo, 1].
+    With the derivative probes da, dc of both parts of a separable
+    f(u, w) = a(u) + c(w) the edge objective f(t) = a(t) + c(e - t) is
+    smooth, with f' = a'(t) - c'(e - t) and f'' = a''(t) + c''(e - t), and
+    refines by `newton_max` from the middle of the edge; otherwise, or when
+    that middle is infeasible, by golden section.  Returns (u, w, value), or
+    None when the edge misses [u_lo, 1] x [w_lo, 1].
     """
     edge = 1.0 - _T_MARGIN
     lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
     if hi <= lo:
         return None
+    if da is not None and dc is not None:
+        def df(t):
+            fa, a1, a2 = da(t)
+            fc, c1, c2 = dc(edge - t)
+            return fa + fc, a1 - c1, a2 + c2
+
+        t, ft = newton_max(df, lo, 0.5 * (lo + hi), hi, 1e-13)
+        if ft > -math.inf:
+            return t, edge - t, ft
     t, ft = golden_max(lambda t: f(t, edge - t), lo, hi, tol=1e-13)
     return t, edge - t, ft
+
+
+def _shifted(df, shift):
+    """The derivative probe df with its value raised by a constant; None stays None."""
+    if df is None:
+        return None
+
+    def probe(t):
+        v, d1, d2 = df(t)
+        return v + shift, d1, d2
+
+    return probe
 
 
 def phi_uniform(psi, nu, alpha, beta, n_grid=512):
@@ -191,14 +231,16 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     route shares.  The grid-best over the triangle comes from a running
     maximum of c.  Refinement keeps the best of: the grid-best polished
     inside its own cells; the product point of the two 1-D sups, when it
-    lies in the triangle (the factorization); and a golden-section search
-    along the edge u + w = 1.  For concave a and c, which every
-    built-in kind gives except a tabulated psi with non-monotone knot
-    slopes, the sup is one of the last two; for a tabulated psi the knots on
-    the grid put the grid-best on the right local maximum.  Every candidate
-    is an evaluated admissible point, so the value is a lower estimate for
-    any psi.  Returns a UniformPhi (value 0.0 when the admissible region
-    carries no finite point).
+    lies in the triangle (the factorization); and a search along the edge
+    u + w = 1.  Each of these refines by Newton where its objective is
+    smooth (a move in u over a smooth psi, in w over a smooth nu, the edge
+    when both are) and by golden section otherwise.  For concave a and c,
+    which every built-in kind gives except a tabulated psi with
+    non-monotone knot slopes, the sup is one of the last two; for a
+    tabulated psi the knots on the grid put the grid-best on the right
+    local maximum.  Every candidate is an evaluated admissible point, so
+    the value is a lower estimate for any psi.  Returns a UniformPhi (value
+    0.0 when the admissible region carries no finite point).
     """
     _check_unit(alpha, "alpha")
     _check_unit(beta, "beta")
@@ -213,13 +255,21 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     def f(s, t):
         return a_at(s) + c_at(t)
 
+    def along_u(w):
+        cw = c_at(w)
+        return (lambda t: a_at(t) + cw), _shifted(a_newton, cw), a
+
+    def along_w(u):
+        au = a_at(u)
+        return (lambda t: au + c_at(t)), _shifted(c_newton, au), c
+
     edge = 1.0 - _T_MARGIN
-    u, w, best = _cell_polish(f, us, ws, i, j, best, edge)
+    u, w, best = _cell_polish(along_u, along_w, us, ws, i, j, best, edge)
     u1, fu = grid_golden_max(us, a, a_at, tol=1e-13, df=a_newton)
     w1, fw = grid_golden_max(ws, c, c_at, tol=1e-13, df=c_newton)
     if u1 + w1 <= edge and fu + fw > best:
         u, w, best = u1, w1, fu + fw
-    on_edge = _edge_max(f, float(us[0]), float(ws[0]))
+    on_edge = _edge_max(f, float(us[0]), float(ws[0]), a_newton, c_newton)
     if on_edge is not None and on_edge[2] > best:
         u, w, best = on_edge
     return UniformPhi(alpha, beta, float(math.exp(best)),
@@ -234,14 +284,15 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     from the running maximum of c(w) = w ln alpha - ln nu(1/w) on nu's
     table, which phi_uniform at the same n_grid reads too, and c(1 - u).
     The outer scan uses that grid value; its golden-section probes also
-    refine the inner sup on the cell around the running argmax, clipped at
-    1 - u.
+    refine the inner sup on the cells around the running argmax, clipped at
+    1 - u: by Newton for a smooth nu, by golden section otherwise
+    (`cell_max`).
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_at, _ = log_ratio(nu, la, 1.0, n_grid)
+    ws, c, c_at, c_newton = log_ratio(nu, la, 1.0, n_grid)
     w_lo = float(ws[0])
     run, arg = _running_max(c)
 
@@ -252,7 +303,8 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
             return -math.inf
         k = int(np.searchsorted(ws, top, side="right")) - 1
         inner = max(float(run[k]), c_at(top))
-        cell = cell_max(c_at, ws, int(arg[k]), top) if math.isfinite(run[k]) else None
+        cell = (cell_max(c_at, ws, int(arg[k]), top, df=c_newton, fs=c)
+                if math.isfinite(run[k]) else None)
         if cell is not None:
             inner = max(inner, cell[1])
         return u * la - lp + inner
@@ -465,9 +517,11 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     w = 1 - u on the conjugate line.  psi and nu are evaluated once on each
     grid axis and h on the whole grid.  The best grid point is refined by
     golden-section moves inside its own cells, then along each coordinate in
-    turn (h need not be separable); on "T" a golden-section search along the
+    turn (h need not be separable): it rounds until a round moves neither
+    coordinate, at most three.  On "T" a golden-section search along the
     edge u + w = 1, where coordinate moves stall, competes with them.  Probes
-    evaluate psi and nu by `log_u_scalar` and h on one-element arrays.
+    evaluate psi and nu by `log_u_scalar` and h on one-element arrays.  Every
+    search is golden section, since a kernel carries no derivative.
     """
     if domain == "conjugate":
         def objective(us, ps):
@@ -516,9 +570,16 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             return -(math.log(hv) + lk)
         return math.inf if hv == 0 else -math.inf
 
-    u, w, best = _cell_polish(objective, us, ws, i, j, best,
+    def along_u(w):
+        return (lambda t: objective(t, w)), None, None
+
+    def along_w(u):
+        return (lambda t: objective(u, t)), None, None
+
+    u, w, best = _cell_polish(along_u, along_w, us, ws, i, j, best,
                               1.0 - _T_MARGIN if tri else math.inf)
     for _ in range(3):
+        start = (u, w)
         hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]
         if hi_u > u_rng[0]:
             u2, fu = golden_max(lambda t: objective(t, w), u_rng[0], hi_u, tol=1e-13)
@@ -529,6 +590,8 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             w2, fw = golden_max(lambda t: objective(u, t), w_rng[0], hi_w, tol=1e-13)
             if fw > best:
                 w, best = w2, fw
+        if (u, w) == start:  # the next round would repeat this one exactly
+            break
     edge = _edge_max(objective, u_rng[0], w_rng[0]) if tri else None
     if edge is not None and edge[2] > best:
         u, w, best = edge
@@ -539,11 +602,17 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
 
 
 def _neg_log_kernel(hv, lp, lq):
-    """-ln(h psi nu) from the kernel's values and ln psi, ln nu (broadcast).
+    """-ln(h psi nu) from the kernel's values and ln psi, ln nu.
 
-    A zero kernel at a feasible exponent pair maps to +inf (the bound is 0);
+    hv has the full shape of the grid, and ln psi, ln nu broadcast to it.  A
+    zero kernel at a feasible exponent pair maps to +inf (the bound is 0);
     an infinite generating factor maps to -inf (the pair is infeasible).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -(np.log(np.asarray(hv, dtype=float)) + lp + lq)
-    return np.where(np.isnan(out), -np.inf, out)
+        # in place on ln h's new array, in the order of -(ln h + ln psi + ln nu)
+        out = np.log(np.asarray(hv, dtype=float))
+        out += lp
+        out += lq
+    np.negative(out, out=out)
+    out[np.isnan(out)] = -np.inf
+    return out

@@ -10,11 +10,13 @@ from glscov import (
     finite_support,
     fundamental,
     fundamental_truncated,
+    phi_uniform,
+    phi_uniform_theta,
     power,
     product_zeta,
     tail_bound,
 )
-from glscov import _optimize
+from glscov import _optimize, bounds
 from glscov._optimize import (
     TABLE_CACHE_SIZE,
     exponent,
@@ -100,6 +102,13 @@ def test_newton_sups_match_golden_section(monkeypatch):
         assert got >= want - 1e-14 * max(1.0, abs(want))
 
 
+def _run_pairs(cases):
+    """The two-exponent sups on consecutive cases taken as (psi, nu) pairs."""
+    for (psi, log_alpha, _, _), (nu, log_beta, _, _) in zip(cases[::2], cases[1::2]):
+        phi_uniform(psi, nu, math.exp(log_alpha), math.exp(log_beta))
+        phi_uniform_theta(psi, nu, math.exp(log_alpha))
+
+
 def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
     counts = []
 
@@ -115,9 +124,16 @@ def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
         return out
 
     monkeypatch.setattr(_optimize, "newton_max", counted)
+    monkeypatch.setattr(bounds, "newton_max", counted)  # the edge search
     _run(_smooth_cases())
     assert len(counts) > 200
     assert all(n <= min(48, golden) for n, golden in counts)
+    assert sum(n for n, _ in counts) / len(counts) <= 8.0
+    # the 2-D cell polish, the edge search and theta's inner cells
+    del counts[:]
+    _run_pairs(_smooth_cases())
+    assert len(counts) > 1000
+    assert all(n <= golden for n, golden in counts)
     assert sum(n for n, _ in counts) / len(counts) <= 8.0
 
 
@@ -164,6 +180,34 @@ def test_newton_max_bisects_where_f_is_not_concave():
     assert x == pytest.approx(0.7, abs=1e-12)
 
 
+def test_newton_max_tries_the_end_a_step_overshoots():
+    # f = -(x - 2)^2 rises across [0, 1]: the first step lands at 2, so the
+    # search tries hi, where f' > 0 ends it
+    n = [0]
+
+    def df(x):
+        n[0] += 1
+        return -((x - 2.0) ** 2), -2.0 * (x - 2.0), -2.0
+
+    assert newton_max(df, 0.0, 0.5, 1.0, 1e-13) == (1.0, -1.0)
+    assert n[0] == 2
+
+
+def test_newton_max_bisects_after_an_end_with_inward_slope():
+    # f = ln(1 - x) + 10 x peaks at 0.9; its curvature near the end 1 - 1e-15
+    # makes a Newton step from there tiny, which must not pass for convergence.
+    # The end is tried once: the next step past it bisects
+    n = [0]
+
+    def df(x):
+        n[0] += 1
+        return math.log1p(-x) + 10.0 * x, 10.0 - 1.0 / (1.0 - x), -1.0 / (1.0 - x) ** 2
+
+    x, fx = newton_max(df, 0.0, 0.5, 1.0 - 1e-15, 1e-13)
+    assert x == pytest.approx(0.9, abs=1e-12)
+    assert n[0] <= 12
+
+
 def test_newton_max_never_costs_more_than_golden_section():
     # a probe whose Newton steps crawl and never shrink the bracket: the
     # kernel switches to bisection in time to stay within golden's count
@@ -176,6 +220,23 @@ def test_newton_max_never_costs_more_than_golden_section():
     lo, hi, tol = 0.0, 1e-3, 1e-12
     x, _ = newton_max(crawl, lo, 5e-4, hi, tol)
     assert x == pytest.approx(hi, abs=2 * tol)
+    assert n[0] <= _optimize._golden_evals(hi - lo, tol)
+
+
+def test_newton_max_tries_no_end_once_its_budget_is_spent():
+    # the steps crawl until the budget forces bisection; the first bisection
+    # lands where a step overshoots hi, but no evaluation is left to try hi,
+    # whose slope would send the search back (the peak sits 1e-9 inside it)
+    n = [0]
+    lo, hi, tol = 0.0, 1e-3, 1e-12
+    top = hi - 1e-9
+
+    def leap(x):
+        n[0] += 1
+        return -abs(x - top), 1.0 if x < top else -1.0, -1e9 if x < 7.5e-4 else -1e-9
+
+    x, _ = newton_max(leap, lo, 5e-4, hi, tol)
+    assert x == pytest.approx(top, abs=2 * tol)
     assert n[0] <= _optimize._golden_evals(hi - lo, tol)
 
 

@@ -1,5 +1,6 @@
-"""The two-exponent sup: its grid-best scan, its table-cache use, and pinned
-values that no later change may loosen."""
+"""The two-exponent sup: its grid-best scan, its table-cache use, Newton
+against golden-section refinement, the generic engine against a reference
+search, and pinned values that no later change may loosen."""
 
 import math
 from functools import partial
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from glscov import (
+    bounds,
+    dual_psi,
     extremal,
     factorization_check,
     finite_support,
@@ -17,11 +20,14 @@ from glscov import (
     phi_uniform,
     phi_uniform_theta,
     power,
+    product_zeta,
     tabulated,
 )
 from glscov._optimize import TABLE_CACHE_SIZE, log_ratio, psi_table
-from glscov.bounds import _T_MARGIN, _triangle_grid_best
+from glscov.bounds import _T_MARGIN, _edge_max, _neg_log_kernel, _triangle_grid_best
 from glscov.psi import P_MAX
+
+from generic_reference import generic_search, neg_log_kernel
 
 #: knot slopes in (1/p, ln psi) that are not monotone: h(u) = ln psi(1/u) is
 #: not convex, so a(u) = u ln alpha - h(u) has several local maxima
@@ -134,6 +140,131 @@ def test_one_pair_op_fits_the_table_cache(psi, nu):
     factorization_check(psi, nu, 0.02, 0.03)
     gls_strong_bound(psi, nu, 0.03, 1.0, 1.0)  # reuses the product's table
     assert psi_table.cache_info().misses == info.misses
+
+
+# ---------------------------------------------------------------------------
+# Newton refinement against golden section
+
+
+def _smooth_psi(rng):
+    """A smooth psi of every shape: finite_support also with its sup near
+    p -> b, and zeta(power, finite_support), whose scan has an infeasible
+    stretch toward p = 1."""
+    kind = int(rng.integers(6))
+    m = rng.uniform(0.5, 4.0)
+    if kind == 0:
+        return power(m)
+    if kind == 1:
+        return finite_support(rng.uniform(1.5, 6.0), rng.uniform(0.25, 2.0))
+    if kind == 2:
+        return finite_support(rng.uniform(1.5, 6.0), 10.0 ** rng.uniform(-4.0, -1.0))
+    if kind == 3:
+        return dual_psi(power(m))
+    if kind == 4:
+        return product_zeta(power(m), finite_support(rng.uniform(1.5, 6.0), rng.uniform(0.25, 2.0)))
+    return product_zeta(power(m), dual_psi(power(m)))
+
+
+def _smooth_pairs(seed=14, n=48):
+    rng = np.random.default_rng(seed)
+    return [
+        (_smooth_psi(rng), _smooth_psi(rng), *np.exp(rng.uniform(-12.0, -0.2, size=2)),
+         (64, 512)[i % 2])
+        for i in range(n)
+    ]
+
+
+def _two_exponent_values(pairs):
+    return [
+        (phi_uniform(psi, nu, alpha, beta, n_grid=n).value,
+         phi_uniform_theta(psi, nu, alpha, n_grid=n))
+        for psi, nu, alpha, beta, n in pairs
+    ]
+
+
+def test_newton_two_exponent_sups_never_below_golden_section(monkeypatch):
+    pairs = _smooth_pairs()
+    assert all(psi.smooth and nu.smooth for psi, nu, _, _, _ in pairs)
+    newton = _two_exponent_values(pairs)
+
+    def without_probe(*args):
+        us, fs, probe, _ = log_ratio(*args)
+        return us, fs, probe, None
+
+    monkeypatch.setattr(bounds, "log_ratio", without_probe)
+    golden = _two_exponent_values(pairs)
+    assert any(g != n for g, n in zip(golden, newton))  # the routes differ
+    for got, want in zip(newton, golden):
+        for g, w in zip(got, want):
+            # never below golden by more than 1e-12, nor above by more (every
+            # value is an evaluated admissible point of the same objective)
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the generic engine: early stop of its coordinate rounds, in-place kernel
+
+
+def _ibragimov_kernel(p, q):
+    return 2.0 * 0.01 ** (1.0 / p) * np.ones_like(q)
+
+
+#: (psi, nu, alpha).  The last two need all three coordinate rounds at
+#: n_grid 128, on "T" and on "R" respectively: their second round moves.
+GENERIC_PAIRS = [
+    (power(1.0), power(2.0), 0.01),
+    (finite_support(3.0, 0.5), finite_support(4.0, 1.2), 0.01),
+    (finite_support(4.498, 0.012), extremal(3.722), 0.01),
+    (tabulated(NON_CONVEX), power(1.0), 0.01),
+    (power(1.4320443952655073), finite_support(4.14846103943267, 0.9262151965364459),
+     6.862151631101592e-05),
+    (power(2.099823602220795), finite_support(5.191381768547159, 1.0766664591216837),
+     0.0005987153785199065),
+]
+
+
+@pytest.mark.parametrize("domain", ["T", "R", ((1.2, 5.0), (1.5, 9.0)), "conjugate"])
+@pytest.mark.parametrize("k", range(len(GENERIC_PAIRS)))
+def test_generic_bound_equals_the_three_round_search(domain, k):
+    psi, nu, alpha = GENERIC_PAIRS[k]
+    h = _ibragimov_kernel if domain == "conjugate" else partial(_davydov, alpha)
+    rep = generic_bound(h, psi, nu, domain, 1.5, 0.5, n_grid=128)
+    best, p, q = generic_search(h, psi, nu, domain, n_grid=128)
+    assert (rep.value, rep.p, rep.q) == (math.exp(-best) * 1.5 * 0.5, p, q)
+
+
+def test_edge_search_falls_back_when_its_middle_is_infeasible():
+    # zeta(power, finite_support(1.5)) is finite only for u < 1/3, so the
+    # middle of the edge is infeasible and Newton could pick no side there
+    psi, nu = product_zeta(power(2.0), finite_support(1.5, 0.5)), power(1.0)
+    us, _, a_at, da = log_ratio(psi, -3.0, 1.0, 128)
+    ws, _, c_at, dc = log_ratio(nu, -0.5, 1.0, 128)
+    assert da is not None and dc is not None
+
+    def f(s, t):
+        return a_at(s) + c_at(t)
+
+    got = _edge_max(f, float(us[0]), float(ws[0]), da, dc)
+    assert math.isfinite(got[2])
+    assert got == _edge_max(f, float(us[0]), float(ws[0]))
+
+
+def test_neg_log_kernel_equals_the_out_of_place_expression():
+    rng = np.random.default_rng(3)
+    hv = rng.lognormal(size=(6, 7))
+    hv[0, :3] = 0.0  # a zero kernel: the bound is 0
+    hv[2, 4] = np.nan
+    hv[3, 3] = np.inf
+    lp = rng.normal(size=(6, 1))
+    lp[1, 0] = np.inf  # psi infinite: the pair is infeasible
+    lq = rng.normal(size=(1, 7))
+    lq[0, 5] = np.inf
+    lq[0, 6] = np.nan
+    for args in ((hv, lp, lq), (hv[:, 0], lp[:, 0], lq[0, :6])):
+        got, want = _neg_log_kernel(*args), neg_log_kernel(*args)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not np.isnan(got).any()
 
 
 # ---------------------------------------------------------------------------
