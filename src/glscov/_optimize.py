@@ -248,11 +248,11 @@ def log_ratio(psi, log_x, s, n):
     """
     us, logs = psi_table(psi, s, n)
 
-    def probe(u):
-        return u * log_x - psi.log_u_scalar(u)
+    def probe(u):  # golden section needs the value only
+        return u * log_x - psi.log_u_jet(u)[0]
 
     def newton(u):
-        d1, d2 = psi.dlog_u_scalar(u)
-        return u * log_x - psi.log_u_scalar(u), log_x - d1, -d2
+        g, d1, d2 = psi.log_u_jet(u)
+        return u * log_x - g, log_x - d1, -d2
 
     return us, us * log_x - logs, probe, newton if psi.smooth else None

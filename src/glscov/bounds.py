@@ -297,7 +297,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     run, arg = _running_max(c)
 
     def objective(u):
-        lp = psi.log_u_scalar(u)
+        lp = psi.log_u_jet(u)[0]
         top = 1.0 - u
         if math.isinf(lp) or top < w_lo:
             return -math.inf
@@ -520,7 +520,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     turn (h need not be separable): it rounds until a round moves neither
     coordinate, at most three.  On "T" a golden-section search along the
     edge u + w = 1, where coordinate moves stall, competes with them.  Probes
-    evaluate psi and nu by `log_u_scalar` and h on one-element arrays.  Every
+    evaluate psi and nu by `log_u_jet` and h on one-element arrays.  Every
     search is golden section, since a kernel carries no derivative.
     """
     if domain == "conjugate":
@@ -562,7 +562,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
 
     def objective(s, t):
         # _neg_log_kernel for one pair, in floats
-        lk = psi.log_u_scalar(s) + nu.log_u_scalar(t)
+        lk = psi.log_u_jet(s)[0] + nu.log_u_jet(t)[0]
         if lk == math.inf:
             return -math.inf
         hv = float(np.asarray(h(np.array([1.0 / s]), np.array([1.0 / t])), dtype=float)[0])

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -61,6 +62,17 @@ def _emit_json(obj, out_path):
     _emit(json.dumps(_jsonable(obj)) + "\n", out_path)
 
 
+@contextmanager
+def _parsing(flag):
+    """Raise any error in parsing the value of `flag` as a DomainError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DomainError(f"{flag}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
+        raise DomainError(f"{flag}: {exc}") from None
+
+
 def _load_json(spec):
     """The JSON object given inline or in the file at path `spec`."""
     if spec.lstrip().startswith("{"):
@@ -69,21 +81,23 @@ def _load_json(spec):
         return json.load(fh)
 
 
-def _load_psi(spec):
-    return psi_from_obj(_load_json(spec))
+def _load_psi(spec, flag="--psi"):
+    with _parsing(flag):
+        return psi_from_obj(_load_json(spec))
 
 
-def _parse_grid(text, log=False):
+def _parse_grid(text, flag, log=False):
     """'start,stop,count' -> array; geometric spacing when log=True."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise DomainError("grid must be 'start,stop,count'")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise DomainError("grid count must be >= 1")
-    if n == 1:
-        return np.array([lo])
-    return np.geomspace(lo, hi, n) if log else np.linspace(lo, hi, n)
+        raise DomainError(f"{flag} must be 'start,stop,count'")
+    with _parsing(flag):
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if n < 1:
+            raise DomainError("grid count must be >= 1")
+        if n == 1:
+            return np.array([lo])
+        return np.geomspace(lo, hi, n) if log else np.linspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +108,7 @@ def _cmd_psi(args):
     psi = _load_psi(args.psi)
     report = {"psi": psi_to_obj(psi), "b": _jsonable(psi.b), "closed_at_b": psi.closed_at_b}
     if args.p_grid:
-        ps = _parse_grid(args.p_grid)
+        ps = _parse_grid(args.p_grid, "--p-grid")
         report["values"] = [[float(p), _jsonable(eval_psi(psi, float(p)))] for p in ps]
     _emit_json(report, args.out)
 
@@ -109,7 +123,7 @@ def _cmd_fundamental(args):
         return _fundamental(psi, delta)
 
     if args.delta_grid:
-        deltas = _parse_grid(args.delta_grid, log=True)
+        deltas = _parse_grid(args.delta_grid, "--delta-grid", log=True)
         lines = ["delta,value,argmax_p"]
         for d in deltas:
             r = one(float(d))
@@ -128,11 +142,9 @@ def _cmd_fundamental(args):
 
 def _cmd_tail(args):
     psi = _load_psi(args.psi)
-    parts = args.y_grid.split(",")
-    if len(parts) != 3:
-        raise DomainError("--y-grid must be 'lo,hi,count' (lo may be 'e')")
-    lo = math.e * args.norm if parts[0].strip() == "e" else float(parts[0])
-    ys = np.linspace(lo, float(parts[1]), int(parts[2]))
+    lo, _, rest = args.y_grid.partition(",")
+    y_grid = f"{math.e * args.norm!r},{rest}" if lo.strip() == "e" else args.y_grid
+    ys = _parse_grid(y_grid, "--y-grid")
     samples = np.loadtxt(args.samples, ndmin=1) if args.samples else None
     lines = ["y,bound" if samples is None else "y,bound,empirical"]
     for y in map(float, ys):
@@ -181,7 +193,7 @@ _THEOREMS = {
     "generic": (_generic_bound, ("kernel-const", "domain", "psi", "nu")),
 }
 
-_FLAG_LOADERS = {"psi": _load_psi, "nu": _load_psi, "domain": _parse_domain}
+_FLAG_LOADERS = {"psi": _load_psi, "nu": lambda s: _load_psi(s, "--nu"), "domain": _parse_domain}
 
 
 def _cmd_bound(args):
@@ -195,9 +207,9 @@ def _cmd_bound(args):
 
 
 def _cmd_factorization(args):
-    psi, nu = _load_psi(args.psi), _load_psi(args.nu)
-    alphas = _parse_grid(args.alpha_grid, log=True)
-    betas = _parse_grid(args.beta_grid, log=True)
+    psi, nu = _load_psi(args.psi), _load_psi(args.nu, "--nu")
+    alphas = _parse_grid(args.alpha_grid, "--alpha-grid", log=True)
+    betas = _parse_grid(args.beta_grid, "--beta-grid", log=True)
     lines = ["alpha,beta,lhs,rhs,holds"]
     for a in alphas:
         for b in betas:
@@ -237,17 +249,18 @@ def _cmd_verify(args):
 
 
 def _load_model(spec):
-    obj = _load_json(spec)
-    kind = obj.get("kind")
-    if kind == "m_dependent":
-        return clt.MDependentModel(tuple(obj["coeffs"]))
-    if kind == "finite_markov":
-        return clt.FiniteMarkovModel(np.array(obj["transition"]), np.array(obj["values"]))
-    if kind == "user_samples":
-        if "paths" in obj:
-            return clt.UserSamplesModel(np.array(obj["paths"]))
-        return clt.UserSamplesModel(np.loadtxt(obj["path"], delimiter=",", ndmin=2))
-    raise DomainError(f"unknown sequence model kind {kind!r}")
+    with _parsing("--model"):
+        obj = _load_json(spec)
+        kind = obj["kind"]
+        if kind == "m_dependent":
+            return clt.MDependentModel(tuple(obj["coeffs"]))
+        if kind == "finite_markov":
+            return clt.FiniteMarkovModel(np.array(obj["transition"]), np.array(obj["values"]))
+        if kind == "user_samples":
+            if "paths" in obj:
+                return clt.UserSamplesModel(np.array(obj["paths"]))
+            return clt.UserSamplesModel(np.loadtxt(obj["path"], delimiter=",", ndmin=2))
+        raise DomainError(f"unknown sequence model kind {kind!r}")
 
 
 def _cmd_clt(args):
@@ -271,7 +284,8 @@ def _cmd_clt(args):
             "single-coordinate fields: for a Markov chain these coefficients "
             "equal the full past/future profile"
         )
-    ns = [int(float(x)) for x in args.n_grid.split(",")]
+    with _parsing("--n-grid"):
+        ns = [int(float(x)) for x in args.n_grid.split(",")]
     est = clt.sigma_n_estimate(model, ns, replications=args.reps, seed=args.seed)
     report["sigma_table"] = [
         {"n": e.n, "mean": e.mean, "sigma_n": e.sigma_n, "se": e.se} for e in est

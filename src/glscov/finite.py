@@ -175,7 +175,7 @@ def _gls_norms_exact(space, xi, psis, n_grid, refine):
     for psi in psis:
 
         def objective(t, psi=psi):
-            return float(log_norms(np.array([1.0 / t]))[0]) - psi.log_u_scalar(t)
+            return float(log_norms(np.array([1.0 / t]))[0]) - psi.log_u_jet(t)[0]
 
         _, best = grid_golden_max(us, curve - psi.log_u(us), objective, refine=refine)
         out.append(0.0 if best == -math.inf else float(math.exp(best)))

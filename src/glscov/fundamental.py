@@ -42,8 +42,8 @@ class FundamentalResult:
 
 def _sup(psi, delta, s, n_grid, refine):
     """(u, ln value) at the sup over p in [s, b) of delta^(1/p)/psi(p); None if empty."""
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite")
     if 1.0 / s < 1.0 / scan_bound(psi):
         return None  # empty domain
     us, fs, probe, newton = log_ratio(psi, math.log(delta), s, n_grid)
@@ -172,14 +172,14 @@ def g_transform(psi, x):
         raise DomainError("g-transform needs x > 0")
     if x > 1.0:
         raise DomainError("1/x lies outside the support of psi")
-    val = psi.log_u_scalar(x)
+    val = psi.log_u_jet(x)[0]
     if math.isinf(val):
         raise DomainError("1/x lies outside the support of psi")
     return -val
 
 
 def g_prime(psi, x):
-    """dg/dx = -d ln psi(1/x)/dx, from `PsiFunction.dlog_u_scalar`.
+    """dg/dx = -d ln psi(1/x)/dx, from `PsiFunction.log_u_jet`.
 
     Exact for every smooth kind (duals and products by the chain rule); a
     piecewise log-linear psi gives the slope of the cell holding x, and
@@ -187,8 +187,8 @@ def g_prime(psi, x):
     """
     if not 0.0 < x <= 1.0:
         raise DomainError("1/x lies outside the support of psi")
-    d1, d2 = psi.dlog_u_scalar(x)
-    if d2 == math.inf:
+    g, d1, _ = psi.log_u_jet(x)
+    if g == math.inf:
         raise DomainError("1/x lies outside the support of psi")
     return -d1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -24,8 +25,8 @@ P_MAX = 1.0e6
 PSI_FLOOR = 1e-300
 _LOG_FLOOR = math.log(PSI_FLOOR)
 
-#: dlog_u_scalar outside the support, where log_u_scalar is +inf
-_OUTSIDE = (math.inf, math.inf)
+#: log_u_jet outside the support: g = +inf, no derivatives
+_OUTSIDE = (math.inf, math.nan, math.nan)
 
 
 def logsumexp(a, axis=None):
@@ -160,42 +161,13 @@ class PsiFunction:
             return np.full(u.shape, np.inf)
         return np.where((u >= bp[0]) & (u <= bp[-1]), np.interp(u, bp, logs), np.inf)
 
-    def log_u_scalar(self, u):
-        """log_u for one float u, without building an array.
-
-        For the scalar probes of golden-section searches; agrees with log_u
-        up to the rounding of math.log against numpy's log.
-        """
-        k = self.kind
-        if k == "power":
-            return -math.log(u) / self.params["m"] if u > 0.0 else math.inf
-        if k == "finite_support":
-            b = self.params["b"]
-            if u <= 1.0 / b:
-                return math.inf
-            p = 1.0 / u
-            return -self.params["beta"] * math.log(b - p) if p < b else math.inf
-        if k == "extremal":
-            return 0.0 if u >= 1.0 / self.params["r"] else math.inf
-        if k == "dual":
-            return self.left.log_u_scalar(1.0 - u)
-        if k == "product" and not self.params["piecewise"]:
-            r = self.right  # a dual at 1 - u is its inner psi at u, as in log_u
-            if r.kind == "dual":
-                return self.left.log_u_scalar(u) + r.left.log_u_scalar(u)
-            return self.left.log_u_scalar(u) + r.log_u_scalar(1.0 - u)
-        if self.breakpoints is None:
-            raise ValueError(f"unknown generating-function kind {k!r}")
-        us, logs = self._table
-        return float(np.interp(u, us, logs)) if us.size and us[0] <= u <= us[-1] else math.inf
-
     @property
     def smooth(self):
         """Whether ln psi(1/u) is smooth inside its support.
 
         power and finite_support, and duals and products built only from
-        these: `dlog_u_scalar` then gives an exact g'' as well, and a sup over
-        u refines by Newton.  extremal, tabulated and empirical psi, and
+        these: `log_u_jet` then gives an exact g'' as well, and a sup over u
+        refines by Newton.  extremal, tabulated and empirical psi, and
         anything with such a factor, are not.
         """
         k = self.kind
@@ -205,53 +177,56 @@ class PsiFunction:
             return self.left.smooth
         return k == "product" and self.left.smooth and self.right.smooth
 
-    def dlog_u_scalar(self, u):
-        """(g'(u), g''(u)) of g(u) = ln psi(1/u) at one float u.
+    @cached_property
+    def _knots(self):
+        """`_table` as two lists, for the bisection of `log_u_jet`."""
+        return tuple(a.tolist() for a in self._table)
+
+    def log_u_jet(self, u):
+        """(g, g', g'') of g(u) = ln psi(1/u) at one float u: log_u's scalar twin.
 
         One formula per kind, the chain rule for a dual (inner psi at 1 - u)
-        and a product (right factor at 1 - u).  A piecewise log-linear psi
-        gives the slope of the cell holding u (the right one at a breakpoint)
-        and g'' = 0, extremal (0, 0).  (inf, inf) wherever log_u_scalar is
-        +inf, so no result is NaN.
+        and a product (right factor at 1 - u).  A piecewise psi reads g and
+        the slope of the cell holding u (the right one at a breakpoint) off
+        one bisection, with np.interp's arithmetic, and g'' = 0.  Outside the
+        support g = +inf, the one outside marker; g' and g'' are NaN there.
         """
         k = self.kind
         if k == "power":
             if u <= 0.0:
                 return _OUTSIDE
             m = self.params["m"]
-            return -1.0 / (m * u), 1.0 / (m * u * u)
+            s = m * u * u  # underflows to 0 for u below about 1e-162
+            return -math.log(u) / m, -1.0 / (m * u), 1.0 / s if s else math.inf
         if k == "finite_support":
             b = self.params["b"]
-            if u <= 1.0 / b:
-                return _OUTSIDE
-            d = b - 1.0 / u  # as in log_u_scalar: positive exactly inside
+            d = b - 1.0 / u if u > 1.0 / b else 0.0  # positive exactly inside
             if d <= 0.0:
                 return _OUTSIDE
             beta, s = self.params["beta"], u * u * d  # s = b u^2 - u
-            return -beta / s, beta * (1.0 + 2.0 * u * d) / (s * s)
+            return -beta * math.log(d), -beta / s, beta * (1.0 + 2.0 * u * d) / (s * s)
         if k == "extremal":
-            return (0.0, 0.0) if u >= 1.0 / self.params["r"] else _OUTSIDE
+            return (0.0, 0.0, 0.0) if u >= 1.0 / self.params["r"] else _OUTSIDE
         if k == "dual":
-            d1, d2 = self.left.dlog_u_scalar(1.0 - u)
-            return _OUTSIDE if d2 == math.inf else (-d1, d2)
+            g, d1, d2 = self.left.log_u_jet(1.0 - u)
+            return g, -d1, d2
         if k == "product" and not self.params["piecewise"]:
-            l1, l2 = self.left.dlog_u_scalar(u)
-            r = self.right  # a dual at 1 - u is its inner psi at u, as in log_u
-            if r.kind == "dual":
-                r1, r2 = r.left.dlog_u_scalar(u)
-            else:
-                r1, r2 = r.dlog_u_scalar(1.0 - u)
-                r1 = -r1
-            return _OUTSIDE if math.inf in (l2, r2) else (l1 + r1, l2 + r2)
+            # a dual right factor at 1 - u is its inner psi at u, as in log_u
+            r, dual = self.right, self.right.kind == "dual"
+            rg, r1, r2 = r.left.log_u_jet(u) if dual else r.log_u_jet(1.0 - u)
+            lg, l1, l2 = self.left.log_u_jet(u)
+            return lg + rg, l1 + r1 if dual else l1 - r1, l2 + r2
         if self.breakpoints is None:
             raise ValueError(f"unknown generating-function kind {k!r}")
-        us, logs = self._table
-        if not (us.size and us[0] <= u <= us[-1]):
+        us, logs = self._knots
+        if not (us and us[0] <= u <= us[-1]):
             return _OUTSIDE
-        if us.size == 1:
-            return 0.0, 0.0
-        i = min(int(np.searchsorted(us, u, side="right")), us.size - 1)
-        return float((logs[i] - logs[i - 1]) / (us[i] - us[i - 1])), 0.0
+        if len(us) == 1:
+            return logs[0], 0.0, 0.0
+        i = min(bisect_right(us, u), len(us) - 1)
+        slope = (logs[i] - logs[i - 1]) / (us[i] - us[i - 1])
+        g = logs[i] if u == us[i] else slope * (u - us[i - 1]) + logs[i - 1]
+        return g, slope, 0.0
 
     def log_eval(self, p):
         """ln psi(p) for p >= 1 (scalar or ndarray); +inf outside support.
@@ -454,19 +429,25 @@ def psi_to_obj(psi):
 
 
 def psi_from_obj(obj):
-    k = obj["kind"]
-    if k == "power":
-        return power(obj["m"])
-    if k == "finite_support":
-        return finite_support(obj["b"], obj["beta"])
-    if k == "extremal":
-        return extremal(obj["r"])
-    if k == "tabulated":
-        return tabulated([(p, v) for p, v in obj["points"]])
-    if k == "product":
-        return product_zeta(psi_from_obj(obj["left"]), psi_from_obj(obj["right"]))
-    if k == "dual":
-        return dual_psi(psi_from_obj(obj["inner"]))
+    """The generating function a `psi_to_obj` object describes; DomainError if malformed."""
+    try:
+        k = obj["kind"]
+        if k == "power":
+            return power(obj["m"])
+        if k == "finite_support":
+            return finite_support(obj["b"], obj["beta"])
+        if k == "extremal":
+            return extremal(obj["r"])
+        if k == "tabulated":
+            return tabulated([(p, v) for p, v in obj["points"]])
+        if k == "product":
+            return product_zeta(psi_from_obj(obj["left"]), psi_from_obj(obj["right"]))
+        if k == "dual":
+            return dual_psi(psi_from_obj(obj["inner"]))
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # a KeyError names the missing field
+        raise DomainError(f"malformed generating function: {exc!r}") from None
     raise DomainError(f"unknown generating-function kind {k!r}")
 
 

@@ -30,9 +30,9 @@ def v_of(psi, p):
     if p < 1.0:
         raise DomainError("p must lie in [1, infinity)")
     if p == math.inf:
-        g0 = psi.log_u_scalar(0.0)
-        return psi.dlog_u_scalar(0.0)[0] if g0 == 0.0 else math.copysign(math.inf, g0)
-    return p * psi.log_u_scalar(1.0 / p)
+        g0, d1, _ = psi.log_u_jet(0.0)
+        return d1 if g0 == 0.0 else math.copysign(math.inf, g0)
+    return p * psi.log_u_jet(1.0 / p)[0]
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,16 @@ def conjugate_info(psi, x):
     flags a sup still increasing at the scan cap (the conjugate is then
     effectively +inf for this x).
     """
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
 
     def objective(u):
-        logs = psi.log_u_scalar(u)
-        return -math.inf if math.isinf(logs) else (x - logs) / u
+        g = psi.log_u_jet(u)[0]
+        return -math.inf if math.isinf(g) else (x - g) / u
 
     def newton(u):
-        d1, d2 = psi.dlog_u_scalar(u)
-        f = (x - psi.log_u_scalar(u)) / u
+        g, d1, d2 = psi.log_u_jet(u)
+        f = (x - g) / u
         f1 = -(d1 + f) / u
         return f, f1, -(d2 + 2.0 * f1) / u
 
@@ -90,8 +92,8 @@ def conjugate(psi, x):
 
 def tail_bound(psi, norm, y):
     """P(|zeta| > y) <= min(1, 2 exp(-v*(ln(y/norm)))), valid for y >= e norm."""
-    if norm <= 0:
-        raise DomainError("norm must be positive")
+    if not (0.0 < norm < math.inf and math.isfinite(y)):
+        raise DomainError("tail bound needs a positive finite norm and a finite y")
     if y < math.e * norm * (1 - 1e-12):
         raise DomainError("below validity threshold: tail bound needs y >= e * norm")
     return min(1.0, 2.0 * math.exp(-conjugate(psi, math.log(y / norm))))

@@ -72,7 +72,7 @@ def generic_search(h, psi, nu, domain, n_grid=512):
     best = f[i, j]
 
     def objective(s, t):
-        lk = psi.log_u_scalar(s) + nu.log_u_scalar(t)
+        lk = psi.log_u_jet(s)[0] + nu.log_u_jet(t)[0]
         if lk == math.inf:
             return -math.inf
         hv = float(np.asarray(h(np.array([1.0 / s]), np.array([1.0 / t])), dtype=float)[0])

@@ -20,6 +20,11 @@ from glscov import moments_from_samples, natural_from_moments, product_zeta, tab
 KNOTS = [(1.0, 1.0), (1.5, 2.5), (2.0, 1.1), (3.0, 4.0), (5.0, 1.6), (8.0, 30.0)]
 KNOTS_2 = [(1.0, 2.0), (1.2, 0.5), (2.5, 6.0), (4.0, 0.8), (12.0, 50.0)]
 
+#: knot slopes that are not monotone: ln psi(1/u) is not convex, so a sup
+#: over u can have several local maxima
+NON_CONVEX = [(1.0, 1.0), (1.5, 3.0), (2.0, 1.2), (3.0, 4.0), (5.0, 1.5), (8.0, 30.0)]
+NON_CONVEX_2 = KNOTS_2
+
 
 def vertices(knots):
     """[(u, ln psi(1/u))] of a tabulated psi, ascending in u, ending at u = 1."""

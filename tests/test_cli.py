@@ -182,3 +182,29 @@ def test_bound_every_theorem_runs_and_names_a_missing_flag(capsys, theorem, drop
     else:
         assert code == 2
         assert rep == {"error": f"--theorem {theorem} needs --{dropped}"}
+
+
+#: malformed values the parse layer refuses, and a word its message must hold
+_MALFORMED = [
+    (("tail", "--psi", POWER1, "--norm", "1", "--y-grid", "3,6,-1"), "--y-grid"),
+    (("tail", "--psi", POWER1, "--norm", "1", "--y-grid", "x,6,3"), "--y-grid"),
+    (("tail", "--psi", POWER1, "--norm", "1", "--y-grid", "e,6,0"), "--y-grid"),
+    (("fundamental", "--psi", POWER1, "--delta-grid", "x,1e-2,3"), "--delta-grid"),
+    (("fundamental", "--psi", POWER1, "--delta-grid", "1e-6,1e-2,0"), "--delta-grid"),
+    (("clt", "--model", '{"kind":"m_dependent","coeffs":[1]}', "--n-grid", "a"), "--n-grid"),
+    (("psi", "--psi", "{bad"), "--psi"),
+    (("psi", "--psi", '{"kind":"power"}'), "'m'"),
+    (("psi", "--psi", '{"kind":"tabulated","points":[[1]]}'), "--psi"),
+    (("clt", "--model", '{"kind":"m_dependent"}'), "'coeffs'"),
+    (("factorization", "--psi", POWER1, "--nu", "{bad", "--alpha-grid", "1e-3,1e-2,2",
+      "--beta-grid", "1e-3,1e-2,2"), "--nu"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", _MALFORMED, ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in _MALFORMED]
+)
+def test_malformed_values_exit_2_and_name_the_flag_or_field(capsys, argv, named):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert named in json.loads(out)["error"]

@@ -194,13 +194,13 @@ def test_piecewise_sups_make_no_scalar_probe(monkeypatch):
     # the grid maximum is the sup on a piecewise psi, so neither fundamental
     # nor the conjugate refines; a power psi still does
     calls = []
-    probe = PsiFunction.log_u_scalar
+    jet = PsiFunction.log_u_jet
 
     def counted(self, u):
         calls.append(u)
-        return probe(self, u)
+        return jet(self, u)
 
-    monkeypatch.setattr(PsiFunction, "log_u_scalar", counted)
+    monkeypatch.setattr(PsiFunction, "log_u_jet", counted)
     for name in ("tabulated", "empirical", "product"):
         psi, _ = ref.piecewise_case(name)
         fundamental(psi, 1e-3)

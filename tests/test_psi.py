@@ -24,7 +24,10 @@ from glscov import (
     psi_to_json,
     tabulated,
 )
+from glscov.fundamental import g_prime
 from glscov.psi import logsumexp
+
+import piecewise_reference as ref
 
 
 def test_conjugate_exponent_values():
@@ -102,7 +105,7 @@ _U_CASES = [
 
 def _assert_scalar_matches_array(psi, u):
     want = float(psi.log_u(np.array([u]))[0])
-    got = psi.log_u_scalar(u)
+    got = psi.log_u_jet(u)[0]
     assert isinstance(got, float)
     assert not math.isnan(got) and not math.isnan(want), u
     if math.isinf(want):
@@ -122,33 +125,33 @@ def _end_neighbours(u):
     ids=["power", "finite_support", "finite_support_rounding", "finite_support_beta0",
          "extremal", "tabulated", "product", "dual"],
 )
-def test_log_u_scalar_matches_log_u(psi, us, ends):
+def test_log_u_jet_value_matches_log_u(psi, us, ends):
     checked = list(us) + [0.0, 1.0]
     for end in [1.0 / psi.b] + ends:
         checked += _end_neighbours(end)
     for u in checked:
         _assert_scalar_matches_array(psi, u)
-    assert any(math.isinf(psi.log_u_scalar(u)) for u in checked)
+    assert any(math.isinf(psi.log_u_jet(u)[0]) for u in checked)
 
 
 @given(st.floats(0.0, 1.0))
-def test_log_u_scalar_matches_log_u_on_random_u(u):
+def test_log_u_jet_value_matches_log_u_on_random_u(u):
     for psi, _, _ in _U_CASES:
         _assert_scalar_matches_array(psi, u)
 
 
 def test_log_u_at_the_support_ends():
-    assert extremal(4.0).log_u_scalar(1 / 4.0) == 0.0
-    assert tabulated([(2.0, 1.0), (8.0, 2.0)]).log_u_scalar(1 / 8.0) == pytest.approx(
+    assert extremal(4.0).log_u_jet(1 / 4.0)[0] == 0.0
+    assert tabulated([(2.0, 1.0), (8.0, 2.0)]).log_u_jet(1 / 8.0)[0] == pytest.approx(
         math.log(2.0)
     )
-    assert finite_support(3.0, 1.5).log_u_scalar(1 / 3.0) == math.inf
+    assert finite_support(3.0, 1.5).log_u_jet(1 / 3.0)[0] == math.inf
     # the open end stays +inf where 1/(1/b) rounds below b, in p and in u
     b = 3.946312461594403
     assert 1.0 / (1.0 / b) < b
     for beta in (0.0, 1.0):
         assert eval_psi(finite_support(b, beta), b) == math.inf
-        assert finite_support(b, beta).log_u_scalar(1.0 / b) == math.inf
+        assert finite_support(b, beta).log_u_jet(1.0 / b)[0] == math.inf
     with pytest.raises(DomainError):
         extremal(4.0).log_eval(0.5)
 
@@ -167,37 +170,50 @@ _SMOOTH = [
 
 
 @given(st.floats(0.01, 0.99))
-def test_dlog_u_scalar_matches_central_differences(t):
+def test_log_u_jet_matches_central_differences(t):
     for psi, lo, hi, poles in _SMOOTH:
         assert psi.smooth
         u = lo + t * (hi - lo)
         h = 5e-4 * min(abs(u - pole) for pole in poles)
-        g = psi.log_u_scalar
+
+        def g(v):
+            return psi.log_u_jet(v)[0]
+
         d1 = (g(u + h) - g(u - h)) / (2.0 * h)
         d2 = (g(u + h) - 2.0 * g(u) + g(u - h)) / (h * h)
-        got1, got2 = psi.dlog_u_scalar(u)
+        _, got1, got2 = psi.log_u_jet(u)
         assert got1 == pytest.approx(d1, rel=1e-6, abs=1e-12), (psi.kind, u)
         assert got2 == pytest.approx(d2, rel=1e-6, abs=1e-12), (psi.kind, u)
 
 
-def test_dlog_u_scalar_chain_rule_is_exact():
+def test_log_u_jet_chain_rule_is_exact():
     inner, right = power(2.0), finite_support(3.0, 0.5)
     dual = dual_psi(inner)
     mixed = product_zeta(power(1.5), right)
     with_dual = product_zeta(power(1.5), dual)
     for u in (0.05, 0.3, 0.5, 0.6):
-        i1, i2 = inner.dlog_u_scalar(1.0 - u)
-        assert dual.dlog_u_scalar(u) == (-i1, i2)
-        (l1, l2), (r1, r2) = power(1.5).dlog_u_scalar(u), right.dlog_u_scalar(1.0 - u)
-        assert mixed.dlog_u_scalar(u) == (l1 - r1, l2 + r2)
+        i0, i1, i2 = inner.log_u_jet(1.0 - u)
+        assert dual.log_u_jet(u) == (i0, -i1, i2)
+        (l0, l1, l2), (r0, r1, r2) = power(1.5).log_u_jet(u), right.log_u_jet(1.0 - u)
+        assert mixed.log_u_jet(u) == (l0 + r0, l1 - r1, l2 + r2)
         # a dual factor at 1 - u is its inner psi at u, read there directly
-        i1, i2 = inner.dlog_u_scalar(u)
-        assert with_dual.dlog_u_scalar(u) == (l1 + i1, l2 + i2)
-        assert with_dual.log_u_scalar(u) == power(1.5).log_u_scalar(u) + inner.log_u_scalar(u)
+        i0, i1, i2 = inner.log_u_jet(u)
+        assert with_dual.log_u_jet(u) == (l0 + i0, l1 + i1, l2 + i2)
 
 
-def test_dlog_u_scalar_outside_the_support_is_infinite():
-    outside = (math.inf, math.inf)
+@pytest.mark.parametrize("x", [1e-170, 1e-310])
+def test_g_prime_at_tiny_x_overflows_instead_of_dividing_by_zero(x):
+    # m u u underflows to 0 below u of about 1e-162; g'' is then +inf
+    for m in (1.0, 2.0):
+        g, d1, d2 = power(m).log_u_jet(x)
+        assert (g, d1, d2) == (-math.log(x) / m, -1.0 / (m * x), math.inf)
+        assert g_prime(power(m), x) == 1.0 / (m * x)
+    zeta = product_zeta(power(1.0), dual_psi(power(2.0)))
+    assert zeta.log_u_jet(x)[2] == math.inf
+    assert g_prime(zeta, x) == 1.0 / x + 1.0 / (2.0 * x)
+
+
+def test_log_u_jet_is_infinite_outside_the_support_and_g_prime_refuses():
     b = 3.946312461594403  # 1/(1/b) rounds below b
     cases = [
         (power(2.0), [0.0]),
@@ -212,20 +228,75 @@ def test_dlog_u_scalar_outside_the_support_is_infinite():
     ]
     for psi, us in cases:
         for u in us:
-            assert psi.log_u_scalar(u) == math.inf
-            assert psi.dlog_u_scalar(u) == outside, (psi.kind, u)
+            assert psi.log_u_jet(u)[0] == math.inf, (psi.kind, u)
+            with pytest.raises(DomainError):
+                g_prime(psi, u)
 
 
-def test_dlog_u_scalar_of_piecewise_kinds_is_the_cell_slope():
+def test_log_u_jet_of_piecewise_kinds_is_the_cell_slope():
     psi = tabulated([(2.0, 1.0), (4.0, 2.0), (8.0, 2.0)])
     assert not psi.smooth and not extremal(4.0).smooth
     assert not product_zeta(power(1.0), psi).smooth
     slope = -math.log(2.0) / 0.25  # ln psi from ln 2 at u = 1/4 down to 0 at u = 1/2
-    assert psi.dlog_u_scalar(0.3) == (pytest.approx(slope, rel=1e-15), 0.0)
-    assert psi.dlog_u_scalar(0.25) == (pytest.approx(slope, rel=1e-15), 0.0)  # the right cell
-    assert psi.dlog_u_scalar(0.125) == (0.0, 0.0)
-    assert psi.dlog_u_scalar(0.75) == (0.0, 0.0)  # flat below the first knot
-    assert extremal(4.0).dlog_u_scalar(0.5) == (0.0, 0.0)
+    assert psi.log_u_jet(0.3)[1:] == (pytest.approx(slope, rel=1e-15), 0.0)
+    assert psi.log_u_jet(0.25)[1:] == (pytest.approx(slope, rel=1e-15), 0.0)  # the right cell
+    assert psi.log_u_jet(0.125)[1:] == (0.0, 0.0)
+    assert psi.log_u_jet(0.75)[1:] == (0.0, 0.0)  # flat below the first knot
+    assert extremal(4.0).log_u_jet(0.5) == (0.0, 0.0, 0.0)
+
+
+def _assert_jet_is_interp(psi, rng):
+    """The jet's g of a piecewise psi is np.interp on its table, bit for bit,
+    at every breakpoint, its float neighbours, the cell midpoints and random
+    points; +inf outside the table."""
+    us, logs = psi._table
+    points = [us, np.nextafter(us, -1.0), np.nextafter(us, 2.0), 0.5 * (us[1:] + us[:-1]),
+              rng.uniform(0.0, 1.0, 16)]
+    if us.size:  # else psi is nowhere finite
+        points.append(rng.uniform(us[0], us[-1], 64))
+    for u in np.concatenate(points).tolist():
+        g = psi.log_u_jet(u)[0]
+        if us.size and us[0] <= u <= us[-1]:
+            assert g == float(np.interp(u, us, logs)), u
+        else:
+            assert g == math.inf, u
+
+
+#: the knots of every fixed table the tests build
+_TABLES = [
+    ref.KNOTS, ref.KNOTS_2, ref.NON_CONVEX,
+    [(1.0, 1.0)], [(1.5, 1.0)], [(1.0, 1.0), (2.0, 2.0)], [(2.0, 1.0), (8.0, 2.0)],
+    [(1.0, 1.0), (8.0, 2.0)], [(1.0, 1.0), (4.0, 1.5)], [(1.0, 1.0), (2.0, 1.5), (16.0, 4.0)],
+    [(1.5, 2.0), (4.0, 3.0), (2.0, 1.0)], [(2.0, 1.0), (3.0, 1.3), (8.0, 2.0)],
+    [(2.0, 1.0), (4.0, 2.0), (8.0, 2.0)], [(p, p) for p in [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0]],
+]
+
+
+#: the factors of every fixed product of two tables the tests build
+_PRODUCTS = [
+    (ref.KNOTS, ref.KNOTS_2),
+    ([(1.0, 1.0), (2.0, 2.0)], [(1.5, 1.0)]),
+    ([(1.0, 1.0), (2.0, 1.5), (16.0, 4.0)], [(1.0, 1.0), (2.0, 1.5), (16.0, 4.0)]),
+    ([(1.5, 2.0), (4.0, 3.0), (2.0, 1.0)], [(1.0, 1.0), (8.0, 2.0)]),
+]
+
+
+def _piecewise_psis():
+    tables = [tabulated(knots) for knots in _TABLES]
+    products = [product_zeta(tabulated(a), tabulated(b)) for a, b in _PRODUCTS]
+    return tables + products + [ref.piecewise_case("empirical")[0]]
+
+
+@pytest.mark.parametrize("psi", _piecewise_psis())
+def test_piecewise_jet_value_is_np_interp_on_every_table(psi):
+    _assert_jet_is_interp(psi, np.random.default_rng(0))
+
+
+@given(ref.knot_sets(), ref.knot_sets(), st.integers(0, 2**32 - 1))
+def test_piecewise_jet_value_is_np_interp_on_random_tables(knots, knots_2, seed):
+    a, b = tabulated(knots), tabulated(knots_2)
+    for psi in (a, product_zeta(a, b)):
+        _assert_jet_is_interp(psi, np.random.default_rng(seed))
 
 
 def test_logsumexp_matches_direct_summation():

@@ -12,6 +12,8 @@ from glscov import (
     dual_psi,
     empirical_tail,
     extremal,
+    fundamental,
+    fundamental_truncated,
     orlicz_N,
     power,
     product_zeta,
@@ -155,3 +157,25 @@ def test_empirical_tail_counts():
     # one-sided: P(x > 2.2) = 2/6, P(x < -2.2) = 1/6 -> max = 1/3
     assert empirical_tail(x, 2.2) == pytest.approx(2.0 / 6.0)
     assert empirical_tail(x, 5.0) == 0.0
+
+
+def _truncated(psi, delta):
+    return fundamental_truncated(psi, 2.0, delta)
+
+
+@pytest.mark.parametrize("call, args", [
+    (fundamental, (math.nan,)),
+    (fundamental, (math.inf,)),
+    (_truncated, (math.nan,)),
+    (_truncated, (math.inf,)),
+    (conjugate_info, (math.nan,)),
+    (conjugate_info, (math.inf,)),
+    (conjugate_info, (-math.inf,)),
+    (tail_bound, (math.nan, 5.0)),
+    (tail_bound, (math.inf, 5.0)),
+    (tail_bound, (1.0, math.nan)),
+    (tail_bound, (1.0, math.inf)),
+])
+def test_non_finite_arguments_raise_domain_error(call, args):
+    with pytest.raises(DomainError):
+        call(power(1.0), *args)

@@ -28,11 +28,7 @@ from glscov.bounds import _T_MARGIN, _edge_max, _neg_log_kernel, _triangle_grid_
 from glscov.psi import P_MAX
 
 from generic_reference import generic_search, neg_log_kernel
-
-#: knot slopes in (1/p, ln psi) that are not monotone: h(u) = ln psi(1/u) is
-#: not convex, so a(u) = u ln alpha - h(u) has several local maxima
-NON_CONVEX = [(1.0, 1.0), (1.5, 3.0), (2.0, 1.2), (3.0, 4.0), (5.0, 1.5), (8.0, 30.0)]
-NON_CONVEX_2 = [(1.0, 2.0), (1.2, 0.5), (2.5, 6.0), (4.0, 0.8), (12.0, 50.0)]
+from piecewise_reference import NON_CONVEX, NON_CONVEX_2
 
 
 def _masked_scan(us, a, ws, c):
