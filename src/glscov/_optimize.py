@@ -7,14 +7,13 @@ grid holds every breakpoint of a piecewise log-linear psi, so a 1-D sup whose
 objective is linear or monotone on each cell between them is the grid
 maximum, and its caller skips the refinement.
 
-`cell_max` refines a grid point on its two cells by safeguarded Newton
-(`newton_max`) when the caller hands it a derivative probe, which the sups
-over a smooth psi do (`log_ratio`, the conjugate, the two-exponent cell
-moves), and by golden-section search otherwise: for psi that are extremal
-or have a piecewise factor, for kernels and moment curves, and next to an
-infeasible grid point.  `grid_golden_max` is a grid scan plus `cell_max`.
-Newton never takes more evaluations than the golden search on the same
-cells.
+Every other psi refines by safeguarded Newton (`newton_max`) on its jet
+`log_u_jet`, exact on every cell; `cell_max` takes that route whenever the
+caller hands it a derivative probe.  Golden-section search is left to what
+carries no derivative (kernels, moment curves, the outer sup of the nested
+route) and to cells next to an infeasible grid point.  `grid_golden_max` is
+a grid scan plus `cell_max`.  Newton never takes more evaluations than the
+golden search on the same cells.
 
 Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
 scan turns u back into p for psi.  A reported exponent, and the exponents
@@ -85,7 +84,7 @@ def cell_max(f, xs, i, cap=math.inf, tol=1e-13, df=None, fs=None):
     """Max of f on the two grid cells around xs[i], clipped at cap.
 
     Refines by `newton_max` from xs[i] when the caller hands a derivative
-    probe `df` (f is smooth) and both neighbouring grid values `fs` are
+    probe `df` (exact on every cell) and both neighbouring grid values `fs` are
     finite, by golden_max otherwise: a cell next to an infeasible grid point
     reaches past the support, where a derivative means nothing.  Returns
     (x, f(x)), or None when the clipped cells are empty.
@@ -242,9 +241,9 @@ def log_ratio(psi, log_x, s, n):
     """u ln x - ln psi(1/u) for a sup over p in [s, min(b, P_MAX)].
 
     Returns psi_table(psi, s, n)'s grid, the objective on it, the objective
-    as a scalar probe of u and, for a smooth psi, its derivative probe u ->
-    (f, f', f'') for `grid_golden_max` (None otherwise).  u > 0 and
-    ln psi > -inf, so no value is NaN; -inf marks an infeasible point.
+    as a scalar probe of u, and its derivative probe u -> (f, f', f'') for
+    `grid_golden_max`.  u > 0 and ln psi > -inf, so no value is NaN; -inf
+    marks an infeasible point.
     """
     us, logs = psi_table(psi, s, n)
 
@@ -255,4 +254,4 @@ def log_ratio(psi, log_x, s, n):
         g, d1, d2 = psi.log_u_jet(u)
         return u * log_x - g, log_x - d1, -d2
 
-    return us, us * log_x - logs, probe, newton if psi.smooth else None
+    return us, us * log_x - logs, probe, newton

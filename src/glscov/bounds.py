@@ -110,7 +110,7 @@ def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta):
     if beta == 0.0:
         return BoundReport(0.0, "gls_dual_pair")
     phi = fundamental(psi, beta**-0.5).value
-    return BoundReport(2.0 * norm_xi * norm_eta / phi**2, "gls_dual_pair")
+    return BoundReport(2.0 * norm_xi * norm_eta / phi / phi, "gls_dual_pair")  # phi^2 can overflow
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +160,19 @@ def _triangle_grid_best(us, a, ws, c):
     return i, int(arg[last[i]]), float(rows[i])
 
 
-def _cell_polish(along_u, along_w, us, ws, i, j, best, cap):
-    """Moves of the grid point (us[i], ws[j]) inside its own cells, first in
-    u and then in w, keeping u + w <= cap.
+def _cell_polish(move_u, move_w, u, w, best):
+    """Moves of the grid-best point (u, w) inside its own cells, first in u
+    and then in w.
 
     Where the objective is not concave its grid-best can hold a local sup
-    that no other candidate reaches.  along_u(w) returns `cell_max`'s
-    (f, df, fs) for the u-move at fixed w: the objective along u, its
-    derivative probe or None, and grid values along us whose finiteness
-    admits Newton.  along_w(u) does the same for the w-move at fixed u.
+    that no other candidate reaches.  move_u(w) returns the best (u, value)
+    of the u-move at fixed w, or None; move_w(u) does the same for w.
     Returns (u, w, value).
     """
-    u, w = float(us[i]), float(ws[j])
-    f, df, fs = along_u(w)
-    cell = cell_max(f, us, i, cap - w, df=df, fs=fs)
+    cell = move_u(w)
     if cell is not None and cell[1] > best:
         u, best = cell
-    f, df, fs = along_w(u)
-    cell = cell_max(f, ws, j, cap - u, df=df, fs=fs)
+    cell = move_w(u)
     if cell is not None and cell[1] > best:
         w, best = cell
     return u, w, best
@@ -188,11 +183,11 @@ def _edge_max(f, u_lo, w_lo, da=None, dc=None):
 
     Coordinate moves stall there, so the triangle sups search it explicitly.
     With the derivative probes da, dc of both parts of a separable
-    f(u, w) = a(u) + c(w) the edge objective f(t) = a(t) + c(e - t) is
-    smooth, with f' = a'(t) - c'(e - t) and f'' = a''(t) + c''(e - t), and
-    refines by `newton_max` from the middle of the edge; otherwise, or when
-    that middle is infeasible, by golden section.  Returns (u, w, value), or
-    None when the edge misses [u_lo, 1] x [w_lo, 1].
+    f(u, w) = a(u) + c(w) the edge objective f(t) = a(t) + c(e - t) has
+    f' = a'(t) - c'(e - t) and f'' = a''(t) + c''(e - t), exact on every
+    cell, and refines by `newton_max` from the middle of the edge; a kernel
+    objective, or an infeasible middle, by golden section.  Returns
+    (u, w, value), or None when the edge misses [u_lo, 1] x [w_lo, 1].
     """
     edge = 1.0 - _T_MARGIN
     lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
@@ -223,19 +218,37 @@ def _shifted(df, shift):
     return probe
 
 
+def _separable_move(psi, xs, k, fs, at, df, shift, cap):
+    """The move of at(t) + shift on the cells around the grid-best xs[k],
+    clipped at cap, for a separable objective: (t, value) or None.
+
+    at is the part of the objective over psi, fs its grid values and df its
+    derivative probe.  For a piecewise psi at is linear between grid
+    points, so the max is at a grid point or at the clip point.  The grid
+    points were rivals of the grid-best at its other coordinate, so the
+    clip point is the one point evaluated.  Any other psi moves by
+    `cell_max`.
+    """
+    if psi.breakpoints is not None:
+        return (cap, at(cap) + shift) if xs[k] < cap < xs[min(k + 1, xs.size - 1)] else None
+    return cell_max(lambda t: at(t) + shift, xs, k, cap, df=_shifted(df, shift), fs=fs)
+
+
 def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
     In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable; a and
     c are `log_ratio` on one cached table per function, which the nested
     route shares.  The grid-best over the triangle comes from a running
-    maximum of c.  Refinement keeps the best of: the grid-best polished
-    inside its own cells; the product point of the two 1-D sups, when it
-    lies in the triangle (the factorization); and a search along the edge
-    u + w = 1.  Each of these refines by Newton where its objective is
-    smooth (a move in u over a smooth psi, in w over a smooth nu, the edge
-    when both are) and by golden section otherwise.  For concave a and c,
-    which every built-in kind gives except a tabulated psi with
+    maximum of c.  Refinement keeps the best of: the grid-best moved inside
+    its own cells; the product point of the two 1-D sups, when it lies in
+    the triangle (the factorization); and the sup along the edge u + w = 1.
+    Along a piecewise psi's coordinate the objective is linear between grid
+    points: its move evaluates the clip point alone, and its 1-D sup is the
+    grid maximum.  On a pair of piecewise psi the edge sup is the best edge
+    vertex (u at a breakpoint of psi, or w at one of nu), all evaluated as
+    one array.  Every other search is Newton on the exact jets.  For concave
+    a and c, which every built-in kind gives except a tabulated psi with
     non-monotone knot slopes, the sup is one of the last two; for a
     tabulated psi the knots on the grid put the grid-best on the right
     local maximum.  Every candidate is an evaluated admissible point, so
@@ -251,25 +264,25 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     i, j, best = _triangle_grid_best(us, a, ws, c)
     if best == -math.inf:
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
-
-    def f(s, t):
-        return a_at(s) + c_at(t)
-
-    def along_u(w):
-        cw = c_at(w)
-        return (lambda t: a_at(t) + cw), _shifted(a_newton, cw), a
-
-    def along_w(u):
-        au = a_at(u)
-        return (lambda t: au + c_at(t)), _shifted(c_newton, au), c
-
     edge = 1.0 - _T_MARGIN
-    u, w, best = _cell_polish(along_u, along_w, us, ws, i, j, best, edge)
-    u1, fu = grid_golden_max(us, a, a_at, tol=1e-13, df=a_newton)
-    w1, fw = grid_golden_max(ws, c, c_at, tol=1e-13, df=c_newton)
+    u, w, best = _cell_polish(
+        lambda w: _separable_move(psi, us, i, a, a_at, a_newton, c_at(w), edge - w),
+        lambda u: _separable_move(nu, ws, j, c, c_at, c_newton, a_at(u), edge - u),
+        float(us[i]), float(ws[j]), best,
+    )
+    u1, fu = grid_golden_max(us, a, a_at, refine=psi.breakpoints is None, tol=1e-13, df=a_newton)
+    w1, fw = grid_golden_max(ws, c, c_at, refine=nu.breakpoints is None, tol=1e-13, df=c_newton)
     if u1 + w1 <= edge and fu + fw > best:
         u, w, best = u1, w1, fu + fw
-    on_edge = _edge_max(f, float(us[0]), float(ws[0]), a_newton, c_newton)
+    if psi.breakpoints is None or nu.breakpoints is None:
+        on_edge = _edge_max(lambda s, t: a_at(s) + c_at(t), float(us[0]), float(ws[0]),
+                            a_newton, c_newton)
+    else:  # linear between the edge's vertices: its ends, u at a breakpoint of psi, w at one of nu
+        lo, hi = max(float(us[0]), edge - 1.0), min(1.0, edge - float(ws[0]))
+        ts = np.clip(np.concatenate([[lo, hi], psi.breakpoints, edge - nu.breakpoints]), lo, hi)
+        fs = ts * la - psi.log_u(ts) + (edge - ts) * lb - nu.log_u(edge - ts)
+        k = int(np.argmax(fs))
+        on_edge = float(ts[k]), edge - float(ts[k]), float(fs[k])
     if on_edge is not None and on_edge[2] > best:
         u, w, best = on_edge
     return UniformPhi(alpha, beta, float(math.exp(best)),
@@ -285,8 +298,9 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     table, which phi_uniform at the same n_grid reads too, and c(1 - u).
     The outer scan uses that grid value; its golden-section probes also
     refine the inner sup on the cells around the running argmax, clipped at
-    1 - u: by Newton for a smooth nu, by golden section otherwise
-    (`cell_max`).
+    1 - u, by `cell_max`.  For a piecewise nu, c is linear between grid
+    points, so the running maximum and c(1 - u) are already exact and the
+    inner sup is not refined.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
@@ -295,6 +309,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     ws, c, c_at, c_newton = log_ratio(nu, la, 1.0, n_grid)
     w_lo = float(ws[0])
     run, arg = _running_max(c)
+    refine = nu.breakpoints is None
 
     def objective(u):
         lp = psi.log_u_jet(u)[0]
@@ -304,7 +319,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
         k = int(np.searchsorted(ws, top, side="right")) - 1
         inner = max(float(run[k]), c_at(top))
         cell = (cell_max(c_at, ws, int(arg[k]), top, df=c_newton, fs=c)
-                if math.isfinite(run[k]) else None)
+                if refine and math.isfinite(run[k]) else None)
         if cell is not None:
             inner = max(inner, cell[1])
         return u * la - lp + inner
@@ -352,7 +367,7 @@ def gls_identical_bound(psi, alpha, norm_xi, norm_eta, n_grid=2048, refine=True)
         fund = fundamental(psi, alpha, n_grid=n_grid, refine=refine)
     except DomainError:
         return _infeasible("gls_identical", "psi nowhere finite")
-    value = 12.0 * alpha * norm_xi * norm_eta / fund.value**2
+    value = 12.0 * alpha * norm_xi * norm_eta / fund.value / fund.value  # phi^2 can overflow
     return BoundReport(value, "gls_identical", p=fund.argmax_p, q=fund.argmax_p)
 
 
@@ -570,14 +585,12 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             return -(math.log(hv) + lk)
         return math.inf if hv == 0 else -math.inf
 
-    def along_u(w):
-        return (lambda t: objective(t, w)), None, None
-
-    def along_w(u):
-        return (lambda t: objective(u, t)), None, None
-
-    u, w, best = _cell_polish(along_u, along_w, us, ws, i, j, best,
-                              1.0 - _T_MARGIN if tri else math.inf)
+    cap = 1.0 - _T_MARGIN if tri else math.inf
+    u, w, best = _cell_polish(
+        lambda w: cell_max(lambda t: objective(t, w), us, i, cap - w),
+        lambda u: cell_max(lambda t: objective(u, t), ws, j, cap - u),
+        float(us[i]), float(ws[j]), best,
+    )
     for _ in range(3):
         start = (u, w)
         hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]

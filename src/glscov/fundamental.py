@@ -3,13 +3,13 @@
 The sup over p of delta^(1/p) / psi(p) is computed in the u = 1/p coordinate
 on (1/b, 1]: the delta term is log-linear in u and the singularities sit at
 the interval ends, where a dense grid plus a refinement of its best point
-behaves well.  For a smooth psi (`PsiFunction.smooth`) the objective
-u ln delta - ln psi(1/u) is concave with exact derivatives, and the
-refinement is safeguarded Newton; an extremal psi, or one with a piecewise
-factor that is not piecewise itself, refines by golden-section search.  For
-a piecewise log-linear psi (tabulated, empirical, and products of these)
-the objective is linear in u between psi's breakpoints, which are all on
-the grid, so the grid maximum is the sup and no refinement runs.
+behaves well.  For a piecewise log-linear psi (`PsiFunction.breakpoints`:
+extremal, tabulated, empirical, and products of these) the objective
+u ln delta - ln psi(1/u) is linear in u between psi's breakpoints, which
+are all on the grid, so the grid maximum is the sup and no refinement runs.
+Every other psi refines by safeguarded Newton on the exact derivatives of
+its jet, a product with one piecewise factor included: its jet is exact on
+every cell.
 """
 
 from __future__ import annotations
@@ -181,9 +181,8 @@ def g_transform(psi, x):
 def g_prime(psi, x):
     """dg/dx = -d ln psi(1/x)/dx, from `PsiFunction.log_u_jet`.
 
-    Exact for every smooth kind (duals and products by the chain rule); a
-    piecewise log-linear psi gives the slope of the cell holding x, and
-    extremal 0.
+    Exact for power and finite_support psi (duals and products by the chain
+    rule); a piecewise log-linear psi gives the slope of the cell holding x.
     """
     if not 0.0 < x <= 1.0:
         raise DomainError("1/x lies outside the support of psi")
@@ -197,8 +196,7 @@ def solve_argmax(psi, delta):
     """Maximizer p0(delta) of delta^(1/p)/psi(p): fundamental's argmax.
 
     Inside the support it is the root of g'(1/p) = ln(1/delta), which
-    fundamental's Newton refinement solves for a smooth psi; at a scan end
-    it is that end.
+    fundamental's Newton refinement solves; at a scan end it is that end.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("solve_argmax needs delta in (0, 1)")

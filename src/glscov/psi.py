@@ -108,16 +108,17 @@ class PsiFunction:
     def breakpoints(self):
         """The u = 1/p breakpoints of a piecewise log-linear psi, ascending.
 
-        tabulated and empirical: the knots, and u = 1 where the flat
-        extension below the first knot ends.  A product of two piecewise
-        factors: the left factor's breakpoints and one minus the right
-        factor's, within the range where both are finite.  None for every
-        other kind.  ln psi(1/u) is finite exactly on [first, last] and linear
-        in u between consecutive breakpoints, so a sup of a function linear
-        or monotone in u on each cell sits on one of them or at a scan end.
+        A psi with knots (tabulated, empirical, and extremal's one knot
+        (r, 1)): the knots, and u = 1 where the flat extension below the
+        first knot ends.  A product of two piecewise factors: the left
+        factor's breakpoints and one minus the right factor's, within the
+        range where both are finite.  None for every other psi, the one test
+        of whether a psi is piecewise.  ln psi(1/u) is finite exactly on
+        [first, last] and linear in u between consecutive breakpoints, so a
+        sup of a function linear or monotone in u on each cell sits on one of
+        them or at a scan end.
         """
-        k = self.kind
-        if k in ("tabulated", "empirical") or (k == "product" and self.params["piecewise"]):
+        if "points" in self.params or self.params.get("piecewise"):
             return self._table[0]
         return None
 
@@ -143,8 +144,6 @@ class PsiFunction:
             inside = (u > 1.0 / b) & (p < b)
             out[inside] = -beta * np.log(b - p[inside])
             return out
-        if k == "extremal":
-            return np.where(u >= 1.0 / self.params["r"], 0.0, np.inf)
         if k == "dual":
             return self.left.log_u(1.0 - u)
         if k == "product" and not self.params["piecewise"]:
@@ -161,25 +160,11 @@ class PsiFunction:
             return np.full(u.shape, np.inf)
         return np.where((u >= bp[0]) & (u <= bp[-1]), np.interp(u, bp, logs), np.inf)
 
-    @property
-    def smooth(self):
-        """Whether ln psi(1/u) is smooth inside its support.
-
-        power and finite_support, and duals and products built only from
-        these: `log_u_jet` then gives an exact g'' as well, and a sup over u
-        refines by Newton.  extremal, tabulated and empirical psi, and
-        anything with such a factor, are not.
-        """
-        k = self.kind
-        if k in ("power", "finite_support"):
-            return True
-        if k == "dual":
-            return self.left.smooth
-        return k == "product" and self.left.smooth and self.right.smooth
-
     @cached_property
     def _knots(self):
         """`_table` as two lists, for the bisection of `log_u_jet`."""
+        if self.breakpoints is None:
+            raise ValueError(f"unknown generating-function kind {self.kind!r}")
         return tuple(a.tolist() for a in self._table)
 
     def log_u_jet(self, u):
@@ -204,9 +189,10 @@ class PsiFunction:
             if d <= 0.0:
                 return _OUTSIDE
             beta, s = self.params["beta"], u * u * d  # s = b u^2 - u
+            if min(u, s) < 1e-150:  # u u or s s would underflow: one factor at a time
+                s = u * (u * d)
+                return -beta * math.log(d), -beta / s, beta * (1.0 + 2.0 * u * d) / s / s
             return -beta * math.log(d), -beta / s, beta * (1.0 + 2.0 * u * d) / (s * s)
-        if k == "extremal":
-            return (0.0, 0.0, 0.0) if u >= 1.0 / self.params["r"] else _OUTSIDE
         if k == "dual":
             g, d1, d2 = self.left.log_u_jet(1.0 - u)
             return g, -d1, d2
@@ -216,14 +202,13 @@ class PsiFunction:
             rg, r1, r2 = r.left.log_u_jet(u) if dual else r.log_u_jet(1.0 - u)
             lg, l1, l2 = self.left.log_u_jet(u)
             return lg + rg, l1 + r1 if dual else l1 - r1, l2 + r2
-        if self.breakpoints is None:
-            raise ValueError(f"unknown generating-function kind {k!r}")
         us, logs = self._knots
-        if not (us and us[0] <= u <= us[-1]):
+        n = len(us)
+        if not (n and us[0] <= u <= us[-1]):
             return _OUTSIDE
-        if len(us) == 1:
+        if n == 1:
             return logs[0], 0.0, 0.0
-        i = min(bisect_right(us, u), len(us) - 1)
+        i = min(bisect_right(us, u), n - 1)
         slope = (logs[i] - logs[i - 1]) / (us[i] - us[i - 1])
         g = logs[i] if u == us[i] else slope * (u - us[i - 1]) + logs[i - 1]
         return g, slope, 0.0
@@ -262,10 +247,15 @@ def finite_support(b, beta):
 
 
 def extremal(r):
-    """psi identically 1 on [1, r], +inf beyond: the plain L_r space."""
+    """psi identically 1 on [1, r], +inf beyond: the plain L_r space.
+
+    It is piecewise log-linear with the one knot (r, 1), read like a
+    tabulated psi: ln psi(1/u) = 0 on [1/r, 1].
+    """
     if r <= 1:
         raise DomainError("extremal family requires r > 1")
-    return PsiFunction("extremal", float(r), closed_at_b=True, params={"r": float(r)})
+    r = float(r)
+    return PsiFunction("extremal", r, closed_at_b=True, params={"r": r, "points": ((r, 1.0),)})
 
 
 def tabulated(points, kind="tabulated"):
@@ -307,7 +297,7 @@ def product_zeta(psi, nu):
 
     The same (psi, nu) objects give the same product object, so its cached
     scan tables are reused across calls.  Whether both factors are piecewise
-    is decided once here, so a smooth product's evaluation never tests them.
+    is decided once here, so no evaluation of a product tests them.
     """
     piecewise = psi.breakpoints is not None and nu.breakpoints is not None
     return PsiFunction("product", psi.b, closed_at_b=psi.closed_at_b,

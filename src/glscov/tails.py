@@ -2,9 +2,8 @@
 and the exponential Orlicz function built from the conjugate.
 
 The conjugate is a 1-D sup over u = 1/p on fundamental's table: exact on
-the grid for a piecewise log-linear psi, refined by safeguarded Newton on
-exact derivatives for a smooth psi, and by golden-section search for the
-rest (extremal psi and products with one piecewise factor)."""
+the grid for a piecewise log-linear psi (extremal included), and refined by
+safeguarded Newton on the exact derivatives of every other psi's jet."""
 
 from __future__ import annotations
 
@@ -49,11 +48,10 @@ def conjugate_info(psi, x):
     (x - ln psi(1/u)) / u.  For a piecewise log-linear psi, ln psi(1/u) =
     a + c u on each cell between breakpoints, so the objective (x - a)/u - c
     is monotone there and the grid maximum, breakpoints included, is the
-    sup.  A smooth psi refines it by Newton with f' = -(g' + f)/u and
-    f'' = -(g'' + 2 f')/u, g = ln psi(1/u); other kinds by golden-section
-    search.  `unbounded_at_cap`
-    flags a sup still increasing at the scan cap (the conjugate is then
-    effectively +inf for this x).
+    sup.  Every other psi refines it by Newton with f' = -(g' + f)/u and
+    f'' = -(g'' + 2 f')/u, g = ln psi(1/u).  `unbounded_at_cap` flags a sup
+    still increasing at the scan cap (the conjugate is then effectively +inf
+    for this x).
     """
     if not math.isfinite(x):
         raise DomainError("x must be finite")
@@ -72,8 +70,7 @@ def conjugate_info(psi, x):
     with np.errstate(invalid="ignore"):
         fs = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
     u_best, f_best = grid_golden_max(
-        us, fs, objective, refine=psi.breakpoints is None, tol=1e-13,
-        df=newton if psi.smooth else None,
+        us, fs, objective, refine=psi.breakpoints is None, tol=1e-13, df=newton
     )
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")

@@ -104,3 +104,24 @@ def knot_sets(draw):
     ps = sorted(k / 64.0 for k in set(draw(st.lists(st.integers(64, b), max_size=6))) | {b})
     vals = draw(st.lists(st.floats(0.05, 50.0), min_size=len(ps), max_size=len(ps)))
     return list(zip(ps, vals))
+
+
+def two_exponent_sup(left, right, log_alpha, log_beta, edge):
+    """ln sup over u + w <= edge of u ln alpha - ln psi(1/u) + w ln beta - ln nu(1/w).
+
+    The objective is affine on each product of two cells, so its sup sits at
+    a vertex of a cell's admissible part: two vertices (u, w) with
+    u + w <= edge, or a point of the edge u + w = edge where u or w is a
+    vertex.  -inf when no point is admissible.
+    """
+    lu, lv = zip(*left)
+    ru, rv = zip(*right)
+
+    def value(u, w):
+        return (u * log_alpha - float(np.interp(u, lu, lv))
+                + w * log_beta - float(np.interp(w, ru, rv)))
+
+    cands = [(u, w) for u in lu for w in ru if u + w <= edge]
+    cands += [(u, edge - u) for u in lu if ru[0] <= edge - u <= ru[-1]]
+    cands += [(edge - w, w) for w in ru if lu[0] <= edge - w <= lu[-1]]
+    return max((value(u, w) for u, w in cands), default=-math.inf)

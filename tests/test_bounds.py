@@ -26,6 +26,7 @@ from glscov import (
     phi_uniform,
     phi_uniform_theta,
     power,
+    tabulated,
 )
 
 
@@ -144,6 +145,16 @@ def test_gls_identical_power_example_value():
     # identical power(1) pair at alpha = e^-2: 12 e^2 alpha |ln alpha|^2 = 48
     got = gls_identical_bound(power(1.0), math.exp(-2.0), 1.0, 1.0).value
     assert got == pytest.approx(48.0, rel=1e-6)
+
+
+def test_squared_fundamentals_divide_without_overflow():
+    # phi^2 overflows in both: phi = 1e160 at p = 1 for power(1) at beta =
+    # 1e-320, and phi = 0.5 / 1e-200 at p = 1 for the tabulated psi
+    got = gls_dual_pair_bound(power(1.0), 1e-320, 1.0, 1.0).value
+    phi = 1e-320 ** -0.5
+    assert got == pytest.approx(2.0 / phi / phi, rel=1e-3) and got > 0.0  # subnormal
+    rep = gls_identical_bound(tabulated([(1.0, 1e-200), (4.0, 1e-199)]), 0.5, 1.0, 1.0)
+    assert rep.feasible and rep.value == 0.0  # 6 / (5e199)^2 underflows to 0
 
 
 def test_example_power_pair_closed_form():

@@ -7,6 +7,7 @@ import pytest
 from glscov import (
     conjugate_info,
     dual_psi,
+    extremal,
     finite_support,
     fundamental,
     fundamental_truncated,
@@ -14,9 +15,11 @@ from glscov import (
     phi_uniform_theta,
     power,
     product_zeta,
+    tabulated,
     tail_bound,
 )
 from glscov import _optimize, bounds
+from glscov.psi import P_MAX, PsiFunction
 from glscov._optimize import (
     TABLE_CACHE_SIZE,
     exponent,
@@ -26,6 +29,8 @@ from glscov._optimize import (
     psi_table,
     u_axis,
 )
+
+import piecewise_reference as ref
 
 
 def _step(edge, feasible_left):
@@ -93,7 +98,7 @@ def _golden_only(monkeypatch):
 
 def test_newton_sups_match_golden_section(monkeypatch):
     cases = _smooth_cases()
-    assert all(psi.smooth for psi, _, _, _ in cases)
+    assert all(psi.breakpoints is None for psi, _, _, _ in cases)
     newton = _run(cases)
     _golden_only(monkeypatch)
     golden = _run(cases)
@@ -135,6 +140,150 @@ def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
     assert len(counts) > 1000
     assert all(n <= golden for n, golden in counts)
     assert sum(n for n, _ in counts) / len(counts) <= 8.0
+
+
+# ---------------------------------------------------------------------------
+# golden section only where nothing is known about the objective
+
+
+def _golden_calls(monkeypatch):
+    """The list of golden_max calls, made by cell_max or by the bounds module."""
+    calls = []
+    plain = _optimize.golden_max
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(_optimize, "golden_max", counted)
+    monkeypatch.setattr(bounds, "golden_max", counted)
+    return calls
+
+
+NATURAL, NATURAL_VERTICES = ref.piecewise_case("empirical")
+
+#: extremal, a piecewise product with an extremal factor, and both orders of
+#: a product with one piecewise factor, which refines by Newton
+ONE_D = {
+    "extremal": extremal(3.0),
+    "extremal_tabulated": product_zeta(extremal(3.0), tabulated(ref.KNOTS_2)),
+    "natural_power": product_zeta(NATURAL, power(2.0)),
+    "power_natural": product_zeta(power(2.0), NATURAL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_D))
+def test_one_dimensional_sups_over_psi_make_no_golden_section_call(monkeypatch, name):
+    psi = ONE_D[name]
+    calls = _golden_calls(monkeypatch)
+    for delta in (1e-12, 1e-3, 0.1):
+        fundamental(psi, delta)
+        fundamental_truncated(psi, 1.3, delta)
+    for x in (0.0, 1.0, 6.0):
+        conjugate_info(psi, x)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "psi, nu",
+    [(extremal(3.0), extremal(4.0)), (tabulated(ref.KNOTS), tabulated(ref.KNOTS_2)),
+     (NATURAL, power(1.5)), (power(1.5), NATURAL)],
+    ids=["extremal", "tabulated", "natural_power", "power_natural"],
+)
+def test_uniform_sup_makes_no_golden_section_call(monkeypatch, psi, nu):
+    calls = _golden_calls(monkeypatch)
+    for alpha, beta in ((1e-8, 1e-4), (1e-3, 1e-2), (0.1, 0.2)):
+        phi_uniform(psi, nu, alpha, beta)
+    assert calls == []
+
+
+def test_piecewise_coordinates_take_no_cell_refinement(monkeypatch):
+    # linear between grid points: a move along a piecewise coordinate
+    # evaluates its clip point alone, a piecewise pair's edge sup is the best
+    # of its vertices as one array, and theta's inner sup over a piecewise nu
+    # is its running maximum and c(1 - u)
+    cells, probes = [], [0]
+    plain, jet = bounds.cell_max, PsiFunction.log_u_jet
+
+    def counted_cell(*args, **kwargs):
+        cells.append(args[1])
+        return plain(*args, **kwargs)
+
+    def counted_jet(self, u):
+        probes[0] += 1
+        return jet(self, u)
+
+    monkeypatch.setattr(bounds, "cell_max", counted_cell)
+    monkeypatch.setattr(PsiFunction, "log_u_jet", counted_jet)
+    for psi, nu in ((extremal(3.0), extremal(4.0)), (tabulated(ref.KNOTS), tabulated(ref.KNOTS_2))):
+        probes[0] = 0
+        phi_uniform(psi, nu, 1e-3, 1e-2)
+        assert probes[0] <= 4  # the two moves' fixed parts and clip points
+        phi_uniform_theta(psi, nu, 1e-3)
+        phi_uniform_theta(power(1.5), nu, 1e-3)
+    assert cells == []
+    phi_uniform(power(1.5), NATURAL, 1e-3, 1e-2)
+    assert len(cells) == 1  # the move along power's coordinate
+
+
+def _mixed_log_zeta(m, natural_left):
+    """g(u) = ln zeta(1/u) of zeta(NATURAL, power(m)) or zeta(power(m), NATURAL),
+    from the natural function's vertices and the closed form of power."""
+    us, logs = (np.array(a) for a in zip(*NATURAL_VERTICES))
+
+    def g(u):
+        w = 1.0 - u  # the right factor is read at 1 - u
+        with np.errstate(divide="ignore"):
+            if natural_left:
+                return np.where((u >= us[0]) & (w > 0.0), np.interp(u, us, logs) - np.log(w) / m,
+                                np.inf)
+            return np.where((w >= us[0]) & (u > 0.0), np.interp(w, us, logs) - np.log(u) / m,
+                            np.inf)
+
+    return g
+
+
+def _zoomed_max(f, lo, hi, n=2001, rounds=6):
+    """max of the vectorized f on [lo, hi]: a grid, then a grid on the two
+    cells around its best point, `rounds` times."""
+    best = -math.inf
+    for _ in range(rounds):
+        xs = np.linspace(lo, hi, n)
+        fs = f(xs)
+        i = int(np.argmax(fs))
+        best = max(best, float(fs[i]))
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, n - 1)]
+    return best
+
+
+@pytest.mark.parametrize("natural_left", [True, False], ids=["natural_power", "power_natural"])
+def test_mixed_product_sups_match_a_dense_reference_in_fewer_probes(monkeypatch, natural_left):
+    m = 2.0
+    psi = product_zeta(NATURAL, power(m)) if natural_left else product_zeta(power(m), NATURAL)
+    g = _mixed_log_zeta(m, natural_left)
+    lo = 1.0 / min(psi.b, P_MAX)
+    wants = [_zoomed_max(lambda u, ld=math.log(d): u * ld - g(u), lo, 1.0)
+             for d in (1e-12, 1e-3, 0.1)]
+    wants += [_zoomed_max(lambda u, x=x: (x - g(u)) / u, lo, 1.0) for x in (0.0, 1.0, 3.0)]
+    probes = [0]
+    jet = PsiFunction.log_u_jet
+
+    def counted(self, u):
+        probes[0] += 1
+        return jet(self, u)
+
+    def sups():
+        probes[0] = 0
+        got = [math.log(fundamental(psi, d).value) for d in (1e-12, 1e-3, 0.1)]
+        got += [conjugate_info(psi, x).value for x in (0.0, 1.0, 3.0)]
+        return got, probes[0]
+
+    monkeypatch.setattr(PsiFunction, "log_u_jet", counted)
+    got, newton = sups()
+    for v, want in zip(got, wants):
+        assert v == pytest.approx(want, rel=1e-12, abs=1e-12)
+    _golden_only(monkeypatch)
+    assert newton < sups()[1]
 
 
 def _concave_probe(top):

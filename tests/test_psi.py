@@ -172,7 +172,7 @@ _SMOOTH = [
 @given(st.floats(0.01, 0.99))
 def test_log_u_jet_matches_central_differences(t):
     for psi, lo, hi, poles in _SMOOTH:
-        assert psi.smooth
+        assert psi.breakpoints is None
         u = lo + t * (hi - lo)
         h = 5e-4 * min(abs(u - pole) for pole in poles)
 
@@ -213,6 +213,14 @@ def test_g_prime_at_tiny_x_overflows_instead_of_dividing_by_zero(x):
     assert g_prime(zeta, x) == 1.0 / x + 1.0 / (2.0 * x)
 
 
+def test_g_prime_of_a_huge_finite_support_at_tiny_x_does_not_underflow():
+    # u u (b - 1/u) underflows to 0 at u = 1e-170 when taken as (u u) d
+    b, beta, x = 1e300, 1.0, 1e-170
+    want = math.exp(math.log(beta) - 2.0 * math.log(x) - math.log(b - 1.0 / x))  # about 1e40
+    assert g_prime(finite_support(b, beta), x) == pytest.approx(want, rel=1e-12)
+    assert 0.0 < finite_support(b, beta).log_u_jet(x)[2] < math.inf
+
+
 def test_log_u_jet_is_infinite_outside_the_support_and_g_prime_refuses():
     b = 3.946312461594403  # 1/(1/b) rounds below b
     cases = [
@@ -235,8 +243,8 @@ def test_log_u_jet_is_infinite_outside_the_support_and_g_prime_refuses():
 
 def test_log_u_jet_of_piecewise_kinds_is_the_cell_slope():
     psi = tabulated([(2.0, 1.0), (4.0, 2.0), (8.0, 2.0)])
-    assert not psi.smooth and not extremal(4.0).smooth
-    assert not product_zeta(power(1.0), psi).smooth
+    assert psi.breakpoints is not None and extremal(4.0).breakpoints is not None
+    assert product_zeta(power(1.0), psi).breakpoints is None
     slope = -math.log(2.0) / 0.25  # ln psi from ln 2 at u = 1/4 down to 0 at u = 1/2
     assert psi.log_u_jet(0.3)[1:] == (pytest.approx(slope, rel=1e-15), 0.0)
     assert psi.log_u_jet(0.25)[1:] == (pytest.approx(slope, rel=1e-15), 0.0)  # the right cell
@@ -349,7 +357,9 @@ def test_breakpoints_of_piecewise_kinds():
     zeta = product_zeta(tab, nu)
     # psi's knots and one minus nu's, where both are finite: u in [1/4, 7/8]
     assert zeta.breakpoints.tolist() == [0.25, 0.5, 1.0 / 1.5, 0.875]
-    for psi in (power(1.0), finite_support(3.0, 1.0), extremal(4.0), dual_psi(power(2.0)),
+    # extremal(4): its one knot at u = 1/4, and u = 1
+    assert extremal(4.0).breakpoints.tolist() == [0.25, 1.0]
+    for psi in (power(1.0), finite_support(3.0, 1.0), dual_psi(power(2.0)),
                 product_zeta(tab, power(1.0)), product_zeta(power(1.0), nu)):
         assert psi.breakpoints is None
 

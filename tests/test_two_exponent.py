@@ -1,12 +1,14 @@
 """The two-exponent sup: its grid-best scan, its table-cache use, Newton
 against golden-section refinement, the generic engine against a reference
-search, and pinned values that no later change may loosen."""
+search, pinned values that no later change may loosen, and piecewise pairs
+against their vertices."""
 
 import math
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glscov import (
     bounds,
@@ -28,6 +30,7 @@ from glscov.bounds import _T_MARGIN, _edge_max, _neg_log_kernel, _triangle_grid_
 from glscov.psi import P_MAX
 
 from generic_reference import generic_search, neg_log_kernel
+import piecewise_reference as ref
 from piecewise_reference import NON_CONVEX, NON_CONVEX_2
 
 
@@ -180,7 +183,7 @@ def _two_exponent_values(pairs):
 
 def test_newton_two_exponent_sups_never_below_golden_section(monkeypatch):
     pairs = _smooth_pairs()
-    assert all(psi.smooth and nu.smooth for psi, nu, _, _, _ in pairs)
+    assert all(psi.breakpoints is None and nu.breakpoints is None for psi, nu, _, _, _ in pairs)
     newton = _two_exponent_values(pairs)
 
     def without_probe(*args):
@@ -361,3 +364,33 @@ def test_two_dimensional_route_matches_the_dense_sup(name):
     psi, nu, alpha, beta, _, _ = PAIRS[name]
     dense = math.exp(_dense_log_sup(psi, nu, math.log(alpha), math.log(beta)))
     assert phi_uniform(psi, nu, alpha, beta).value == pytest.approx(dense, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# piecewise pairs: the 2-D sup is a vertex
+
+
+@pytest.mark.parametrize("log_alpha, log_beta", [(-0.3, -0.8), (-2.5, -1.5), (-9.0, -4.0)])
+@pytest.mark.parametrize(
+    "left, right",
+    [([(3.0, 1.0)], [(4.0, 1.0)]), (ref.KNOTS, ref.KNOTS_2), (NON_CONVEX, ref.KNOTS),
+     ([(2.5, 1.0)], NON_CONVEX_2)],
+    ids=["extremal", "tabulated", "non_convex", "extremal_tabulated"],
+)
+def test_piecewise_pair_sup_is_the_best_corner_or_edge_vertex(left, right, log_alpha, log_beta):
+    # the one knot (r, 1) stands for extremal(r): ln psi(1/u) = 0 on [1/r, 1]
+    psi, nu = (extremal(k[0][0]) if len(k) == 1 else tabulated(k) for k in (left, right))
+    got = phi_uniform(psi, nu, math.exp(log_alpha), math.exp(log_beta)).value
+    want = ref.two_exponent_sup(ref.vertices(left), ref.vertices(right), log_alpha, log_beta,
+                                1.0 - _T_MARGIN)
+    assert got == pytest.approx(math.exp(want), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref.knot_sets(), ref.knot_sets(), st.floats(-12.0, -0.1), st.floats(-12.0, -0.1))
+def test_random_piecewise_pair_sup_is_the_best_vertex(left, right, log_alpha, log_beta):
+    got = phi_uniform(tabulated(left), tabulated(right), math.exp(log_alpha),
+                      math.exp(log_beta)).value
+    want = ref.two_exponent_sup(ref.vertices(left), ref.vertices(right), log_alpha, log_beta,
+                                1.0 - _T_MARGIN)
+    assert got == pytest.approx(math.exp(want), rel=1e-12)
