@@ -10,10 +10,12 @@ maximum, and its caller skips the refinement.
 Every other psi refines by safeguarded Newton (`newton_max`) on its jet
 `log_u_jet`, exact on every cell; `cell_max` takes that route whenever the
 caller hands it a derivative probe.  Golden-section search is left to what
-carries no derivative (kernels, moment curves, the outer sup of the nested
-route) and to cells next to an infeasible grid point.  `grid_golden_max` is
-a grid scan plus `cell_max`.  Newton never takes more evaluations than the
-golden search on the same cells.
+carries no derivative and is read one point at a time (moment curves, the
+outer sup of the nested route) and to cells next to an infeasible grid
+point.  `grid_golden_max` is a grid scan plus `cell_max`.  Newton never
+takes more evaluations than the golden search on the same cells.  An
+objective read on whole arrays, such as a user kernel, refines by
+`zoom_max`: a few array calls in place of one call per probe.
 
 Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
 scan turns u back into p for psi.  A reported exponent, and the exponents
@@ -34,6 +36,12 @@ _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 #: golden-section steps at most; 200 steps shrink any bracket below 1e-40
 _MAX_ITER = 200
+
+#: points of each zoom_max pass, and passes at most (each shrinks the bracket
+#: 16-fold, so 64 passes shrink any bracket below 1e-77 of its width)
+_ZOOM_POINTS = 33
+_ZOOM_PASSES = 64
+_ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 
 #: scan tables kept at once (about 36 kB each).  The size caps what the cache
 #: holds however many generating functions a caller keeps alive.  The 1-D sups
@@ -77,6 +85,30 @@ def golden_max(f, a, b, tol=1e-12):
             dist *= _INV_PHI
             d = a + _INV_PHI * dist
             fd = f(d)
+    return best_x, best_f
+
+
+def zoom_max(F, lo, hi, tol):
+    """Maximization of an array objective F on [lo, hi] by nested grids.
+
+    Evaluates F on _ZOOM_POINTS points of [lo, hi], ends included, and keeps
+    the two cells around the best; repeats until that bracket is below tol,
+    or at once when every point is infeasible (-inf).  Each pass shrinks the
+    bracket 16-fold in one call of F.  Returns (x_best, f_best) over every
+    point evaluated, like golden_max.
+    """
+    best_x, best_f = lo, -math.inf
+    last = _ZOOM_POINTS - 1
+    for _ in range(_ZOOM_PASSES):
+        xs = lo + (hi - lo) * _ZOOM_STEPS  # linspace, without its call overhead
+        xs[-1] = hi
+        fs = F(xs)
+        k = int(np.argmax(fs))
+        if fs[k] > best_f:
+            best_x, best_f = float(xs[k]), float(fs[k])
+        lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, last)])
+        if hi - lo <= tol or fs[k] == -math.inf:
+            break
     return best_x, best_f
 
 

@@ -20,6 +20,7 @@ from ._optimize import (
     log_ratio,
     newton_max,
     u_axis,
+    zoom_max,
 )
 from .errors import DomainError
 from .fundamental import finite_support_constant, fundamental, fundamental_truncated, g_prime
@@ -27,6 +28,10 @@ from .psi import conjugate_exponent, product_zeta, scan_bound
 
 #: margin keeping two-exponent grids strictly inside the open region 1/p + 1/q < 1
 _T_MARGIN = 1e-9
+
+#: row blocks of generic_bound's kernel grid: more blocks hug the admissible
+#: staircase closer, but each is one more kernel call
+_GRID_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,8 @@ def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta, n_grid=2048, refine=True)
     _check_unit(beta, "beta")
     if beta == 0.0:
         return BoundReport(0.0, "gls_strong", notes=("beta=0: independent fields",))
+    if math.isinf(1.0 / beta):  # a subnormal beta: 1/beta overflows before any sup
+        return _infeasible("gls_strong", "1/beta overflows to +inf")
     zeta = product_zeta(psi, nu)
     try:
         fund = fundamental(zeta, 1.0 / beta, n_grid=n_grid, refine=refine)
@@ -133,26 +140,34 @@ def _running_max(c):
     return run, np.maximum.accumulate(np.where(new, np.arange(c.size), 0))
 
 
-def _triangle_grid_best(us, a, ws, c):
-    """Best grid point (i, j, a[i] + c[j]) with us[i] + ws[j] <= 1 - margin.
+def _triangle_counts(us, ws):
+    """k[i], the number of ws[j] with us[i] + ws[j] <= 1 - margin, for sorted us, ws.
 
-    The admissible j for one i are a prefix of the sorted ws, so the best of
-    a row is a[i] plus a running maximum of c.  This is the masked n x n
-    argmax (same value, same first-occurrence index) in O(n log n); the value
-    is -inf when no grid point is admissible.
+    The admissible j for one i are a prefix of ws, and k does not increase
+    with i.  searchsorted on edge - us can round the other way than the sum
+    us[i] + ws[j] that defines admissibility, so k is stepped until the sum
+    agrees on both sides of the cut.
     """
     edge = 1.0 - _T_MARGIN
     n = ws.size
-    # k[i] = number of admissible j.  searchsorted on edge - us can round the
-    # other way than the sum us[i] + ws[j] that defines admissibility, so
-    # step k until the sum agrees on both sides of the cut.
     k = np.searchsorted(ws, edge - us, side="right")
     while True:
         up = (k < n) & (us + ws[np.minimum(k, n - 1)] <= edge)
         down = (k > 0) & (us + ws[np.maximum(k - 1, 0)] > edge)
         if not (up.any() or down.any()):
-            break
+            return k
         k = k + up - down
+
+
+def _triangle_grid_best(us, a, ws, c):
+    """Best grid point (i, j, a[i] + c[j]) with us[i] + ws[j] <= 1 - margin.
+
+    The best of a row is a[i] plus a running maximum of c over its
+    admissible prefix (`_triangle_counts`).  This is the masked n x n argmax
+    (same value, same first-occurrence index) in O(n log n); the value is
+    -inf when no grid point is admissible.
+    """
+    k = _triangle_counts(us, ws)
     run, arg = _running_max(c)
     last = np.maximum(k - 1, 0)
     rows = np.where(k > 0, a + run[last], -np.inf)
@@ -185,9 +200,9 @@ def _edge_max(f, u_lo, w_lo, da=None, dc=None):
     With the derivative probes da, dc of both parts of a separable
     f(u, w) = a(u) + c(w) the edge objective f(t) = a(t) + c(e - t) has
     f' = a'(t) - c'(e - t) and f'' = a''(t) + c''(e - t), exact on every
-    cell, and refines by `newton_max` from the middle of the edge; a kernel
-    objective, or an infeasible middle, by golden section.  Returns
-    (u, w, value), or None when the edge misses [u_lo, 1] x [w_lo, 1].
+    cell, and refines by `newton_max` from the middle of the edge; an
+    infeasible middle by golden section.  Returns (u, w, value), or None
+    when the edge misses [u_lo, 1] x [w_lo, 1].
     """
     edge = 1.0 - _T_MARGIN
     lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
@@ -524,94 +539,143 @@ def factorization_check(psi, nu, alpha, beta, n_grid=512):
 def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     """inf over the domain of h(p,q) psi(p) nu(q), times the two GLS norms.
 
-    `h` must accept ndarray exponent pairs and return non-negative values.
-    `domain` is "T" (open triangle 1/p+1/q<1), "R" (full quadrant),
-    "conjugate" (the line q = p/(p-1)), or ((p_lo, p_hi), (q_lo, q_hi)).
+    `h` must accept same-shape ndarray exponent pairs and return non-negative
+    values.  `domain` is "T" (open triangle 1/p+1/q<1), "R" (full quadrant),
+    "conjugate" (the line q = p/(p-1)), or ((p_lo, p_hi), (q_lo, q_hi)) with
+    p_lo <= p_hi and q_lo <= q_hi; anything else raises DomainError.  A
+    domain with no point where psi and nu are finite is reported infeasible.
 
     The inf becomes a sup of -ln(h psi nu) in (u, w) = (1/p, 1/q), with
     w = 1 - u on the conjugate line.  psi and nu are evaluated once on each
-    grid axis and h on the whole grid.  The best grid point is refined by
-    golden-section moves inside its own cells, then along each coordinate in
-    turn (h need not be separable): it rounds until a round moves neither
-    coordinate, at most three.  On "T" a golden-section search along the
-    edge u + w = 1, where coordinate moves stall, competes with them.  Probes
-    evaluate psi and nu by `log_u_jet` and h on one-element arrays.  Every
-    search is golden section, since a kernel carries no derivative.
+    grid axis and h on the grid's admissible points, in a few row blocks
+    (`_kernel_grid_best`).  The best grid point is refined by moves inside
+    its own cells, then along each coordinate in turn (h need not be
+    separable): it rounds until a round moves neither coordinate, at most
+    three.  On "T" a search along the edge u + w = 1, where coordinate moves
+    stall, competes with them.  A kernel carries no derivative, and every
+    search is `zoom_max`, which reads h on a whole array of points per pass.
     """
     if domain == "conjugate":
-        def objective(us, ps):
-            hv = h(ps, conjugate_exponent(ps))
-            return _neg_log_kernel(hv, psi.log_u(us), nu.log_u(1.0 - us))
+        def line(us, ps):
+            return _neg_log_kernel(h(ps, conjugate_exponent(ps)), psi.log_u(us),
+                                   nu.log_u(1.0 - us))
 
         p_top = scan_bound(psi)
         us, ps = u_axis(p_top, 1.0, n_grid)
-        u, best = grid_golden_max(
-            us, objective(us, ps),
-            lambda t: float(objective(np.array([t]), np.array([1.0 / t]))[0]),
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fs = line(us, ps)
+            i = int(np.argmax(fs))
+            u, best = float(us[i]), float(fs[i])
+            cell = _zoom_cells(lambda ts: line(ts, 1.0 / ts), us, i, tol=1e-12)
         if best == -math.inf:
             return _infeasible("generic", "empty domain")
+        if cell is not None and cell[1] > best:
+            u, best = cell
         p = exponent(u, p_top, 1.0)
         return BoundReport(
             math.exp(-best) * norm_xi * norm_eta, "generic", p=p,
             q=float(conjugate_exponent(np.array([p]))[0]),
         )
-    if domain in ("T", "R"):
+    tri = domain == "T"
+    if tri or domain == "R":
         p_top, q_top, p_bot, q_bot = scan_bound(psi), scan_bound(nu), 1.0, 1.0
     else:
-        (p_lo, p_hi), (q_lo, q_hi) = domain
+        try:
+            (p_lo, p_hi), (q_lo, q_hi) = ((float(lo), float(hi)) for lo, hi in domain)
+        except (TypeError, ValueError):
+            raise DomainError(f"unknown domain {domain!r}: use 'T', 'R', 'conjugate' "
+                              "or ((p_lo, p_hi), (q_lo, q_hi))") from None
+        if not (p_lo <= p_hi and q_lo <= q_hi):
+            raise DomainError(f"rectangle domain {domain!r} needs p_lo <= p_hi and q_lo <= q_hi")
         p_top, q_top = min(p_hi, scan_bound(psi)), min(q_hi, scan_bound(nu))
         p_bot, q_bot = max(p_lo, 1.0), max(q_lo, 1.0)
-    tri = domain == "T"
+        if p_top < p_bot or q_top < q_bot:  # the rectangle misses a support
+            return _infeasible("generic", "empty domain")
     us, ps = u_axis(p_top, p_bot, n_grid)
     ws, qs = u_axis(q_top, q_bot, n_grid)
     u_rng, w_rng = (float(us[0]), float(us[-1])), (float(ws[0]), float(ws[-1]))
-    P, Q = np.broadcast_arrays(ps[:, None], qs[None, :])
-    f = _neg_log_kernel(h(P, Q), psi.log_u(us)[:, None], nu.log_u(ws)[None, :])
-    if tri:
-        f[us[:, None] + ws[None, :] > 1.0 - _T_MARGIN] = -np.inf
-    i, j = np.unravel_index(np.argmax(f), f.shape)
-    best = f[i, j]
-    if best == -math.inf:
-        return _infeasible("generic", "empty domain")
+    counts = _triangle_counts(us, ws) if tri else np.full(n_grid, n_grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i, j, best = _kernel_grid_best(h, ps, psi.log_u(us), qs, nu.log_u(ws), counts)
+        if best == -math.inf:
+            return _infeasible("generic", "empty domain")
 
-    def objective(s, t):
-        # _neg_log_kernel for one pair, in floats
-        lk = psi.log_u_jet(s)[0] + nu.log_u_jet(t)[0]
-        if lk == math.inf:
-            return -math.inf
-        hv = float(np.asarray(h(np.array([1.0 / s]), np.array([1.0 / t])), dtype=float)[0])
-        if hv > 0:
-            return -(math.log(hv) + lk)
-        return math.inf if hv == 0 else -math.inf
+        def along_u(w):  # the objective in u at fixed w, with ln nu(w) and 1/w hoisted
+            q, lq = 1.0 / w, nu.log_u(w)
+            return lambda ts: _neg_log_kernel(h(1.0 / ts, np.full(ts.shape, q)),
+                                              psi.log_u(ts), lq)
 
-    cap = 1.0 - _T_MARGIN if tri else math.inf
-    u, w, best = _cell_polish(
-        lambda w: cell_max(lambda t: objective(t, w), us, i, cap - w),
-        lambda u: cell_max(lambda t: objective(u, t), ws, j, cap - u),
-        float(us[i]), float(ws[j]), best,
-    )
-    for _ in range(3):
-        start = (u, w)
-        hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]
-        if hi_u > u_rng[0]:
-            u2, fu = golden_max(lambda t: objective(t, w), u_rng[0], hi_u, tol=1e-13)
-            if fu > best:
-                u, best = u2, fu
-        hi_w = min(w_rng[1], 1.0 - u - _T_MARGIN) if tri else w_rng[1]
-        if hi_w > w_rng[0]:
-            w2, fw = golden_max(lambda t: objective(u, t), w_rng[0], hi_w, tol=1e-13)
-            if fw > best:
-                w, best = w2, fw
-        if (u, w) == start:  # the next round would repeat this one exactly
-            break
-    edge = _edge_max(objective, u_rng[0], w_rng[0]) if tri else None
-    if edge is not None and edge[2] > best:
-        u, w, best = edge
+        def along_w(u):
+            p, lp = 1.0 / u, psi.log_u(u)
+            return lambda ts: _neg_log_kernel(h(np.full(ts.shape, p), 1.0 / ts),
+                                              lp, nu.log_u(ts))
+
+        edge = 1.0 - _T_MARGIN
+        cap = edge if tri else math.inf
+        u, w, best = _cell_polish(
+            lambda w: _zoom_cells(along_u(w), us, i, cap - w),
+            lambda u: _zoom_cells(along_w(u), ws, j, cap - u),
+            float(us[i]), float(ws[j]), best,
+        )
+        for _ in range(3):
+            start = (u, w)
+            hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]
+            if hi_u > u_rng[0]:
+                u2, fu = zoom_max(along_u(w), u_rng[0], hi_u, 1e-13)
+                if fu > best:
+                    u, best = u2, fu
+            hi_w = min(w_rng[1], 1.0 - u - _T_MARGIN) if tri else w_rng[1]
+            if hi_w > w_rng[0]:
+                w2, fw = zoom_max(along_w(u), w_rng[0], hi_w, 1e-13)
+                if fw > best:
+                    w, best = w2, fw
+            if (u, w) == start:  # the next round would repeat this one exactly
+                break
+        lo, hi = max(u_rng[0], edge - 1.0), min(1.0, edge - w_rng[0])  # as in _edge_max
+        if tri and hi > lo:
+            t, ft = zoom_max(lambda ts: _neg_log_kernel(h(1.0 / ts, 1.0 / (edge - ts)),
+                                                        psi.log_u(ts), nu.log_u(edge - ts)),
+                             lo, hi, 1e-13)
+            if ft > best:
+                u, w, best = t, edge - t, ft
     return BoundReport(
         math.exp(-best) * norm_xi * norm_eta, "generic",
         p=exponent(u, p_top, p_bot), q=exponent(w, q_top, q_bot),
     )
+
+
+def _zoom_cells(F, xs, i, cap=math.inf, tol=1e-13):
+    """zoom_max of F on the two grid cells around xs[i], clipped at cap, or None
+    when the clipped cells are empty."""
+    lo, hi = float(xs[max(i - 1, 0)]), min(float(xs[min(i + 1, xs.size - 1)]), cap)
+    return zoom_max(F, lo, hi, tol) if hi > lo else None
+
+
+def _kernel_grid_best(h, ps, lp, qs, lq, counts):
+    """(i, j, value): the first row-major argmax of -ln(h psi nu) on the grid
+    ps x qs, where row i admits the columns [0, counts[i]).
+
+    lp, lq are ln psi, ln nu on the axes, and counts does not increase.  The
+    admissible staircase is evaluated in _GRID_BLOCKS row blocks, each the
+    rectangle under its first row's count, with h called on same-shape
+    broadcast pairs; each block's tail past its rows' counts is masked.
+    Value -inf when no point is admissible and feasible.  Call under
+    np.errstate(divide="ignore", invalid="ignore").
+    """
+    rows = int(np.count_nonzero(counts))
+    cuts = np.unique(np.linspace(0, rows, _GRID_BLOCKS + 1).astype(int))
+    best = (0, 0, -math.inf)
+    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        width = int(counts[r0])
+        shape = (r1 - r0, width)
+        P, Q = np.broadcast_to(ps[r0:r1, None], shape), np.broadcast_to(qs[:width], shape)
+        f = _neg_log_kernel(h(P, Q), lp[r0:r1, None], lq[None, :width])
+        if counts[r1 - 1] < width:
+            f[np.arange(width) >= counts[r0:r1, None]] = -np.inf
+        k = int(np.argmax(f))
+        if f.flat[k] > best[2]:
+            best = (r0 + k // width, k % width, float(f.flat[k]))
+    return best
 
 
 def _neg_log_kernel(hv, lp, lq):
@@ -620,12 +684,11 @@ def _neg_log_kernel(hv, lp, lq):
     hv has the full shape of the grid, and ln psi, ln nu broadcast to it.  A
     zero kernel at a feasible exponent pair maps to +inf (the bound is 0);
     an infinite generating factor maps to -inf (the pair is infeasible).
+    Call under np.errstate(divide="ignore", invalid="ignore").
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # in place on ln h's new array, in the order of -(ln h + ln psi + ln nu)
-        out = np.log(np.asarray(hv, dtype=float))
-        out += lp
-        out += lq
+    # in place on ln h's new array, in the order of -(ln h + ln psi + ln nu)
+    out = np.log(np.asarray(hv, dtype=float))
+    out += lp
+    out += lq
     np.negative(out, out=out)
-    out[np.isnan(out)] = -np.inf
-    return out
+    return np.fmax(out, -np.inf, out=out)  # NaN -> -inf, every other value kept

@@ -231,6 +231,42 @@ def test_generic_bound_constant_kernel_rectangle():
     assert rep.value == pytest.approx(3.0 * 2.0 * 2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "domain, message",
+    [
+        ("X", "unknown domain 'X'"),
+        ("TR", "unknown domain"),
+        ((1.0, 2.0), "unknown domain"),
+        (((1.5, "a"), (1.5, 4.0)), "unknown domain"),
+        (((3.0, 2.0), (1.5, 4.0)), "p_lo <= p_hi"),
+        (((1.5, 4.0), (3.0, 2.0)), "q_lo <= q_hi"),
+    ],
+)
+def test_generic_bound_refuses_a_malformed_domain(domain, message):
+    with pytest.raises(DomainError, match=message):
+        generic_bound(lambda p, q: np.ones_like(p), power(1.0), power(1.0), domain, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "psi, domain",
+    [
+        (extremal(3.0), ((5.0, 6.0), (1.5, 4.0))),  # wholly past the closed end p = 3
+        (finite_support(3.0, 0.5), ((3.0, 6.0), (1.5, 4.0))),  # only p = b, where psi = inf
+    ],
+)
+def test_generic_bound_on_a_rectangle_outside_the_support_is_infeasible(psi, domain):
+    rep = generic_bound(lambda p, q: np.ones_like(p), psi, power(1.0), domain, 1.0, 1.0)
+    assert not rep.feasible
+    assert rep.notes == ("empty domain",)
+
+
+def test_gls_strong_bound_with_a_subnormal_beta_names_the_overflow():
+    # 1/beta overflows to +inf before the sup: psi and nu are finite everywhere
+    rep = gls_strong_bound(power(1.0), power(2.0), 1e-320, 1.0, 1.0)
+    assert not rep.feasible
+    assert rep.notes == ("1/beta overflows to +inf",)
+
+
 def test_generic_bound_vanishing_kernel_gives_zero():
     psi, nu = power(1.0), power(1.0)
     rep = generic_bound(

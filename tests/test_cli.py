@@ -184,6 +184,13 @@ def test_bound_every_theorem_runs_and_names_a_missing_flag(capsys, theorem, drop
         assert rep == {"error": f"--theorem {theorem} needs --{dropped}"}
 
 
+def test_generic_bound_reversed_rectangle_exit_2(capsys):
+    code, out = run(capsys, *_bound_argv("generic", {"psi": POWER1, "nu": POWER2,
+                                                     "domain": "3:2,1.5:4"}))
+    assert code == 2
+    assert "p_lo <= p_hi" in json.loads(out)["error"]
+
+
 #: malformed values the parse layer refuses, and a word its message must hold
 _MALFORMED = [
     (("tail", "--psi", POWER1, "--norm", "1", "--y-grid", "3,6,-1"), "--y-grid"),

@@ -28,6 +28,7 @@ from glscov._optimize import (
     newton_max,
     psi_table,
     u_axis,
+    zoom_max,
 )
 
 import piecewise_reference as ref
@@ -48,6 +49,49 @@ def test_golden_max_two_infeasible_probes_shrink_toward_the_finite_end(feasible_
     x, fx = golden_max(_step(edge, feasible_left), 0.0, 1.0, tol=1e-12)
     assert x == pytest.approx(edge, abs=1e-11)
     assert fx == pytest.approx(edge if feasible_left else -edge, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# zoom_max: nested grids on an array objective
+
+
+def _counted(F):
+    sizes = []
+
+    def G(xs):
+        sizes.append(xs.size)
+        return F(xs)
+
+    return G, sizes
+
+
+def test_zoom_max_narrows_a_smooth_max_16_fold_a_pass():
+    G, sizes = _counted(lambda xs: -((xs - 0.3137) ** 2))
+    x, fx = zoom_max(G, 0.0, 1.0, 1e-13)
+    assert abs(x - 0.3137) <= 1e-13
+    assert fx == -((x - 0.3137) ** 2)
+    assert sizes == [33] * 11  # 16**-11 < 1e-13 < 16**-10
+
+
+@pytest.mark.parametrize("rising", [True, False])
+def test_zoom_max_evaluates_both_ends_exactly(rising):
+    x, fx = zoom_max(lambda xs: xs if rising else -xs, 0.2, 0.7, 1e-13)
+    assert (x, fx) == ((0.7, 0.7) if rising else (0.2, -0.2))
+
+
+@pytest.mark.parametrize("feasible_left", [True, False])
+def test_zoom_max_keeps_a_sup_on_an_infeasibility_edge_bracketed(feasible_left):
+    edge = 0.3 if feasible_left else 0.7
+    f = _step(edge, feasible_left)
+    x, fx = zoom_max(lambda xs: np.array([f(t) for t in xs]), 0.0, 1.0, 1e-12)
+    assert x == pytest.approx(edge, abs=1e-12)
+    assert fx == f(x)
+
+
+def test_zoom_max_stops_at_once_when_nothing_is_feasible():
+    G, sizes = _counted(lambda xs: np.full(xs.shape, -np.inf))
+    assert zoom_max(G, 0.1, 0.9, 1e-13) == (0.1, -math.inf)
+    assert sizes == [33]
 
 
 # ---------------------------------------------------------------------------

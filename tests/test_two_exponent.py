@@ -1,7 +1,7 @@
 """The two-exponent sup: its grid-best scan, its table-cache use, Newton
-against golden-section refinement, the generic engine against a reference
-search, pinned values that no later change may loosen, and piecewise pairs
-against their vertices."""
+against golden-section refinement, the generic engine against reference
+searches and by its kernel calls, pinned values that no later change may
+loosen, and piecewise pairs against their vertices."""
 
 import math
 from functools import partial
@@ -25,11 +25,18 @@ from glscov import (
     product_zeta,
     tabulated,
 )
-from glscov._optimize import TABLE_CACHE_SIZE, log_ratio, psi_table
-from glscov.bounds import _T_MARGIN, _edge_max, _neg_log_kernel, _triangle_grid_best
-from glscov.psi import P_MAX
+from glscov._optimize import TABLE_CACHE_SIZE, log_ratio, psi_table, u_axis
+from glscov.bounds import (
+    _T_MARGIN,
+    _edge_max,
+    _kernel_grid_best,
+    _neg_log_kernel,
+    _triangle_counts,
+    _triangle_grid_best,
+)
+from glscov.psi import P_MAX, scan_bound
 
-from generic_reference import generic_search, neg_log_kernel
+from generic_reference import generic_search, golden_search, masked_grid_best, neg_log_kernel
 import piecewise_reference as ref
 from piecewise_reference import NON_CONVEX, NON_CONVEX_2
 
@@ -232,6 +239,92 @@ def test_generic_bound_equals_the_three_round_search(domain, k):
     assert (rep.value, rep.p, rep.q) == (math.exp(-best) * 1.5 * 0.5, p, q)
 
 
+def _draw_psi(rng, kind):
+    if kind == "power":
+        return power(rng.uniform(0.5, 4.0))
+    if kind == "finite":
+        return finite_support(rng.uniform(2.5, 6.0), rng.uniform(0.25, 2.0))
+    if kind == "extremal":
+        return extremal(rng.uniform(2.5, 8.0))
+    if kind == "tabulated":
+        ps = np.concatenate([[1.0], np.sort(rng.uniform(1.5, 12.0, size=3))])
+        vals = np.cumsum(rng.uniform(0.05, 1.0, size=4))
+        return tabulated(list(zip(ps.tolist(), vals.tolist())))
+    return product_zeta(power(rng.uniform(0.5, 4.0)), finite_support(rng.uniform(2.5, 6.0), 0.5))
+
+
+_KINDS = ("power", "finite", "extremal", "tabulated", "product")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_grid_on_the_staircase_equals_the_masked_full_grid(seed):
+    rng = np.random.default_rng(seed)
+    psi, nu = _draw_psi(rng, _KINDS[seed % 5]), _draw_psi(rng, _KINDS[seed // 5 % 5])
+    alpha = math.exp(rng.uniform(-10.0, -1.0))
+    edge = 1.0 - _T_MARGIN
+    us, ps = u_axis(scan_bound(psi), 1.0, 96)
+    ws, _ = u_axis(scan_bound(nu), 1.0, 80)
+    if seed % 2:  # grid points at the cut and one rounding either side of it
+        cut = edge - us[rng.integers(0, us.size, size=8)]
+        ws = np.unique(np.concatenate([ws, cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)]))
+        ws = ws[ws > 0.0]
+    qs = 1.0 / ws
+    sums = us[:, None] + ws[None, :]
+    if seed % 2:
+        assert (np.abs(sums - edge) <= np.spacing(edge)).any()
+    if seed % 3 == 0:  # a kernel vanishing on a band: ties at +inf across blocks
+        def h(p, q):
+            return np.where(p > 2.5, 0.0, _davydov(alpha, p, q))
+    else:
+        h = partial(_davydov, alpha)
+    counts = _triangle_counts(us, ws)
+    assert np.array_equal(counts, (sums <= edge).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _kernel_grid_best(h, ps, psi.log_u(us), qs, nu.log_u(ws), counts)
+    want = masked_grid_best(h, psi, nu, us, ps, ws, qs, True)
+    assert got == want
+
+
+def _golden_cases():
+    """GENERIC_PAIRS and seeded pairs of every shape, finite_support pairs
+    near alpha = 0.087 among them."""
+    rng = np.random.default_rng(29)
+    cases = list(GENERIC_PAIRS)
+    for left, right in (("power", "power"), ("finite", "finite"), ("extremal", "extremal"),
+                        ("tabulated", "tabulated"), ("power", "finite"),
+                        ("tabulated", "extremal"), ("finite", "extremal"),
+                        ("product", "power")):
+        for _ in range(4):
+            cases.append((_draw_psi(rng, left), _draw_psi(rng, right),
+                          math.exp(rng.uniform(-10.0, -1.5))))
+    for _ in range(4):
+        cases.append((_draw_psi(rng, "finite"), _draw_psi(rng, "finite"),
+                      rng.uniform(0.08, 0.095)))
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+
+@pytest.mark.parametrize("k", range(len(GOLDEN_CASES)))
+def test_generic_bound_never_looser_than_the_golden_section_search(k):
+    psi, nu, alpha = GOLDEN_CASES[k]
+    h = partial(_davydov, alpha)
+    rep = generic_bound(h, psi, nu, "T", 1.0, 1.0)
+    best, _, _ = golden_search(h, psi, nu, "T")
+    assert rep.feasible == (best > -math.inf)
+    if rep.feasible:  # an inf: smaller is tighter
+        assert rep.value <= math.exp(-best) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("domain", ["T", "R", ((1.2, 5.0), (1.5, 9.0)), "conjugate"])
+def test_a_kernel_of_p_alone_works_on_every_domain(domain):
+    rep = generic_bound(lambda p, q: np.ones_like(p), power(1.0), finite_support(4.0, 0.5),
+                        domain, 1.0, 1.0)
+    assert rep.feasible
+    assert 0.0 < rep.value < math.inf
+
+
 def test_edge_search_falls_back_when_its_middle_is_infeasible():
     # zeta(power, finite_support(1.5)) is finite only for u < 1/3, so the
     # middle of the edge is infeasible and Newton could pick no side there
@@ -260,7 +353,9 @@ def test_neg_log_kernel_equals_the_out_of_place_expression():
     lq[0, 5] = np.inf
     lq[0, 6] = np.nan
     for args in ((hv, lp, lq), (hv[:, 0], lp[:, 0], lq[0, :6])):
-        got, want = _neg_log_kernel(*args), neg_log_kernel(*args)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as generic_bound calls it
+            got = _neg_log_kernel(*args)
+        want = neg_log_kernel(*args)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert not np.isnan(got).any()
@@ -357,6 +452,22 @@ def test_two_exponent_sups_never_looser_than_pinned(name):
     dense = math.exp(_dense_log_sup(psi, nu, math.log(alpha), math.log(alpha)))
     assert theta == pytest.approx(dense, rel=1e-6)
     assert 12.0 * alpha * nx * ne / gen == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["power", "finite_edge_a", "finite_edge_b"])
+def test_generic_bound_calls_the_kernel_a_few_times_on_same_shape_arrays(name):
+    # the scalar golden-section probes made about 340 calls on these pairs
+    psi, nu, alpha, _, nx, ne = PAIRS[name]
+    calls = []
+
+    def h(p, q):
+        assert isinstance(p, np.ndarray) and isinstance(q, np.ndarray)
+        assert p.shape == q.shape
+        calls.append(p.size)
+        return _davydov(alpha, p, q)
+
+    generic_bound(h, psi, nu, "T", nx, ne)
+    assert len(calls) <= 80
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
