@@ -50,6 +50,11 @@ _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 #: (psi, nu) adds one axis table per function, which the nested route shares.
 TABLE_CACHE_SIZE = 8
 
+#: elements at most in one array of a batched pass (8 MB of floats): sups
+#: over many arguments and stacked mixing reductions run in chunks of rows or
+#: lags below it
+CHUNK_ELEMENTS = 1 << 20
+
 
 def golden_max(f, a, b, tol=1e-12):
     """Golden-section maximization of a scalar function on [a, b].
@@ -278,6 +283,12 @@ def log_ratio(psi, log_x, s, n):
     marks an infeasible point.
     """
     us, logs = psi_table(psi, s, n)
+    return (us, us * log_x - logs) + ratio_probes(psi, log_x)
+
+
+def ratio_probes(psi, log_x):
+    """The objective u ln x - ln psi(1/u) as a scalar probe of u, and its
+    derivative probe u -> (f, f', f''), both read from psi's jet."""
 
     def probe(u):  # golden section needs the value only
         return u * log_x - psi.log_u_jet(u)[0]
@@ -286,4 +297,4 @@ def log_ratio(psi, log_x, s, n):
         g, d1, d2 = psi.log_u_jet(u)
         return u * log_x - g, log_x - d1, -d2
 
-    return us, us * log_x - logs, probe, newton
+    return probe, newton

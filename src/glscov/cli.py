@@ -18,6 +18,7 @@ import numpy as np
 from . import bounds, clt, finite, tails
 from .fundamental import fundamental as _fundamental
 from .fundamental import fundamental_truncated as _fundamental_truncated
+from .fundamental import _fundamentals
 from .errors import DomainError
 from .psi import eval_psi, psi_from_obj, psi_to_obj
 
@@ -116,23 +117,16 @@ def _cmd_psi(args):
 def _cmd_fundamental(args):
     psi = _load_psi(args.psi)
     s = args.trunc_low
-
-    def one(delta):
-        if s is not None:
-            return _fundamental_truncated(psi, s, delta)
-        return _fundamental(psi, delta)
-
     if args.delta_grid:
-        deltas = _parse_grid(args.delta_grid, "--delta-grid", log=True)
+        deltas = _parse_grid(args.delta_grid, "--delta-grid", log=True).tolist()
         lines = ["delta,value,argmax_p"]
-        for d in deltas:
-            r = one(float(d))
-            lines.append(f"{float(d)!r},{r.value!r},{float(r.argmax_p)!r}")
+        for d, r in zip(deltas, _fundamentals(psi, deltas, s)):
+            lines.append(f"{d!r},{r.value!r},{float(r.argmax_p)!r}")
         _emit("\n".join(lines) + "\n", args.out)
         return
     if args.delta is None:
         raise DomainError("need --delta or --delta-grid")
-    r = one(args.delta)
+    r = _fundamental(psi, args.delta) if s is None else _fundamental_truncated(psi, s, args.delta)
     _emit_json(
         {"value": r.value, "argmax_p": _jsonable(r.argmax_p), "delta": r.delta,
          "boundary": r.boundary, "trunc_low": r.trunc_low},

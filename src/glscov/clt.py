@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import _optimize
 from .errors import DomainError
-from .fundamental import fundamental
+from .fundamental import _log_fundamentals
 from .psi import MomentTable, natural_from_moments, product_zeta, scan_bound
 from .finite import _log_moments, _mixing_pair
 
@@ -62,6 +64,18 @@ def _require_nontrivial(psi):
         )
 
 
+def _lag_terms(coeffs, K, term):
+    """term(c) at each lag k = 2..K, from one list call on the distinct
+    nonzero coefficients c(k); 0 where c(k) = 0."""
+    lags = coeffs[1:K]
+    out = np.zeros(K - 1)
+    nonzero = lags != 0.0
+    distinct, at = np.unique(lags[nonzero], return_inverse=True)
+    if distinct.size:
+        out[nonzero] = np.array(term(distinct.tolist()))[at]
+    return out
+
+
 def y_sequence(profile):
     """y(k) = alpha(k) / phi^2(alpha(k)) for k = 2..K; 0 where alpha(k) = 0.
 
@@ -69,37 +83,27 @@ def y_sequence(profile):
     monotone continuity.
     """
     _require_nontrivial(profile.psi_gamma)
-    out = np.zeros(profile.K - 1)
-    cache = {}
-    for k in range(2, profile.K + 1):
-        a = float(profile.alpha_seq[k - 1])
-        if a == 0.0:
-            continue
-        if a not in cache:
-            phi = fundamental(profile.psi_gamma, a, n_grid=_N_GRID).value
-            cache[a] = a / phi**2
-        out[k - 2] = cache[a]
-    return out
+
+    def term(alphas):
+        _, lns = _log_fundamentals(profile.psi_gamma, alphas, n_grid=_N_GRID)
+        return [a / math.exp(f) ** 2 for a, f in zip(alphas, lns)]
+
+    return _lag_terms(profile.alpha_seq, profile.K, term)
 
 
 def z_sequence(profile):
     """z(k) = 1 / phi[G zeta](1/beta(k)) with zeta(p) = psi(p) psi(p/(p-1))."""
     _require_nontrivial(profile.psi_gamma)
     zeta = product_zeta(profile.psi_gamma, profile.psi_gamma)
-    out = np.zeros(profile.K - 1)
-    cache = {}
-    for k in range(2, profile.K + 1):
-        b = float(profile.beta_seq[k - 1])
-        if b == 0.0:
-            continue
-        if b not in cache:
-            try:
-                phi = fundamental(zeta, 1.0 / b, n_grid=_N_GRID).value
-            except DomainError:
-                raise DomainError("product generating function nowhere finite")
-            cache[b] = 1.0 / phi
-        out[k - 2] = cache[b]
-    return out
+
+    def term(betas):
+        try:
+            _, lns = _log_fundamentals(zeta, [1.0 / b for b in betas], n_grid=_N_GRID)
+        except DomainError:
+            raise DomainError("product generating function nowhere finite")
+        return [1.0 / math.exp(f) for f in lns]
+
+    return _lag_terms(profile.beta_seq, profile.K, term)
 
 
 @dataclass(frozen=True)
@@ -180,14 +184,19 @@ class MDependentModel:
 
 @dataclass(frozen=True, eq=False)
 class FiniteMarkovModel:
-    """Stationary finite-state chain observed through per-state values."""
+    """Stationary finite-state chain observed through per-state values.
+
+    The model holds read-only copies of its arrays, so its stationary law is
+    computed once.
+    """
 
     transition: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = np.array(self.transition, dtype=float)
+        v = np.array(self.values, dtype=float)
+        t.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "values", v)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or v.size != t.shape[0]:
@@ -195,14 +204,35 @@ class FiniteMarkovModel:
         if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-10):
             raise DomainError("transition matrix rows must be stochastic")
 
-    def stationary(self):
+    @cached_property
+    def _stationary(self):
         w, vecs = np.linalg.eig(self.transition.T)
         i = int(np.argmin(np.abs(w - 1.0)))
         pi = np.abs(np.real(vecs[:, i]))
-        return pi / pi.sum()
+        pi = pi / pi.sum()
+        pi.flags.writeable = False
+        return pi
+
+    def stationary(self):
+        """The stationary law pi (read-only)."""
+        return self._stationary
 
     def mean(self):
         return float(self.stationary() @ self.values)
+
+    def exact_sigma_n(self, n):
+        """Var(n^(-1/2) sum gamma(i)) = g_0 + 2 sum_{k<n} (1 - k/n) g_k of the
+        stationary chain, with autocovariances g_k = sum_i pi_i c_i (P^k c)_i
+        of the centred values c."""
+        if n < 1:
+            raise DomainError("n must be at least 1")
+        pi = self.stationary()
+        c = self.values - self.mean()
+        acv, pk_c = [], c
+        for _ in range(n):
+            acv.append(float(pi @ (c * pk_c)))
+            pk_c = self.transition @ pk_c
+        return acv[0] + 2.0 * sum((1.0 - k / n) * acv[k] for k in range(1, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,16 +317,20 @@ def markov_mixing_profile(model, K, p_grid=_DEFAULT_P_GRID):
     Surveys 2, 2005, section 7).
     """
     pi = model.stationary()
-    alpha_seq = np.zeros(K)
-    beta_seq = np.zeros(K)
+    alpha_seq, beta_seq = np.empty(K), np.empty(K)
+    # the joint laws P(X_0 = i, X_k = j) of a chunk of lags, below the cap
+    step = max(1, _optimize.CHUNK_ELEMENTS // pi.size**2)
+    pk = np.eye(pi.size)
+    for lo in range(0, K, step):
+        joints = np.empty((min(step, K - lo), pi.size, pi.size))
+        for joint in joints:
+            pk = pk @ model.transition
+            np.multiply(pi[:, None], pk, out=joint)
+        alpha_seq[lo : lo + step], beta_seq[lo : lo + step] = _mixing_pair(joints)
     # repeated matrix powers accumulate rounding error, so coefficients below
     # this floor are indistinguishable from noise and reported as exact zeros
     noise_floor = 4096.0 * np.finfo(float).eps
-    pk = np.eye(pi.size)
-    for k in range(1, K + 1):
-        pk = pk @ model.transition
-        a, b = _mixing_pair(pi[:, None] * pk)
-        alpha_seq[k - 1] = a if a > noise_floor else 0.0
-        beta_seq[k - 1] = b if b > noise_floor else 0.0
+    alpha_seq = np.where(alpha_seq > noise_floor, alpha_seq, 0.0)
+    beta_seq = np.where(beta_seq > noise_floor, beta_seq, 0.0)
     psi = natural_function_of_markov(model, p_grid)
     return CltProfile(alpha_seq, beta_seq, psi, K)

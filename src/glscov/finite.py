@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from . import _optimize
 from ._optimize import grid_golden_max, u_axis
 from .errors import DomainError
 from .psi import logsumexp, power, scan_bound
@@ -98,19 +100,59 @@ def _mixing_pair(joint):
     d_i = P(A_i B) - P(A_i) P(B) > 0.  d(B^c) = -d(B) and the d_i sum to
     zero, so B and its complement give the same value, and B leaves out the
     last block.  Blocks of zero mass are dropped first.
+
+    A stack of tables (..., k_F, k_G) gives two arrays of its shape (...), in
+    a few array operations per set of dropped blocks; one 2-D table gives two
+    floats.
     """
-    joint = joint[joint.sum(axis=1) > 0][:, joint.sum(axis=0) > 0]
-    if min(joint.shape) > MAX_BLOCKS:
-        raise DomainError(f"both fields have more than {MAX_BLOCKS} blocks")
-    p_f, p_g = joint.sum(axis=1), joint.sum(axis=0)
-    # the marginal is normalized, so a one-block field gives exact zeros
-    cond = joint / p_f[:, None] - p_g / p_g.sum()
-    beta = float(np.maximum(cond, 0.0).sum(axis=1).max())
-    small = joint if joint.shape[0] <= joint.shape[1] else joint.T
-    k = small.shape[0]
+    stack = joint.reshape((-1,) + joint.shape[-2:])
+    rows, cols = stack.sum(axis=2) > 0, stack.sum(axis=1) > 0
+    if len(stack) == 1 or ((rows == rows[0]).all() and (cols == cols[0]).all()):
+        alpha, beta = _masked_mixing_pair(stack[:, rows[0]][:, :, cols[0]])
+    else:  # one reduction per set of dropped blocks
+        keys = np.concatenate((rows, cols), axis=1)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        alpha, beta = np.empty(len(stack)), np.empty(len(stack))
+        for g, i in enumerate(first):
+            at = inverse == g
+            alpha[at], beta[at] = _masked_mixing_pair(stack[at][:, rows[i]][:, :, cols[i]])
+    if joint.ndim == 2:
+        return float(alpha[0]), float(beta[0])
+    return alpha.reshape(joint.shape[:-2]), beta.reshape(joint.shape[:-2])
+
+
+@lru_cache(maxsize=MAX_BLOCKS)
+def _unions(k):
+    """2^(k-1) x k indicators of the block unions that leave out the last block."""
     unions = ((np.arange(2 ** (k - 1))[:, None] >> np.arange(k)) & 1).astype(float)
-    d = unions @ small - (unions @ small.sum(axis=1))[:, None] * small.sum(axis=0)
-    alpha = float(np.maximum(d, 0.0).sum(axis=1).max())
+    unions.flags.writeable = False
+    return unions
+
+
+def _masked_mixing_pair(tables):
+    """(alpha, beta) arrays of a stack of joint laws without zero-mass blocks."""
+    if min(tables.shape[1:]) > MAX_BLOCKS:
+        raise DomainError(f"both fields have more than {MAX_BLOCKS} blocks")
+    # each table column-major, like a masked 2-D table, so every reduction
+    # below adds in the same order whether a table comes alone or stacked
+    tables = np.ascontiguousarray(tables.transpose(0, 2, 1)).transpose(0, 2, 1)
+    p_f, p_g = tables.sum(axis=2), tables.sum(axis=1)
+    # the marginal is normalized, so a one-block field gives exact zeros
+    cond = tables / p_f[:, :, None] - (p_g / p_g.sum(axis=1)[:, None])[:, None, :]
+    beta = np.maximum(cond, 0.0).sum(axis=2).max(axis=1)
+    if tables.shape[1] <= tables.shape[2]:
+        small, p_small, p_other = tables, p_f, p_g
+    else:
+        small, p_small, p_other = tables.transpose(0, 2, 1), p_g, p_f
+    unions = _unions(small.shape[1])
+    alpha = np.empty(len(tables))
+    # the union products of a chunk of tables stay below the element cap
+    step = max(1, _optimize.CHUNK_ELEMENTS // (unions.shape[0] * small.shape[2]))
+    for lo in range(0, len(tables), step):
+        hi = lo + step
+        d = unions @ small[lo:hi]
+        d -= (unions @ p_small[lo:hi, :, None]) * p_other[lo:hi, None, :]
+        alpha[lo:hi] = np.maximum(d, 0.0, out=d).sum(axis=2).max(axis=1)
     return alpha, beta
 
 

@@ -17,7 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._optimize import exponent, grid_golden_max, log_ratio
+import numpy as np
+
+from . import _optimize
+from ._optimize import exponent, grid_golden_max, log_ratio, psi_table, ratio_probes
 from .errors import DomainError
 from .psi import scan_bound
 
@@ -53,6 +56,64 @@ def _sup(psi, delta, s, n_grid, refine):
     if f_best == -math.inf:
         return None
     return u_best, f_best
+
+
+def _sups(psi, log_xs, s, n):
+    """`_sup` at every x with ln x in `log_xs`, in one pass over psi's table.
+
+    Returns the arrays (u, ln value) of the sups over p in [s, b) of
+    x^(1/p)/psi(p); ln value is -inf on an empty domain.  The grid stage is
+    one matrix u ln x - ln psi(1/u) with a row argmax, in chunks of rows below
+    `_optimize.CHUNK_ELEMENTS`; a piecewise psi stops at that maximum, a smooth
+    one refines each row as `_sup` does, so every row equals `_sup`'s.
+    """
+    log_xs = np.asarray(log_xs, dtype=float)
+    u_best, f_best = np.zeros(log_xs.size), np.full(log_xs.size, -np.inf)
+    if 1.0 / s < 1.0 / scan_bound(psi):
+        return u_best, f_best  # empty domain
+    us, logs = psi_table(psi, s, n)
+    step = max(1, _optimize.CHUNK_ELEMENTS // us.size)
+    for lo in range(0, log_xs.size, step):
+        rows = log_xs[lo : lo + step]
+        fs = us[None, :] * rows[:, None] - logs[None, :]
+        if psi.breakpoints is None:
+            for r, log_x in enumerate(rows.tolist()):
+                probe, newton = ratio_probes(psi, log_x)
+                u_best[lo + r], f_best[lo + r] = grid_golden_max(us, fs[r], probe, df=newton)
+        else:
+            best = np.argmax(fs, axis=1)
+            u_best[lo : lo + step] = us[best]
+            f_best[lo : lo + step] = fs[np.arange(rows.size), best]
+    return u_best, f_best
+
+
+def _log_fundamentals(psi, deltas, s=None, n_grid=N_GRID):
+    """(u, ln value) lists of [fundamental(psi, d, n_grid) for d in deltas], or
+    of fundamental_truncated(psi, s, d) when s is given, from one `_sups`;
+    raises what the first failing call would.
+    """
+    if s is not None and not 1.0 <= s < psi.b:
+        raise DomainError("truncation point must satisfy 1 <= s < b")
+    valid = next((i for i, d in enumerate(deltas) if not 0.0 < d < math.inf), len(deltas))
+    low = 1.0 if s is None else float(s)
+    us, lns = _sups(psi, [math.log(d) for d in deltas[:valid]], low, n_grid)
+    if np.any(lns == -math.inf):  # then it is -inf for every delta
+        raise DomainError(
+            "empty effective support: psi is +inf on [1, b)"
+            if s is None
+            else "empty effective support on the truncated interval"
+        )
+    if valid < len(deltas):
+        raise DomainError("delta must be positive and finite")
+    return us.tolist(), lns.tolist()
+
+
+def _fundamentals(psi, deltas, s=None):
+    """[fundamental(psi, d) for d in deltas], or fundamental_truncated(psi, s, d)
+    when s is given, as `_log_fundamentals` computes them."""
+    packed = zip(*_log_fundamentals(psi, deltas, s))
+    low = 1.0 if s is None else float(s)
+    return [_result(psi, d, low, p) for d, p in zip(deltas, packed)]
 
 
 def _result(psi, delta, s, packed):

@@ -1,0 +1,44 @@
+"""Per-lag summability sequences: the reference for glscov.clt's batched sups.
+
+y(k) and z(k) from one `fundamental` call per distinct coefficient, lag by
+lag, as the sequences were first written.
+"""
+
+import numpy as np
+
+from glscov import DomainError, fundamental, product_zeta
+
+#: scan points of the fundamental functions in y(k) and z(k)
+N_GRID = 512
+
+
+def per_lag_y(profile):
+    out = np.zeros(profile.K - 1)
+    cache = {}
+    for k in range(2, profile.K + 1):
+        a = float(profile.alpha_seq[k - 1])
+        if a == 0.0:
+            continue
+        if a not in cache:
+            phi = fundamental(profile.psi_gamma, a, n_grid=N_GRID).value
+            cache[a] = a / phi**2
+        out[k - 2] = cache[a]
+    return out
+
+
+def per_lag_z(profile):
+    zeta = product_zeta(profile.psi_gamma, profile.psi_gamma)
+    out = np.zeros(profile.K - 1)
+    cache = {}
+    for k in range(2, profile.K + 1):
+        b = float(profile.beta_seq[k - 1])
+        if b == 0.0:
+            continue
+        if b not in cache:
+            try:
+                phi = fundamental(zeta, 1.0 / b, n_grid=N_GRID).value
+            except DomainError:
+                raise DomainError("product generating function nowhere finite")
+            cache[b] = 1.0 / phi
+        out[k - 2] = cache[b]
+    return out

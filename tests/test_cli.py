@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from glscov import fundamental, fundamental_truncated, psi_from_obj
 from glscov.cli import main
 
 POWER1 = '{"kind":"power","m":1}'
@@ -30,6 +32,40 @@ def test_fundamental_delta_grid_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "delta,value,argmax_p"
     assert len(lines) == 4
+
+
+_GRID_PSIS = {
+    "power": POWER1,
+    "finite_support": '{"kind":"finite_support","b":4,"beta":1}',
+    "tabulated": '{"kind":"tabulated","points":[[1,1],[2,1.5],[4,3],[8,9]]}',
+}
+
+
+@pytest.mark.parametrize("trunc", [None, "1", "1.7"])
+@pytest.mark.parametrize("kind", sorted(_GRID_PSIS))
+def test_fundamental_delta_grid_equals_the_per_delta_calls(capsys, kind, trunc):
+    argv = ["fundamental", "--psi", _GRID_PSIS[kind], "--delta-grid", "1e-300,20,41"]
+    if trunc is not None:
+        argv += ["--trunc-low", trunc]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    psi = psi_from_obj(json.loads(_GRID_PSIS[kind]))
+    lines = ["delta,value,argmax_p"]
+    for d in np.geomspace(1e-300, 20.0, 41).tolist():
+        r = fundamental(psi, d) if trunc is None else fundamental_truncated(psi, float(trunc), d)
+        lines.append(f"{d!r},{r.value!r},{float(r.argmax_p)!r}")
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--delta-grid=-1e-3,-1e-2,2",), "delta must be positive and finite"),
+    (("--delta-grid", "1e-3,1e-2,2", "--trunc-low", "0.5"), "truncation point must satisfy"),
+    (("--delta-grid", "1e-3,1e-2,2", "--trunc-low", "2e7"), "empty effective support on the"),
+])
+def test_fundamental_delta_grid_errors_are_the_per_delta_ones(capsys, argv, message):
+    code, out = run(capsys, "fundamental", "--psi", POWER1, *argv)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(message)
 
 
 def test_bound_davydov_trivial(capsys):

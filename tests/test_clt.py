@@ -1,8 +1,11 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import glscov._optimize
 from glscov import (
     CltProfile,
     DomainError,
@@ -11,6 +14,7 @@ from glscov import (
     UserSamplesModel,
     gls_strong_bound,
     markov_mixing_profile,
+    finite_support,
     fundamental,
     power,
     product_zeta,
@@ -21,6 +25,7 @@ from glscov import (
 )
 from glscov.finite import _mixing_pair
 from mixing_reference import brute_force_mixing, flattened_space
+from sequence_reference import per_lag_y, per_lag_z
 
 
 def geometric_profile(K=32, rho=math.e**-1, psi=None):
@@ -228,3 +233,140 @@ def test_user_samples_model():
     model = UserSamplesModel(rng.standard_normal((1000, 50)))
     (est,) = sigma_n_estimate(model, [50])
     assert abs(est.sigma_n - 1.0) <= 3.0 * est.se
+
+
+def lazy_chain(n, seed):
+    rng = np.random.default_rng(seed)
+    lazy = rng.uniform(0.05, 0.5)
+    transition = (1.0 - lazy) * np.eye(n) + lazy * rng.dirichlet(np.ones(n), size=n)
+    return FiniteMarkovModel(transition, rng.uniform(-1.0, 1.0, size=n))
+
+
+def test_markov_profile_numbers_pinned():
+    # recorded before the lags were stacked and the sups batched; entries 0,
+    # 1, 15 and 62 of alpha, beta, y and z, and a hash of all their reprs
+    pinned = {
+        2: ("184ffa60fa1f4921e662390c2b963486c662720e10d6e32abd615e8a7787a80d", [
+            "0.18528192597070717", "0.15204302752142554", "0.009546294791849291",
+            "8.79239317796987e-07", "0.5379911674701845", "0.4414775237973576",
+            "0.027718959921074537", "2.552990447379777e-06", "0.08463449143045489",
+            "0.07118920772750358", "0.0063175538231822065", "1.8590333356077288e-06",
+            "0.14948751252715523", "0.1256120303843114", "0.009376328130289093",
+            "1.5436116242671004e-06"]),
+        5: ("39cf8d83ec3ea8de1da51ad17cdab443a98b93233dab24f0213c4e4a54a0cb5f", [
+            "0.1603350093329787", "0.10524570081312444", "0.0007989730471493067",
+            "4.69609767739243e-12", "0.6465976169799661", "0.5083264740892448",
+            "0.0047334160710253426", "2.0350054974471732e-11", "0.10398926014582761",
+            "0.07318445817897364", "0.0010595601087375827", "6.057582169943002e-11",
+            "0.22980379636778941", "0.17888027429790399", "0.0020392257292701672",
+            "2.8059396568215186e-11"]),
+        8: ("2c836fa3f70a011352e0d61f621157fcde4ecc62dd8f76a718b2d74719a30e2e", [
+            "0.21398590796168404", "0.18419528551421427", "0.02733800144674159",
+            "7.407848185810723e-05", "0.7590622951343229", "0.6464580307332433",
+            "0.120450304912728", "0.0003573257483873715", "0.13637117742657487",
+            "0.12196009091673418", "0.023746230040481403", "0.00013554976852696133",
+            "0.18986773165225024", "0.17428240783791815", "0.04194874307087935",
+            "0.00017827605518587678"]),
+    }
+    for n, (digest, entries) in pinned.items():
+        prof = markov_mixing_profile(lazy_chain(n, n), 64)
+        seqs = tuple(s.tolist() for s in (prof.alpha_seq, prof.beta_seq, y_sequence(prof), z_sequence(prof)))
+        assert [repr(s[i]) for s in seqs for i in (0, 1, 15, 62)] == entries
+        assert hashlib.sha256(repr(seqs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("psi", [None, power(1.0), finite_support(4.0, 1.0)],
+                         ids=["natural", "power1", "finite_support41"])
+def test_sequences_equal_the_per_lag_fundamentals(psi):
+    # the natural psi is tabulated (grid maxima); power(1) refines every row
+    # by Newton, finite_support(4, 1) too, next to a finite support end
+    for n in (2, 3, 5, 8):
+        prof = markov_mixing_profile(lazy_chain(n, 10 + n), 48)
+        if psi is not None:
+            prof = CltProfile(prof.alpha_seq, prof.beta_seq, psi, prof.K)
+        assert np.array_equal(y_sequence(prof), per_lag_y(prof))
+        assert np.array_equal(z_sequence(prof), per_lag_z(prof))
+
+
+def test_sequences_repeat_a_coefficient_without_a_second_sup():
+    seq = np.array([0.3, 0.2, 0.0, 0.2, 0.1, 0.3, 0.0, 0.1])
+    prof = CltProfile(seq, seq[::-1], power(2.0), 8)
+    assert np.array_equal(y_sequence(prof), per_lag_y(prof))
+    assert np.array_equal(z_sequence(prof), per_lag_z(prof))
+
+
+def test_z_names_the_product_when_a_beta_has_no_finite_inverse():
+    prof = CltProfile(np.full(4, 0.1), np.array([0.1, 5e-324, 0.1, 0.1]), power(1.0), 4)
+    with pytest.raises(DomainError, match="product generating function nowhere finite"):
+        z_sequence(prof)
+    with pytest.raises(DomainError, match="product generating function nowhere finite"):
+        per_lag_z(prof)
+
+
+def test_chunked_passes_equal_one_pass(monkeypatch):
+    model = lazy_chain(5, 3)
+    whole = markov_mixing_profile(model, 200)
+    y, z = y_sequence(whole), z_sequence(whole)
+    # 80 lags of joint laws, 25 union products and 2 or 3 sup rows a chunk
+    monkeypatch.setattr(glscov._optimize, "CHUNK_ELEMENTS", 2000)
+    chunked = markov_mixing_profile(model, 200)
+    assert np.array_equal(chunked.alpha_seq, whole.alpha_seq)
+    assert np.array_equal(chunked.beta_seq, whole.beta_seq)
+    assert np.array_equal(y_sequence(chunked), y)
+    assert np.array_equal(z_sequence(chunked), z)
+    for psi in (power(1.0), finite_support(4.0, 1.0)):
+        prof = CltProfile(whole.alpha_seq, whole.beta_seq, psi, 200)
+        assert np.array_equal(y_sequence(prof), per_lag_y(prof))
+
+
+def test_markov_stationary_law_is_computed_once(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or eig(a))
+    model = lazy_chain(4, 1)
+    markov_mixing_profile(model, 16)
+    sigma_n_estimate(model, [8, 16], replications=50)
+    model.mean()
+    assert len(calls) == 1
+    pi = model.stationary()
+    assert pi is model.stationary() and not pi.flags.writeable
+    assert not model.transition.flags.writeable and not model.values.flags.writeable
+
+
+def test_markov_model_copies_its_arrays():
+    transition = np.array([[0.9, 0.1], [0.3, 0.7]])
+    model = FiniteMarkovModel(transition, np.array([1.0, -1.0]))
+    pi = model.stationary().copy()
+    transition[:] = 0.5
+    assert np.array_equal(model.stationary(), pi)
+
+
+def test_markov_exact_sigma_symmetric_two_state():
+    # flip probability q: gamma_k = (1 - 2q)^k for values +-1
+    for q in (0.1, 0.3, 0.45, 0.8):
+        rho = 1.0 - 2.0 * q
+        model = FiniteMarkovModel(np.array([[1 - q, q], [q, 1 - q]]), np.array([1.0, -1.0]))
+        for n in (1, 2, 7, 100):
+            want = 1.0 + 2.0 * sum((1.0 - k / n) * rho**k for k in range(1, n))
+            assert model.exact_sigma_n(n) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_markov_exact_sigma_matches_path_enumeration():
+    transition = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
+    model = FiniteMarkovModel(transition, np.array([2.0, -1.0, 0.5]))
+    pi = model.stationary()
+    c = model.values - model.mean()
+    for n in range(1, 7):
+        var = 0.0
+        for path in itertools.product(range(3), repeat=n):
+            prob = pi[path[0]] * math.prod(transition[a, b] for a, b in zip(path, path[1:]))
+            var += prob * sum(c[i] for i in path) ** 2 / n
+        assert model.exact_sigma_n(n) == pytest.approx(var, rel=1e-12)
+    with pytest.raises(DomainError):
+        model.exact_sigma_n(0)
+
+
+def test_markov_sigma_estimate_within_three_se_of_the_exact_value():
+    model = lazy_chain(4, 2)
+    for est in sigma_n_estimate(model, [32, 128], replications=2000, seed=4):
+        assert abs(est.sigma_n - model.exact_sigma_n(est.n)) <= 3.0 * est.se

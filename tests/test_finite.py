@@ -193,3 +193,67 @@ def test_rademacher_witness_ratio():
 def test_sharpness_needs_feasible_exponents():
     with pytest.raises(DomainError):
         sharpness_probe(2.0, 2.0)
+
+
+def _chain_joints(transition, pi, K):
+    """Stack of the joint laws pi_i P^k_ij of lags k = 1..K."""
+    pk, joints = np.eye(len(pi)), []
+    for _ in range(K):
+        pk = pk @ transition
+        joints.append(pi[:, None] * pk)
+    return np.array(joints)
+
+
+def _assert_stack_equals_tables(joints):
+    alpha, beta = _mixing_pair(joints)
+    assert alpha.shape == beta.shape == joints.shape[:-2]
+    for idx in np.ndindex(joints.shape[:-2]):
+        assert _mixing_pair(joints[idx]) == (alpha[idx], beta[idx]), idx
+
+
+def test_stacked_mixing_pair_equals_per_table_calls():
+    # 8 states included: a C-ordered stack would add rows of 8 pairwise, while
+    # a masked 2-D table is column-major and adds them in sequence
+    for n in range(2, MAX_BLOCKS + 1):
+        for seed in range(4):
+            rng = np.random.default_rng((n, seed))
+            lazy = rng.uniform(0.05, 0.5)
+            transition = (1.0 - lazy) * np.eye(n) + lazy * rng.dirichlet(np.ones(n), size=n)
+            w, vecs = np.linalg.eig(transition.T)
+            pi = np.abs(np.real(vecs[:, np.argmin(np.abs(w - 1.0))]))
+            _assert_stack_equals_tables(_chain_joints(transition, pi / pi.sum(), 24))
+
+
+def test_stacked_mixing_pair_with_a_transient_state_and_a_periodic_chain():
+    transient = np.array([[0.7, 0.3, 0.0], [0.4, 0.6, 0.0], [0.3, 0.3, 0.4]])
+    joints = _chain_joints(transient, np.array([4.0, 3.0, 0.0]) / 7.0, 16)
+    _assert_stack_equals_tables(joints)
+    # the zero-mass state is dropped: a two-state chain with flip rates 0.3, 0.4
+    alpha, beta = _mixing_pair(joints)
+    alpha2, beta2 = _mixing_pair(_chain_joints(transient[:2, :2], np.array([4.0, 3.0]) / 7.0, 16))
+    assert np.array_equal(alpha, alpha2) and np.array_equal(beta, beta2)
+    cycle = np.roll(np.eye(4), 1, axis=1)  # period 4: every P^k is a permutation
+    joints = _chain_joints(cycle, np.full(4, 0.25), 8)
+    _assert_stack_equals_tables(joints)
+    assert np.all(_mixing_pair(joints)[1] == 0.75)
+
+
+def test_stacked_mixing_pair_groups_tables_by_their_zero_mass_blocks():
+    rng = np.random.default_rng(7)
+    joints = rng.dirichlet(np.ones(30), size=(3, 5)).reshape(3, 5, 5, 6)
+    joints[0, 1, 2] = 0.0
+    joints[1, :, :, 4] = 0.0
+    joints[2, 3, :, [0, 5]] = 0.0
+    joints[2, 4, 1:] = 0.0
+    _assert_stack_equals_tables(joints)
+
+
+def test_stacked_mixing_pair_refuses_two_large_fields():
+    n = MAX_BLOCKS + 1
+    joints = np.full((3, n, n), 1.0 / n**2)
+    with pytest.raises(DomainError):
+        _mixing_pair(joints)
+    joints[1, :, 1:] = 0.0  # one table of a stack small enough is not enough
+    with pytest.raises(DomainError):
+        _mixing_pair(joints)
+    assert _mixing_pair(joints[1]) == (0.0, 0.0)
