@@ -49,7 +49,7 @@ class CltProfile:
         if a.size < self.K or b.size < self.K:
             raise DomainError("mixing sequences must cover lags 1..K")
         for seq in (a, b):
-            if np.any((seq < 0) | (seq > 1)):
+            if not np.all((seq >= 0) & (seq <= 1)):  # NaN fails both
                 raise DomainError("mixing coefficients must lie in [0, 1]")
 
 
@@ -201,6 +201,10 @@ class FiniteMarkovModel:
         object.__setattr__(self, "values", v)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or v.size != t.shape[0]:
             raise DomainError("transition matrix must be square and match values")
+        if not np.all(np.isfinite(t)):
+            raise DomainError("transition matrix entries must be finite")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("values must be finite")
         if np.any(t < 0) or np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-10):
             raise DomainError("transition matrix rows must be stochastic")
 
@@ -245,6 +249,8 @@ class UserSamplesModel:
         object.__setattr__(self, "paths", np.asarray(self.paths, dtype=float))
         if self.paths.ndim != 2:
             raise DomainError("user samples must be a replications x length matrix")
+        if self.paths.shape[0] < 2:
+            raise DomainError("user samples need at least 2 replications")
 
 
 @dataclass(frozen=True)
@@ -264,22 +270,80 @@ def _paths_ma(model, n, reps, rng):
     return out
 
 
+#: guide-table buckets per state at most; a power of two, so u B and cum B
+#: are exact
+_GUIDE_BUCKETS = 1 << 10
+
+#: uniforms drawn at once (32 kB): larger blocks raised peak memory and were
+#: no faster
+_DRAW_BLOCK = 1 << 12
+
+
 def _paths_markov(model, n, reps, rng):
+    """Paths of the stationary chain, one replication per row of a
+    C-contiguous (reps, n) array of centred values.
+
+    The state after s on a uniform u is #{j : cum[s, j] < u}, found by
+    guide-table inversion (Chen & Asau 1974; Devroye 1986, ch. III) over B
+    buckets: guide[s, b] counts the cuts with floor(cum B) < b, all of them
+    below any u in bucket b = floor(u B), and each of `passes` compare-and-add
+    steps moves past one more cut of u's own bucket.  The count is exact, ties
+    and repeated cuts included, so the paths equal a direct count's.
+    """
     pi = model.stationary()
+    k = pi.size
     cum = np.cumsum(model.transition, axis=1)
-    state = rng.choice(len(pi), size=reps, p=pi)
-    vals = np.empty((reps, n))
+    # rows may sum to 1 within rounding: the last state takes the slack
+    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+    B = _GUIDE_BUCKETS
+    while B > 1 and k * B > _optimize.CHUNK_ELEMENTS:
+        B //= 2
+    cum *= B
+    cuts = np.floor(cum).astype(np.intp)
+    # a row of the guide has B + 1 columns: column b + 1 first counts the
+    # cuts in bucket b, then the running sum makes column b the cuts below b
+    width = B + 1
+    rows, cols = np.nonzero(cuts < B)
+    guide = np.bincount(rows * width + cuts[rows, cols] + 1, minlength=k * width)
+    passes = int(guide.max(initial=0))
+    guide = guide.reshape(k, width)
+    np.cumsum(guide, axis=1, out=guide)
+    # the guide holds flat indices s k + j into cum; next_base maps one to
+    # the next step's guide row offset j (B + 1), value to the centred value
+    guide += (k * np.arange(k))[:, None]
+    guide, cum = guide.ravel(), cum.ravel()
+    next_base = np.tile(width * np.arange(k), k)
     centered = model.values - model.mean()
+    value = np.tile(centered, k)
+
+    state = rng.choice(k, size=reps, p=pi)
+    vals = np.empty((reps, n))
     vals[:, 0] = centered[state]
-    for t in range(1, n):
-        u = rng.random(reps)
-        state = (u[:, None] > cum[state]).sum(axis=1)
-        vals[:, t] = centered[state]
+    base = state * width
+    # a block of consecutive steps' uniforms is the stream of one draw a step
+    step = max(1, min(_DRAW_BLOCK, _optimize.CHUNK_ELEMENTS) // reps)
+    for lo in range(1, n, step):
+        us = rng.random((min(step, n - lo), reps))
+        us *= B
+        for t, u in enumerate(us, lo):
+            at = guide.take(base + u.astype(np.intp))
+            for _ in range(passes):
+                at += u > cum.take(at)
+            base = next_base.take(at)
+            vals[:, t] = value.take(at)
     return vals
 
 
 def sigma_n_estimate(model, n_grid, replications=2000, seed=0):
-    """Monte Carlo Var(n^(-1/2) sum gamma(i)) per n, with standard errors."""
+    """Monte Carlo Var(n^(-1/2) sum gamma(i)) per n, with standard errors.
+
+    Every n must be at least 1 and `replications` at least 2; a user-sample
+    model reads its own rows as the replications.
+    """
+    if replications < 2:
+        raise DomainError("replications must be at least 2 for a standard error")
+    if any(n < 1 for n in n_grid):
+        raise DomainError("n must be at least 1")
     results = []
     for idx, n in enumerate(n_grid):
         rng = np.random.default_rng((seed, idx))

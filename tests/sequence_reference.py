@@ -42,3 +42,20 @@ def per_lag_z(profile):
             cache[b] = 1.0 / phi
         out[k - 2] = cache[b]
     return out
+
+
+def per_step_markov_paths(model, n, reps, rng):
+    """The Markov sampler of glscov.clt as first written: one uniform per
+    replication and step, the next state counted on an R x k comparison
+    matrix.  A draw above a row's last cumulative sum indexes state k."""
+    pi = model.stationary()
+    cum = np.cumsum(model.transition, axis=1)
+    state = rng.choice(len(pi), size=reps, p=pi)
+    vals = np.empty((reps, n))
+    centered = model.values - model.mean()
+    vals[:, 0] = centered[state]
+    for t in range(1, n):
+        u = rng.random(reps)
+        state = (u[:, None] > cum[state]).sum(axis=1)
+        vals[:, t] = centered[state]
+    return vals

@@ -239,6 +239,12 @@ _MALFORMED = [
     (("psi", "--psi", '{"kind":"power"}'), "'m'"),
     (("psi", "--psi", '{"kind":"tabulated","points":[[1]]}'), "--psi"),
     (("clt", "--model", '{"kind":"m_dependent"}'), "'coeffs'"),
+    (("clt", "--model", '{"kind":"m_dependent","coeffs":[1]}', "--n-grid", "100,0"),
+     "n must be at least 1"),
+    (("clt", "--model", '{"kind":"finite_markov","transition":[[0.7,0.3],[0.3,0.7]],'
+      '"values":[1,-1]}', "--K", "16", "--reps", "1"), "replications must be at least 2"),
+    (("clt", "--model", '{"kind":"finite_markov","transition":[[NaN,NaN],[0.5,0.5]],'
+      '"values":[1,-1]}'), "transition matrix entries must be finite"),
     (("factorization", "--psi", POWER1, "--nu", "{bad", "--alpha-grid", "1e-3,1e-2,2",
       "--beta-grid", "1e-3,1e-2,2"), "--nu"),
 ]

@@ -23,9 +23,10 @@ from glscov import (
     y_sequence,
     z_sequence,
 )
+from glscov.clt import _paths_markov
 from glscov.finite import _mixing_pair
 from mixing_reference import brute_force_mixing, flattened_space
-from sequence_reference import per_lag_y, per_lag_z
+from sequence_reference import per_lag_y, per_lag_z, per_step_markov_paths
 
 
 def geometric_profile(K=32, rho=math.e**-1, psi=None):
@@ -39,6 +40,12 @@ def test_profile_validation():
         CltProfile(np.array([0.5]), np.array([0.5]), power(1.0), 1)
     with pytest.raises(DomainError):
         CltProfile(np.array([0.5, 1.5]), np.array([0.5, 0.5]), power(1.0), 2)
+    for bad in (math.nan, -math.inf, math.inf):
+        seq = np.array([0.1, bad, 0.1])
+        with pytest.raises(DomainError, match=r"mixing coefficients must lie in \[0, 1\]"):
+            CltProfile(seq, np.full(3, 0.1), power(1.0), 3)
+        with pytest.raises(DomainError, match=r"mixing coefficients must lie in \[0, 1\]"):
+            CltProfile(np.full(3, 0.1), seq, power(1.0), 3)
 
 
 def test_iid_profile_gives_zero_sequences():
@@ -147,6 +154,11 @@ def test_sigma_estimate_ma1_matches_closed_form():
 def test_markov_model_validation():
     with pytest.raises(DomainError):
         FiniteMarkovModel(np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([1.0, -1.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="transition matrix entries must be finite"):
+            FiniteMarkovModel(np.array([[bad, bad], [0.5, 0.5]]), np.array([1.0, -1.0]))
+        with pytest.raises(DomainError, match="values must be finite"):
+            FiniteMarkovModel(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([1.0, bad]))
 
 
 def test_markov_stationary_and_mean():
@@ -370,3 +382,123 @@ def test_markov_sigma_estimate_within_three_se_of_the_exact_value():
     model = lazy_chain(4, 2)
     for est in sigma_n_estimate(model, [32, 128], replications=2000, seed=4):
         assert abs(est.sigma_n - model.exact_sigma_n(est.n)) <= 3.0 * est.se
+
+
+def test_sigma_n_estimate_numbers_pinned():
+    # recorded before the Markov sampler read a guide table
+    pinned = {
+        2: "[(16, 1.7263042812558274, 0.06250130045336905), (64, 2.2895478505187636, 0.09225544461805438)]",
+        5: "[(16, 1.2283032076394893, 0.055997758842341476), (64, 1.3879964986718591, 0.06323416864590674)]",
+        8: "[(16, 2.0439610988222268, 0.07477636731862145), (64, 2.867061880376382, 0.12243461256153343)]",
+    }
+    for n, want in pinned.items():
+        est = sigma_n_estimate(lazy_chain(n, n), [16, 64], replications=1000, seed=n)
+        assert repr([(e.n, e.sigma_n, e.se) for e in est]) == want
+
+
+def sampler_chains():
+    """Chains of 2-12, 40 and 300 states, some rows with zero transitions,
+    plus a period-4 chain and one whose cuts are all dyadic."""
+    rng = np.random.default_rng(20)
+    for k in [*range(2, 13), 40, 300]:
+        transition = rng.dirichlet(np.full(k, 0.5), size=k)
+        transition[rng.random((k, k)) < 0.3] = 0.0
+        transition[transition.sum(axis=1) == 0.0, -1] = 1.0
+        transition /= transition.sum(axis=1, keepdims=True)
+        yield FiniteMarkovModel(transition, rng.uniform(-1.0, 1.0, size=k))
+    yield FiniteMarkovModel(np.roll(np.eye(4), 1, axis=1), np.array([1.0, -2.0, 0.5, 3.0]))
+    dyadic = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.5, 0.0],
+                       [0.0, 0.75, 0.0, 0.25], [0.125, 0.375, 0.0, 0.5]])
+    yield FiniteMarkovModel(dyadic, np.array([2.0, -1.0, 0.0, 1.0]))
+
+
+def test_markov_paths_equal_the_per_step_reference():
+    for i, model in enumerate(sampler_chains()):
+        for n in (1, 2, 16, 64):
+            got = _paths_markov(model, n, 200, np.random.default_rng((i, n)))
+            want = per_step_markov_paths(model, n, 200, np.random.default_rng((i, n)))
+            assert got.flags.c_contiguous and got.shape == (200, n)
+            assert np.array_equal(got, want)
+
+
+class StubGenerator:
+    """Start states and uniforms fixed in advance, read in stream order."""
+
+    def __init__(self, states, draws):
+        self.states, self.draws, self.used = states, np.ravel(draws), 0
+
+    def choice(self, k, size, p):
+        return self.states
+
+    def random(self, shape):
+        m = int(np.prod(shape))
+        out = self.draws[self.used : self.used + m].reshape(shape)
+        self.used += m
+        return out.copy()
+
+
+def test_markov_paths_at_the_cuts():
+    # every draw sits on a cut, one ulp either side, or at 0, from every state
+    rows = [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.0, 0.7], [0.0, 0.0, 1.0, 0.0],
+            [0.3, 0.0, 0.0, 0.7]]
+    model = FiniteMarkovModel(np.array(rows), np.array([1.0, 2.0, 4.0, 8.0]))
+    cum = np.cumsum(model.transition, axis=1)
+    us = {0.0}
+    for c in cum[cum < 1.0]:
+        us |= {c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)}
+    us = np.array(sorted(us))
+    states = np.repeat(np.arange(4), us.size)
+    draws = np.tile(us, 4)
+    got = _paths_markov(model, 2, states.size, StubGenerator(states, draws))
+    want = per_step_markov_paths(model, 2, states.size, StubGenerator(states, draws))
+    assert np.array_equal(got, want)
+    nxt = (draws[:, None] > cum[states]).sum(axis=1)
+    assert np.array_equal(got[:, 1], model.values[nxt] - model.mean())
+    # a long path on the same draws, cycled through every step
+    steps = np.tile(draws, 31)
+    got = _paths_markov(model, 32, states.size, StubGenerator(states, steps))
+    want = per_step_markov_paths(model, 32, states.size, StubGenerator(states, steps))
+    assert np.array_equal(got, want)
+
+
+def test_markov_row_rounding_slack_goes_to_the_last_state():
+    # the first row sums to 1 - 1e-11, inside the stochastic tolerance; a draw
+    # above its last cumulative sum moves to the last state
+    model = FiniteMarkovModel(np.array([[0.5, 0.5 - 1e-11], [0.5, 0.5]]), np.array([1.0, -1.0]))
+    states, draws = np.array([0, 1]), np.full(6, 1.0 - 1e-12)
+    got = _paths_markov(model, 4, 2, StubGenerator(states, draws))
+    c = model.values - model.mean()
+    assert np.array_equal(got, np.array([[c[0], c[1], c[1], c[1]], [c[1]] * 4]))
+    with pytest.raises(IndexError):
+        per_step_markov_paths(model, 4, 2, StubGenerator(states, draws))
+
+
+@pytest.mark.parametrize("cap", [2000, 1])
+def test_markov_paths_chunked_equal_one_block(monkeypatch, cap):
+    # a cap of 2000 elements shrinks the guide tables to 4-512 buckets and
+    # draws 33 steps a block; a cap of 1 leaves one bucket and one step a block
+    models = list(sampler_chains())[::3]
+    whole = [_paths_markov(m, 64, 60, np.random.default_rng(9)) for m in models]
+    monkeypatch.setattr(glscov._optimize, "CHUNK_ELEMENTS", cap)
+    for model, want in zip(models, whole):
+        assert np.array_equal(_paths_markov(model, 64, 60, np.random.default_rng(9)), want)
+
+
+@pytest.mark.parametrize("model", [
+    MDependentModel((1.0, 0.5)),
+    FiniteMarkovModel(np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([1.0, -1.0])),
+    UserSamplesModel(np.arange(40.0).reshape(4, 10)),
+], ids=["m_dependent", "finite_markov", "user_samples"])
+def test_sigma_n_estimate_validates_n_and_replications(model):
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        sigma_n_estimate(model, [4, 0])
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        sigma_n_estimate(model, [-3])
+    for reps in (1, 0):
+        with pytest.raises(DomainError, match="replications must be at least 2"):
+            sigma_n_estimate(model, [4], replications=reps)
+
+
+def test_user_samples_need_two_rows():
+    with pytest.raises(DomainError, match="at least 2 replications"):
+        UserSamplesModel(np.ones((1, 10)))
