@@ -79,7 +79,7 @@ def ibragimov_bound(beta, p, norm_p, norm_q):
     if p <= 1 and not math.isinf(p):
         raise DomainError("ibragimov bound needs p > 1 (or the p = +inf sentinel)")
     factor = 1.0 if math.isinf(p) else beta ** (1.0 / p)
-    q = float(conjugate_exponent(np.array([p]))[0])
+    q = 1.0 if math.isinf(p) else p / (p - 1.0)
     return BoundReport(2.0 * factor * norm_p * norm_q, "ibragimov", p=p, q=q)
 
 

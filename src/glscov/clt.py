@@ -9,6 +9,7 @@ compared against closed forms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -166,6 +167,8 @@ class MDependentModel:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if not self.coeffs:
             raise DomainError("m-dependent model needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise DomainError("m-dependent coefficients must be finite")
 
     @property
     def m(self):
@@ -251,6 +254,8 @@ class UserSamplesModel:
             raise DomainError("user samples must be a replications x length matrix")
         if self.paths.shape[0] < 2:
             raise DomainError("user samples need at least 2 replications")
+        if not np.all(np.isfinite(self.paths)):
+            raise DomainError("user samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -337,11 +342,14 @@ def _paths_markov(model, n, reps, rng):
 def sigma_n_estimate(model, n_grid, replications=2000, seed=0):
     """Monte Carlo Var(n^(-1/2) sum gamma(i)) per n, with standard errors.
 
-    Every n must be at least 1 and `replications` at least 2; a user-sample
-    model reads its own rows as the replications.
+    Every n must be an integer (a Python or numpy one) of at least 1, and
+    `replications` at least 2; a user-sample model reads its own rows as the
+    replications.
     """
     if replications < 2:
         raise DomainError("replications must be at least 2 for a standard error")
+    if not all(isinstance(n, numbers.Integral) for n in n_grid):
+        raise DomainError("n must be an integer")
     if any(n < 1 for n in n_grid):
         raise DomainError("n must be at least 1")
     results = []

@@ -5,7 +5,8 @@ two fields is the table of block-intersection masses.  Both mixing
 coefficients reduce to one-sided problems on that table: beta is a maximum
 over single blocks of one field, and alpha a maximum over the block unions
 of the smaller field only.  The randomized campaign replays every covariance
-bound against exact covariances and norms.
+bound against exact covariances and norms, computed for a chunk of
+instances at a time.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from . import bounds as _bounds
 #: scan points of the campaign's sups and exact GLS norms
 _N_GRID = 256
 
+#: elements of one array of `_log_moment_rows` at most (64 kB): the
+#: campaign's working set stays near that of one instance at a time, where
+#: larger arrays raised the benchmark's peak RSS
+_TERMS_BLOCK = 1 << 13
+
 #: alpha enumerates 2^(k-1) block unions of the smaller field, k blocks;
 #: a pair of fields that both have more blocks than this is refused
 MAX_BLOCKS = 12
@@ -39,10 +45,16 @@ class FiniteProbSpace:
     def __post_init__(self):
         p = np.asarray(self.atom_probs, dtype=float)
         object.__setattr__(self, "atom_probs", p)
-        if p.size == 0 or np.any(p <= 0):
-            raise DomainError("atom probabilities must be strictly positive")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise DomainError("atom probabilities must sum to 1")
+        _check_masses(p.reshape(1, -1), np.ones((1, p.size), dtype=bool))
+
+
+def _check_masses(probs, real):
+    """Each row of `probs` is a law: its masses where `real` strictly
+    positive, summing to 1; every other entry is a zero pad.  NaN fails."""
+    if not real.any(axis=1).all() or not np.all(probs[real] > 0):
+        raise DomainError("atom probabilities must be strictly positive")
+    if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12):
+        raise DomainError("atom probabilities must sum to 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +118,8 @@ def _mixing_pair(joint):
     floats.
     """
     stack = joint.reshape((-1,) + joint.shape[-2:])
+    if not len(stack):
+        return np.empty(joint.shape[:-2]), np.empty(joint.shape[:-2])
     rows, cols = stack.sum(axis=2) > 0, stack.sum(axis=1) > 0
     if len(stack) == 1 or ((rows == rows[0]).all() and (cols == cols[0]).all()):
         alpha, beta = _masked_mixing_pair(stack[:, rows[0]][:, :, cols[0]])
@@ -177,7 +191,7 @@ def exact_lp(space, xi, p):
         raise DomainError("p must lie in [1, infinity]")
     if math.isinf(p):
         return float(np.abs(xi.values).max())
-    return _exact_lps(space, xi, (p,))[p]
+    return math.exp(float(_log_moments(space.atom_probs, xi.values, (p,))[0]) / p)
 
 
 def _log_moments(probs, values, ps):
@@ -191,37 +205,55 @@ def _log_moments(probs, values, ps):
     return logsumexp(np.log(probs[nz]) + ps[:, None] * np.log(x[nz]), axis=1)
 
 
-def _exact_lps(space, xi, ps):
-    """{p: exact L_p norm} for finite p >= 1."""
-    lms = _log_moments(space.atom_probs, xi.values, ps)
-    return {p: math.exp(v / p) for p, v in zip(ps, lms.tolist())}
+def _log_moment_rows(probs, values, ps):
+    """`_log_moments` of each row of `probs` and `values`, bit for bit, as a
+    (rows, len(ps)) array; atoms where a row's variable is 0, zero pads
+    included, drop out.
+
+    Rows with the same count m of nonzero atoms share a logsumexp, its steps
+    done in place on an (m, rows, ps) array of at most `_TERMS_BLOCK`
+    elements (one row when a row alone is larger).  Each row's sum adds its
+    m terms in the order numpy gives a lone row of m contiguous terms: one
+    after another for m < 8, as a sum across the atoms-first array does, and
+    pairwise from 8 on, where the terms are laid out atoms-last.
+    """
+    x = np.abs(values)
+    nz = x > 0
+    counts = nz.sum(axis=1)
+    out = np.full((len(x), ps.size), -np.inf)
+    for m in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == m)
+        step = max(1, _TERMS_BLOCK // (m * ps.size))
+        for at in np.split(rows, range(step, rows.size, step)):
+            kept = nz[at]
+            log_p = np.log(probs[at][kept]).reshape(-1, m).T[:, :, None]
+            terms = np.log(x[at][kept]).reshape(-1, m).T[:, :, None] * ps
+            terms += log_p  # ln p_i + p ln |x_i|: finite, as every mass is positive
+            top = terms.max(axis=0)
+            terms -= top
+            np.exp(terms, out=terms)
+            if m < 8:
+                sums = terms.sum(axis=0)
+            else:
+                sums = np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(axis=-1)
+            np.log(sums, out=sums)
+            sums += top
+            out[at] = sums
+    return out
 
 
 def gls_norm_exact(space, xi, psi, n_grid=512, refine=True):
     """sup over p of |xi|_p / psi(p), using exact moments at every scanned p."""
-    return _gls_norms_exact(space, xi, (psi,), n_grid, refine)[0]
-
-
-def _gls_norms_exact(space, xi, psis, n_grid, refine):
-    """gls_norm_exact of xi for each psi in `psis`, which share one scan bound.
-
-    The exact moment curve of xi on the shared grid is computed once.
-    """
 
     def log_norms(ps):
         return _log_moments(space.atom_probs, xi.values, ps) / ps
 
-    us, ps = u_axis(scan_bound(psis[0]), 1.0, n_grid)
-    curve = log_norms(ps)
-    out = []
-    for psi in psis:
+    def objective(t):
+        return float(log_norms(np.array([1.0 / t]))[0]) - psi.log_u_jet(t)[0]
 
-        def objective(t, psi=psi):
-            return float(log_norms(np.array([1.0 / t]))[0]) - psi.log_u_jet(t)[0]
-
-        _, best = grid_golden_max(us, curve - psi.log_u(us), objective, refine=refine)
-        out.append(0.0 if best == -math.inf else float(math.exp(best)))
-    return out
+    us, ps = u_axis(scan_bound(psi), 1.0, n_grid)
+    _, best = grid_golden_max(us, log_norms(ps) - psi.log_u(us), objective, refine=refine)
+    return 0.0 if best == -math.inf else math.exp(best)
 
 
 # ---------------------------------------------------------------------------
@@ -248,41 +280,95 @@ class CampaignReport:
     rows: list = field(default_factory=list)
 
 
-def _random_instance(rng, max_atoms, max_blocks):
-    n = int(rng.integers(2, max_atoms + 1))
-    space = FiniteProbSpace(rng.dirichlet(np.ones(n)))
-    fields = []
-    for _ in range(2):
-        k = int(rng.integers(1, min(n, max_blocks) + 1))
-        lab = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
-        rng.shuffle(lab)
-        fields.append(SigmaField(lab))
-    f_field, g_field = fields
-    variables = []
-    for fld in (f_field, g_field):
-        block_vals = rng.uniform(-1.0, 1.0, size=fld.block_count)
-        vals = block_vals[fld.labels]
-        if rng.random() < 0.5:
-            vals = vals - space.atom_probs @ vals
-        variables.append(RandomVar(vals))
-    return space, f_field, g_field, variables[0], variables[1]
-
-
 _PQ_GRID = [(2.0, 4.0), (4.0, 4.0), (4.0, 2.0), (8.0, 8.0)]
 _IBRAGIMOV_P = [1.5, 2.0, 4.0]
 #: the exponents at which the checks need each variable's exact L_p norm
-_XI_P = tuple(sorted({p for p, _ in _PQ_GRID} | set(_IBRAGIMOV_P) | {2.0}))
-_ETA_P = tuple(sorted({q for _, q in _PQ_GRID} | {p / (p - 1.0) for p in _IBRAGIMOV_P} | {2.0}))
+#: (the union over xi and eta, since both share one log-moment matrix)
+_LP_P = tuple(sorted({x for pq in _PQ_GRID for x in pq} | set(_IBRAGIMOV_P)
+                     | {p / (p - 1.0) for p in _IBRAGIMOV_P}))
 #: the campaign's generating functions, shared by every instance: the table
 #: cache is keyed by the psi object, so per-instance copies would always miss
 _PSI1, _PSI2 = power(1.0), power(2.0)
 
 
-def _instance_checks(space, f_field, g_field, xi, eta):
-    """Every feasible bound evaluated on one instance, as (name, value) pairs."""
-    alpha, beta = _mixing_pair(_joint_law(space, f_field, g_field))
-    lp_xi = _exact_lps(space, xi, _XI_P)
-    lp_eta = _exact_lps(space, eta, _ETA_P)
+def _draw_chunk(config, lo, hi):
+    """Instances lo..hi-1, each from its own generator `default_rng((seed, i))`
+    with the draws of one instance at a time, written into zero-padded rows.
+
+    Returns masses (rows, atoms), block labels and values of xi and eta
+    (2, rows, atoms) each, the most blocks of any field in the chunk, and
+    the exact covariances.  A field of k blocks labels them 0..k-1, each
+    used.
+    """
+    rows, width = hi - lo, config.max_atoms
+    probs = np.zeros((rows, width))
+    labels = np.zeros((2, rows, width), dtype=np.intp)
+    values = np.zeros((2, rows, width))
+    atoms = np.empty(rows, dtype=np.intp)
+    cov = np.empty(rows)
+    blocks = np.arange(width)
+    for r in range(rows):
+        rng = np.random.default_rng((config.seed, lo + r))
+        n = atoms[r] = int(rng.integers(2, width + 1))
+        w = probs[r, :n] = rng.dirichlet(np.ones(n))
+        ks = []
+        for lab in labels[:, r, :n]:
+            k = int(rng.integers(1, min(n, config.max_blocks) + 1))
+            lab[:k] = blocks[:k]
+            lab[k:] = rng.integers(0, k, size=n - k)
+            rng.shuffle(lab)
+            ks.append(k)
+        for lab, k, vals in zip(labels[:, r, :n], ks, values[:, r, :n]):
+            vals[:] = rng.uniform(-1.0, 1.0, size=k)[lab]
+            if rng.random() < 0.5:
+                vals -= w @ vals
+        xi, eta = values[:, r, :n]
+        cov[r] = w @ (xi * eta) - (w @ xi) * (w @ eta)
+    _check_masses(probs, blocks < atoms[:, None])
+    return probs, labels, values, int(labels.max(initial=0)) + 1, cov
+
+
+def _instances(config):
+    """(alpha, beta, Cov, checks) of every instance in order, a chunk at a time.
+
+    The mixing coefficients of a chunk come from one stacked `_mixing_pair`
+    call on its zero-padded joint laws, and every exact norm from one
+    log-moment matrix over the rows of xi and eta: the L_p exponents and the
+    GLS scan grid, one moment curve per variable for both psi.  The exported
+    bounds are then evaluated instance by instance on these inputs.
+    """
+    us, grid_ps = u_axis(scan_bound(_PSI1), 1.0, _N_GRID)
+    ps = np.concatenate((_LP_P, grid_ps))
+    log_psi1, log_psi2 = _PSI1.log_u(us), _PSI2.log_u(us)
+    # the log-moment terms of a chunk, (2 rows, ps, atoms), stay below the cap
+    step = max(1, _optimize.CHUNK_ELEMENTS // (2 * ps.size * config.max_atoms))
+    for lo in range(0, config.instances, step):
+        hi = min(lo + step, config.instances)
+        probs, labels, values, k, cov = _draw_chunk(config, lo, hi)
+        rows = hi - lo
+        joint = np.bincount(
+            ((np.arange(rows)[:, None] * k + labels[0]) * k + labels[1]).ravel(),
+            weights=probs.ravel(), minlength=rows * k * k,
+        ).reshape(rows, k, k)
+        alphas, betas = _mixing_pair(joint)
+        lms = _log_moment_rows(np.concatenate((probs, probs)), values.reshape(2 * rows, -1), ps)
+        lps = [[math.exp(v / p) for p, v in zip(_LP_P, row)]
+               for row in lms[:, : len(_LP_P)].tolist()]
+        curve = lms[:, len(_LP_P):] / grid_ps
+        gls = [[0.0 if v == -math.inf else math.exp(v) for v in best]
+               for best in ((curve - log_psi1).max(axis=1).tolist(),
+                            (curve - log_psi2).max(axis=1).tolist())]
+        for r, (alpha, beta) in enumerate(zip(alphas.tolist(), betas.tolist())):
+            lp_xi = dict(zip(_LP_P, lps[r]))
+            lp_eta = dict(zip(_LP_P, lps[rows + r]))
+            nx1, nx2, ne2 = gls[0][r], gls[1][r], gls[1][rows + r]
+            yield alpha, beta, float(cov[r]), _checks(alpha, beta, lp_xi, lp_eta, nx1, nx2, ne2)
+
+
+def _checks(alpha, beta, lp_xi, lp_eta, nx1, nx2, ne2):
+    """Every feasible bound of one instance as (name, value) pairs, from its
+    mixing coefficients and exact norms: L_p by exponent and GLS under
+    power(1) (nx1) and power(2) (nx2, ne2)."""
     out = []
     for p, q in _PQ_GRID:
         rep = _bounds.davydov_bound(alpha, p, q, lp_xi[p], lp_eta[q])
@@ -293,20 +379,19 @@ def _instance_checks(space, f_field, g_field, xi, eta):
         rep = _bounds.ibragimov_bound(beta, p, lp_xi[p], lp_eta[q])
         out.append((f"ibragimov({p:g})", rep.value))
     out.append(("holder(2)", _bounds.holder_bound(lp_xi[2.0], lp_eta[2.0]).value))
-    nx1, nx2 = _gls_norms_exact(space, xi, (_PSI1, _PSI2), _N_GRID, refine=False)
-    ne2 = gls_norm_exact(space, eta, _PSI2, n_grid=_N_GRID, refine=False)
     rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=_N_GRID, refine=False)
     if rep.feasible:
         out.append(("gls_strong", rep.value))
-    phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64)
     if alpha == 0.0:
         out.append(("gls_uniform", 0.0))
-    elif phi2d.value > 0:
-        out.append(("gls_uniform", 12.0 * alpha * nx1 * ne2 / phi2d.value))
+    else:
+        phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64)
+        if phi2d.value > 0:
+            out.append(("gls_uniform", 12.0 * alpha * nx1 * ne2 / phi2d.value))
     rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2, n_grid=_N_GRID, refine=False)
     if rep.feasible:
         out.append(("gls_identical", rep.value))
-    return alpha, beta, out
+    return out
 
 
 def verify_campaign(config=CampaignConfig(), collect_rows=False):
@@ -314,13 +399,17 @@ def verify_campaign(config=CampaignConfig(), collect_rows=False):
 
     A violation beyond the configured slack indicates an implementation bug;
     that is the whole point of this oracle.
+
+    Instances are drawn one generator each, `default_rng((seed, i))`, and
+    evaluated a chunk at a time (capped by `_optimize.CHUNK_ELEMENTS`): one
+    stacked `_mixing_pair` call for every alpha and beta of the chunk, one
+    padded log-moment matrix for every L_p norm and the grid GLS norms
+    (`refine=False`).  The exported bound functions are still called once
+    per instance on these inputs, and `phi_uniform` only where alpha > 0:
+    at alpha = 0 the uniform bound is 0 whatever phi is.
     """
     report = CampaignReport(instances=config.instances, violations=0)
-    for i in range(config.instances):
-        rng = np.random.default_rng((config.seed, i))
-        space, ff, gg, xi, eta = _random_instance(rng, config.max_atoms, config.max_blocks)
-        cov = exact_cov(space, xi, eta)
-        alpha, beta, checks = _instance_checks(space, ff, gg, xi, eta)
+    for i, (alpha, beta, cov, checks) in enumerate(_instances(config)):
         acov = abs(cov)
         tight_name, tight_val = None, math.inf
         for name, val in checks:

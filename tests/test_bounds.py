@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from glscov import (
     DomainError,
+    conjugate_exponent,
     davydov_bound,
     dual_psi,
     example_combined,
@@ -48,6 +49,15 @@ def test_ibragimov_conjugate_line():
     # p = +inf: the factor beta^(1/p) collapses to 1
     rep = ibragimov_bound(0.09, math.inf, 1.5, 2.0)
     assert rep.value == pytest.approx(2.0 * 1.5 * 2.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0, math.inf])
+def test_ibragimov_conjugate_exponent_is_the_vectorized_one_bit_for_bit(p):
+    rep = ibragimov_bound(0.09, p, 1.5, 2.0)
+    assert rep.q == float(conjugate_exponent(np.array([p]))[0])
+    assert rep.q == (1.0 if p == math.inf else p / (p - 1.0))
+    factor = 1.0 if p == math.inf else 0.09 ** (1.0 / p)
+    assert rep.value == 2.0 * factor * 1.5 * 2.0
 
 
 def test_holder():

@@ -502,3 +502,29 @@ def test_sigma_n_estimate_validates_n_and_replications(model):
 def test_user_samples_need_two_rows():
     with pytest.raises(DomainError, match="at least 2 replications"):
         UserSamplesModel(np.ones((1, 10)))
+
+
+def test_non_finite_model_input_is_refused():
+    for coeffs in ((math.nan, 1.0), (1.0, math.inf), (-math.inf,)):
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            MDependentModel(coeffs)
+    for bad in (math.inf, -math.inf, math.nan):
+        paths = np.arange(20.0).reshape(2, 10)
+        paths[1, 3] = bad
+        with pytest.raises(DomainError, match="user samples must be finite"):
+            UserSamplesModel(paths)
+
+
+@pytest.mark.parametrize("model", [
+    MDependentModel((1.0, 0.5)),
+    FiniteMarkovModel(np.array([[0.9, 0.1], [0.3, 0.7]]), np.array([1.0, -1.0])),
+    UserSamplesModel(np.arange(40.0).reshape(4, 10)),
+], ids=["m_dependent", "finite_markov", "user_samples"])
+def test_sigma_n_estimate_needs_integer_n(model):
+    for bad in ([2.5], [4.0], [np.float64(4.0)], [4, math.nan]):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            sigma_n_estimate(model, bad)
+    python_int = sigma_n_estimate(model, [4, 8], replications=10)
+    numpy_int = sigma_n_estimate(model, np.array([4, 8]), replications=10)
+    assert python_int == numpy_int
+    assert [est.n for est in numpy_int] == [4, 8]

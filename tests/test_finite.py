@@ -19,7 +19,18 @@ from glscov import (
     sharpness_probe,
     verify_campaign,
 )
-from glscov.finite import MAX_BLOCKS, _mixing_pair
+import glscov._optimize
+from glscov import bounds as _bounds
+from glscov.finite import (
+    _LP_P,
+    _N_GRID,
+    MAX_BLOCKS,
+    _instances,
+    _log_moment_rows,
+    _log_moments,
+    _mixing_pair,
+)
+from campaign_reference import per_instance
 from mixing_reference import brute_force_mixing, flattened_space
 
 
@@ -34,6 +45,10 @@ def test_space_validation():
         FiniteProbSpace(np.array([0.5, 0.6]))
     with pytest.raises(DomainError):
         FiniteProbSpace(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError, match="strictly positive"):
+        FiniteProbSpace(np.array([]))
+    with pytest.raises(DomainError, match="strictly positive"):
+        FiniteProbSpace(np.array([0.5, math.nan, 0.5]))
 
 
 def test_fair_coin_self_mixing():
@@ -257,3 +272,73 @@ def test_stacked_mixing_pair_refuses_two_large_fields():
     with pytest.raises(DomainError):
         _mixing_pair(joints)
     assert _mixing_pair(joints[1]) == (0.0, 0.0)
+
+
+def _assert_matches_reference(config, got):
+    assert len(got) == config.instances
+    for i, (alpha, beta, cov, checks) in enumerate(got):
+        want_alpha, want_beta, want_cov, want = per_instance(config, i)
+        assert (alpha, beta, cov) == (want_alpha, want_beta, want_cov), i
+        assert [name for name, _ in checks] == [name for name, _ in want], i
+        assert [value for _, value in checks] == [value for _, value in want], i
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_chunked_campaign_equals_the_per_instance_reference(seed):
+    # same check names in the same order, and every number bit for bit
+    config = CampaignConfig(instances=2000, seed=seed)
+    _assert_matches_reference(config, list(_instances(config)))
+
+
+@pytest.mark.parametrize("instances", [0, 1, 10])
+def test_campaign_chunks_of_three(monkeypatch, instances):
+    # 10 instances in chunks of 3 leave a last chunk of 1
+    config = CampaignConfig(instances=instances, seed=5)
+    whole = list(_instances(config))
+    terms = 2 * (len(_LP_P) + _N_GRID) * config.max_atoms  # of one instance
+    monkeypatch.setattr(glscov._optimize, "CHUNK_ELEMENTS", 3 * terms)
+    chunked = list(_instances(config))
+    assert chunked == whole
+    _assert_matches_reference(config, chunked)
+    report = verify_campaign(config)
+    assert (report.instances, report.checks, report.violations) == (instances, 11 * instances, 0)
+
+
+def test_campaign_calls_phi_uniform_only_where_alpha_is_positive(monkeypatch):
+    seen = []
+
+    def counting(psi, nu, alpha, beta, **kwargs):
+        seen.append(alpha)
+        return phi_uniform(psi, nu, alpha, beta, **kwargs)
+
+    phi_uniform = _bounds.phi_uniform
+    monkeypatch.setattr(_bounds, "phi_uniform", counting)
+    got = list(_instances(CampaignConfig(instances=60, seed=42)))
+    alphas = [alpha for alpha, _, _, _ in got]
+    assert 0.0 in alphas and 0.0 not in seen
+    assert seen == [a for a in alphas if a > 0.0]
+    assert all(("gls_uniform", 0.0) in checks for alpha, _, _, checks in got if alpha == 0.0)
+
+
+def test_mixing_pair_of_an_empty_stack():
+    alpha, beta = _mixing_pair(np.zeros((0, 3, 3)))
+    assert alpha.shape == beta.shape == (0,)
+
+
+def test_stacked_log_moments_equal_each_row_alone():
+    # rows of 1-20 atoms, zeros and zero-mass pads among them: the atom count
+    # decides numpy's summation order (pairwise from 8 terms on)
+    rng = np.random.default_rng(3)
+    ps = np.concatenate(([1.0, 4.0 / 3.0, 2.0, 8.0], 1.0 / np.linspace(1e-6, 1.0, 50)))
+    width = 20
+    probs, values = np.zeros((60, width)), np.zeros((60, width))
+    for r in range(60):
+        n = r % width + 1
+        probs[r, :n] = rng.dirichlet(np.ones(n))
+        values[r, :n] = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 3, n)
+        values[r, :n][rng.random(n) < 0.2] = 0.0
+    values[5] = 0.0
+    got = _log_moment_rows(probs, values, ps)
+    for r in range(60):
+        assert np.array_equal(got[r], _log_moments(probs[r], values[r], ps)), r
+    assert np.all(got[5] == -np.inf)
