@@ -33,6 +33,7 @@ from .psi import scan_bound
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+_LOG_PHI = -math.log(_INV_PHI)
 
 #: golden-section steps at most; 200 steps shrink any bracket below 1e-40
 _MAX_ITER = 200
@@ -138,14 +139,17 @@ def cell_max(f, xs, i, cap=math.inf, tol=1e-13, df=None, fs=None):
 
 
 def _golden_evals(width, tol):
-    """Objective evaluations golden_max makes on a bracket of this width."""
+    """Objective evaluations golden_max makes on a bracket of this width.
+
+    golden_max shrinks the width by INV_PHI until it is <= tol, rounding at
+    each step, so near a step boundary it may take one step more than the
+    exact count ceil(ln(width/tol) / ln phi).  Within 1e-9 of a boundary the
+    count is rounded down, so it never exceeds golden_max's.
+    """
     if width <= tol:
         return 2
-    evals = 4
-    while width > tol and evals < _MAX_ITER + 4:
-        width *= _INV_PHI
-        evals += 1
-    return evals
+    steps = math.log(width / tol) / _LOG_PHI - 1e-9
+    return 4 + math.ceil(min(steps, _MAX_ITER))
 
 
 def newton_max(df, lo, x, hi, tol):

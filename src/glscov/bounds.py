@@ -574,7 +574,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         p = exponent(u, p_top, 1.0)
         return BoundReport(
             math.exp(-best) * norm_xi * norm_eta, "generic", p=p,
-            q=float(conjugate_exponent(np.array([p]))[0]),
+            q=math.inf if p == 1.0 else p / (p - 1.0),
         )
     tri = domain == "T"
     if tri or domain == "R":

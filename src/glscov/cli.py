@@ -16,8 +16,6 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import bounds, clt, finite, tails
-from .fundamental import fundamental as _fundamental
-from .fundamental import fundamental_truncated as _fundamental_truncated
 from .fundamental import _fundamentals
 from .errors import DomainError
 from .psi import eval_psi, psi_from_obj, psi_to_obj
@@ -116,22 +114,16 @@ def _cmd_psi(args):
 
 def _cmd_fundamental(args):
     psi = _load_psi(args.psi)
-    s = args.trunc_low
     if args.delta_grid:
         deltas = _parse_grid(args.delta_grid, "--delta-grid", log=True).tolist()
         lines = ["delta,value,argmax_p"]
-        for d, r in zip(deltas, _fundamentals(psi, deltas, s)):
+        for d, r in zip(deltas, _fundamentals(psi, deltas, args.trunc_low)):
             lines.append(f"{d!r},{r.value!r},{float(r.argmax_p)!r}")
         _emit("\n".join(lines) + "\n", args.out)
         return
     if args.delta is None:
         raise DomainError("need --delta or --delta-grid")
-    r = _fundamental(psi, args.delta) if s is None else _fundamental_truncated(psi, s, args.delta)
-    _emit_json(
-        {"value": r.value, "argmax_p": _jsonable(r.argmax_p), "delta": r.delta,
-         "boundary": r.boundary, "trunc_low": r.trunc_low},
-        args.out,
-    )
+    _emit_json(_fundamentals(psi, [args.delta], args.trunc_low)[0], args.out)
 
 
 def _cmd_tail(args):
@@ -171,8 +163,8 @@ def _generic_bound(c, domain, psi, nu, nx, ne):
 
 
 #: --theorem -> (bound function, the flags it reads, in argument order).  It
-#: is called with the flag values, then the two norms; none may be missing,
-#: and _FLAG_LOADERS parses the ones that are not plain numbers.
+#: is called with the flag values, then the two norms; none may be missing.
+#: `bound` takes every flag named here, in order of first appearance.
 _THEOREMS = {
     "davydov": (bounds.davydov_bound, ("alpha", "p", "q")),
     "ibragimov": (bounds.ibragimov_bound, ("beta", "p")),
@@ -187,7 +179,16 @@ _THEOREMS = {
     "generic": (_generic_bound, ("kernel-const", "domain", "psi", "nu")),
 }
 
-_FLAG_LOADERS = {"psi": _load_psi, "nu": lambda s: _load_psi(s, "--nu"), "domain": _parse_domain}
+#: the _THEOREMS flags that are not plain optional floats: their add_argument
+#: keywords, and under "load" the parser _cmd_bound applies to the given value
+_FLAG_SPECS = {
+    "psi": {"type": str, "load": _load_psi},
+    "nu": {"type": str, "load": lambda s: _load_psi(s, "--nu")},
+    "domain": {"type": str, "default": "T", "load": _parse_domain,
+               "help": "T, R, conjugate, or p_lo:p_hi,q_lo:q_hi"},
+    "kernel-const": {"default": 1.0},
+    "beta-param": {"help": "beta exponent of the finite family"},
+}
 
 
 def _cmd_bound(args):
@@ -196,7 +197,7 @@ def _cmd_bound(args):
     missing = [f for f, v in zip(flags, values) if v is None]
     if missing:
         raise DomainError(f"--theorem {args.theorem} needs --" + ", --".join(missing))
-    values = [_FLAG_LOADERS.get(f, lambda v: v)(v) for f, v in zip(flags, values)]
+    values = [_FLAG_SPECS.get(f, {}).get("load", lambda v: v)(v) for f, v in zip(flags, values)]
     _emit_json(func(*values, args.norm_xi, args.norm_eta), args.out)
 
 
@@ -231,14 +232,8 @@ def _cmd_verify(args):
             )
         with open(args.rows_out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    summary = {
-        "instances": report.instances,
-        "violations": report.violations,
-        "violation_details": report.violation_details,
-        "checks": report.checks,
-        "min_slack_ratio": _jsonable(report.min_slack_ratio),
-        "tightest": _jsonable(report.tightest),
-    }
+    summary = asdict(report)
+    del summary["rows"]
     _emit_json(summary, args.out)
 
 
@@ -281,15 +276,13 @@ def _cmd_clt(args):
     with _parsing("--n-grid"):
         ns = [int(float(x)) for x in args.n_grid.split(",")]
     est = clt.sigma_n_estimate(model, ns, replications=args.reps, seed=args.seed)
-    report["sigma_table"] = [
-        {"n": e.n, "mean": e.mean, "sigma_n": e.sigma_n, "se": e.se} for e in est
-    ]
+    report["sigma_table"] = est
     _emit_json(report, args.out)
 
 
 def _cmd_sharpness(args):
     res = finite.sharpness_probe(args.p, args.q, search_budget=args.budget, seed=args.seed)
-    _emit_json({"ratio": res.ratio, "witness": res.witness}, args.out)
+    _emit_json(res, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +317,10 @@ def _build_parser():
 
     p = add("bound", _cmd_bound)
     p.add_argument("--theorem", required=True, choices=list(_THEOREMS))
-    p.add_argument("--psi")
-    p.add_argument("--nu")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--n", type=float)
-    p.add_argument("--b1", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--b2", type=float)
-    p.add_argument("--beta2", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--beta-param", type=float, help="beta exponent of the finite family")
-    p.add_argument("--q0", type=float)
-    p.add_argument("--kernel-const", type=float, default=1.0)
-    p.add_argument("--domain", default="T", help="T, R, conjugate, or p_lo:p_hi,q_lo:q_hi")
+    for flag in dict.fromkeys(f for _, flags in _THEOREMS.values() for f in flags):
+        spec = {"type": float, **_FLAG_SPECS.get(flag, {})}
+        spec.pop("load", None)
+        p.add_argument(f"--{flag}", **spec)
     p.add_argument("--norm-xi", type=float, default=1.0)
     p.add_argument("--norm-eta", type=float, default=1.0)
 
@@ -379,10 +359,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except DomainError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
     return 0

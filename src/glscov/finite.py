@@ -274,9 +274,9 @@ class CampaignReport:
     instances: int
     violations: int
     violation_details: list = field(default_factory=list)
+    checks: int = 0
     min_slack_ratio: float = math.inf  # min over instances of bound/|Cov|
     tightest: dict | None = None
-    checks: int = 0
     rows: list = field(default_factory=list)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import _optimize
 from ._optimize import exponent, grid_golden_max, log_ratio, psi_table, ratio_probes
 from .errors import DomainError
-from .psi import scan_bound
+from .psi import finite_support, scan_bound
 
 #: scan points of a 1-D sup on [1, b) or [s, b); the conjugate reads the same
 #: table as fundamental
@@ -209,8 +209,6 @@ def closed_form_finite(b, beta, delta):
         raise DomainError("finite-support closed form needs b > 1, beta >= 0")
     if not 0.0 < delta <= 1.0 / math.e:
         raise DomainError("finite-support closed form needs delta in (0, 1/e]")
-    from .psi import finite_support  # local import to avoid cycle at module load
-
     shape = delta ** (1.0 / b) * abs(math.log(delta)) ** (-beta)
     k_ref = finite_support_constant(b, beta)
     observed = fundamental(finite_support(b, beta), delta).value / shape

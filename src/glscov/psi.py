@@ -23,7 +23,6 @@ P_MAX = 1.0e6
 
 #: positivity floor for tabulated generating functions
 PSI_FLOOR = 1e-300
-_LOG_FLOOR = math.log(PSI_FLOOR)
 
 #: log_u_jet outside the support: g = +inf, no derivatives
 _OUTSIDE = (math.inf, math.nan, math.nan)

@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from glscov import fundamental, fundamental_truncated, psi_from_obj
+from glscov import cli, clt, fundamental, fundamental_truncated, psi_from_obj
 from glscov.cli import main
 
 POWER1 = '{"kind":"power","m":1}'
@@ -257,3 +259,39 @@ def test_malformed_values_exit_2_and_name_the_flag_or_field(capsys, argv, named)
     code, out = run(capsys, *argv)
     assert code == 2
     assert named in json.loads(out)["error"]
+
+
+def _subparser(name):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+def test_bound_options_are_the_theorem_flags_and_the_common_ones():
+    p = _subparser("bound")
+    options = {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+    flags = {f"--{f}" for _, fs in cli._THEOREMS.values() for f in fs}
+    assert options == flags | {"--theorem", "--norm-xi", "--norm-eta", "--out"}
+    args = p.parse_args(["--theorem", "holder"])
+    assert args.kernel_const == 1.0 and args.domain == "T"
+    assert args.norm_xi == args.norm_eta == 1.0
+
+
+def test_verify_keys_are_the_report_fields_without_rows(capsys):
+    code, out = run(capsys, "verify", "--instances", "5", "--seed", "3")
+    assert code == 0
+    assert list(json.loads(out)) == [
+        "instances", "violations", "violation_details", "checks", "min_slack_ratio", "tightest",
+    ]
+
+
+@pytest.mark.parametrize("model", [
+    '{"kind":"m_dependent","coeffs":[1,0.5]}',
+    '{"kind":"finite_markov","transition":[[0.7,0.3],[0.3,0.7]],"values":[1,-1]}',
+])
+def test_clt_sigma_table_rows_are_the_estimate_records(capsys, model):
+    code, out = run(capsys, "clt", "--model", model, "--K", "16", "--n-grid", "30,60",
+                    "--reps", "50", "--seed", "5")
+    assert code == 0
+    est = clt.sigma_n_estimate(cli._load_model(model), [30, 60], replications=50, seed=5)
+    assert json.loads(out)["sigma_table"] == [asdict(e) for e in est]

@@ -158,6 +158,35 @@ def _run_pairs(cases):
         phi_uniform_theta(psi, nu, math.exp(log_alpha))
 
 
+def _golden_evals_by_loop(width, tol):
+    """golden_max's evaluation count, step by step as golden_max shrinks."""
+    if width <= tol:
+        return 2
+    evals = 4
+    while width > tol and evals < _optimize._MAX_ITER + 4:
+        width *= _optimize._INV_PHI
+        evals += 1
+    return evals
+
+
+def test_golden_evals_closed_form_never_exceeds_the_loop():
+    rng = np.random.default_rng(22)
+    tols = 10.0 ** rng.uniform(-14, -6, 20_000)
+    widths = tols * 10.0 ** rng.uniform(-1, 45, 20_000)
+    for w, t in zip(widths.tolist(), tols.tolist()):
+        assert _optimize._golden_evals(w, t) == _golden_evals_by_loop(w, t)
+    # widths within 40 ulps of each step boundary, where the loop's rounded
+    # products may take one step more than the exact count: never more here
+    for tol in (1e-12, 1e-13, 3.7e-9):
+        for k in range(1, 120):
+            edge = tol / _optimize._INV_PHI**k
+            for w in (edge + j * math.ulp(edge) for j in range(-40, 41)):
+                loop = _golden_evals_by_loop(w, tol)
+                assert loop - 1 <= _optimize._golden_evals(w, tol) <= loop
+    for w in (0.0, 1e-12, 1e300, math.inf):
+        assert _optimize._golden_evals(w, 1e-12) == _golden_evals_by_loop(w, 1e-12)
+
+
 def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
     counts = []
 
