@@ -226,7 +226,6 @@ def grid_golden_max(xs, fs, f, refine=True, tol=1e-12, df=None):
     best_x, best_f = float(xs[i]), float(fs[i])
     if not np.isfinite(best_f) or not refine:
         return best_x, best_f
-    tol *= max(1.0, float(xs[-1] - xs[0]))
     cell = cell_max(f, xs, i, tol=tol, df=df, fs=fs)
     if cell is not None and cell[1] > best_f:
         best_x, best_f = cell
@@ -283,16 +282,10 @@ def log_ratio(psi, log_x, s, n):
 
     Returns psi_table(psi, s, n)'s grid, the objective on it, the objective
     as a scalar probe of u, and its derivative probe u -> (f, f', f'') for
-    `grid_golden_max`.  u > 0 and ln psi > -inf, so no value is NaN; -inf
-    marks an infeasible point.
+    `grid_golden_max`, both read from psi's jet.  u > 0 and ln psi > -inf, so
+    no value is NaN; -inf marks an infeasible point.
     """
     us, logs = psi_table(psi, s, n)
-    return (us, us * log_x - logs) + ratio_probes(psi, log_x)
-
-
-def ratio_probes(psi, log_x):
-    """The objective u ln x - ln psi(1/u) as a scalar probe of u, and its
-    derivative probe u -> (f, f', f''), both read from psi's jet."""
 
     def probe(u):  # golden section needs the value only
         return u * log_x - psi.log_u_jet(u)[0]
@@ -301,4 +294,4 @@ def ratio_probes(psi, log_x):
         g, d1, d2 = psi.log_u_jet(u)
         return u * log_x - g, log_x - d1, -d2
 
-    return probe, newton
+    return us, us * log_x - logs, probe, newton

@@ -23,7 +23,14 @@ from ._optimize import (
     zoom_max,
 )
 from .errors import DomainError
-from .fundamental import finite_support_constant, fundamental, fundamental_truncated, g_prime
+from .fundamental import (
+    _over_phi,
+    _sup,
+    finite_support_constant,
+    fundamental,
+    fundamental_truncated,
+    g_prime,
+)
 from .psi import conjugate_exponent, product_zeta, scan_bound
 
 #: margin keeping two-exponent grids strictly inside the open region 1/p + 1/q < 1
@@ -62,7 +69,7 @@ def _check_unit(x, name):
 def davydov_bound(alpha, p, q, norm_p, norm_q):
     """12 alpha^(1 - 1/p - 1/q) |xi|_p |eta|_q, needs 1/p + 1/q < 1."""
     _check_unit(alpha, "alpha")
-    if p < 1 or q < 1:
+    if not (p >= 1 and q >= 1):
         raise DomainError("exponents must lie in [1, infinity]")
     if 1.0 / p + 1.0 / q >= 1.0:
         return _infeasible("davydov", "1/p + 1/q < 1 violated")
@@ -76,7 +83,7 @@ def ibragimov_bound(beta, p, norm_p, norm_q):
     p = +inf is the sentinel for the (q = 1, factor beta^0 = 1) end.
     """
     _check_unit(beta, "beta")
-    if p <= 1 and not math.isinf(p):
+    if not p > 1:
         raise DomainError("ibragimov bound needs p > 1 (or the p = +inf sentinel)")
     factor = 1.0 if math.isinf(p) else beta ** (1.0 / p)
     q = 1.0 if math.isinf(p) else p / (p - 1.0)
@@ -95,20 +102,21 @@ def holder_bound(norm_p, norm_q):
 def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta, n_grid=2048, refine=True):
     """2 ||xi|| ||eta|| / phi[G zeta[psi,nu]](1/beta).
 
-    The trace carries the p minimizing beta^(1/p) zeta(p).
+    The trace carries the p minimizing beta^(1/p) zeta(p).  The sup reads ln
+    phi at ln(1/beta), or at -ln beta for a subnormal beta, where 1/beta
+    overflows.
     """
     _check_unit(beta, "beta")
     if beta == 0.0:
         return BoundReport(0.0, "gls_strong", notes=("beta=0: independent fields",))
-    if math.isinf(1.0 / beta):  # a subnormal beta: 1/beta overflows before any sup
-        return _infeasible("gls_strong", "1/beta overflows to +inf")
     zeta = product_zeta(psi, nu)
-    try:
-        fund = fundamental(zeta, 1.0 / beta, n_grid=n_grid, refine=refine)
-    except DomainError:
+    inverse = 1.0 / beta
+    log_x = math.log(inverse) if inverse < math.inf else -math.log(beta)
+    u, log_phi = _sup(zeta, log_x, 1.0, n_grid, refine)
+    if log_phi == -math.inf:
         return _infeasible("gls_strong", "product generating function nowhere finite")
-    value = 2.0 * norm_xi * norm_eta / fund.value
-    return BoundReport(value, "gls_strong", p=fund.argmax_p)
+    value = _over_phi(2.0 * norm_xi * norm_eta, log_phi)
+    return BoundReport(value, "gls_strong", p=exponent(u, scan_bound(zeta), 1.0))
 
 
 def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta):
@@ -378,12 +386,12 @@ def gls_identical_bound(psi, alpha, norm_xi, norm_eta, n_grid=2048, refine=True)
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return BoundReport(0.0, "gls_identical", notes=("alpha=0: independent fields",))
-    try:
-        fund = fundamental(psi, alpha, n_grid=n_grid, refine=refine)
-    except DomainError:
+    u, log_phi = _sup(psi, math.log(alpha), 1.0, n_grid, refine)
+    if log_phi == -math.inf:
         return _infeasible("gls_identical", "psi nowhere finite")
-    value = 12.0 * alpha * norm_xi * norm_eta / fund.value / fund.value  # phi^2 can overflow
-    return BoundReport(value, "gls_identical", p=fund.argmax_p, q=fund.argmax_p)
+    value = _over_phi(12.0 * alpha * norm_xi * norm_eta, log_phi, 2)  # phi^2 can overflow
+    p = exponent(u, scan_bound(psi), 1.0)
+    return BoundReport(value, "gls_identical", p=p, q=p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _optimize
 from .errors import DomainError
-from .fundamental import _log_fundamentals
+from .fundamental import _log_fundamentals, _over_phi
 from .psi import MomentTable, natural_from_moments, product_zeta, scan_bound
 from .finite import _log_moments, _mixing_pair
 
@@ -87,7 +87,7 @@ def y_sequence(profile):
 
     def term(alphas):
         _, lns = _log_fundamentals(profile.psi_gamma, alphas, n_grid=_N_GRID)
-        return [a / math.exp(f) ** 2 for a, f in zip(alphas, lns)]
+        return [_y_term(a, f) for a, f in zip(alphas, lns)]
 
     return _lag_terms(profile.alpha_seq, profile.K, term)
 
@@ -102,9 +102,17 @@ def z_sequence(profile):
             _, lns = _log_fundamentals(zeta, [1.0 / b for b in betas], n_grid=_N_GRID)
         except DomainError:
             raise DomainError("product generating function nowhere finite")
-        return [1.0 / math.exp(f) for f in lns]
+        return [_over_phi(1.0, f) for f in lns]
 
     return _lag_terms(profile.beta_seq, profile.K, term)
+
+
+def _y_term(alpha, log_phi):
+    """alpha / phi^2, in logs where phi^2 leaves the float range."""
+    try:
+        return alpha / math.exp(log_phi) ** 2
+    except OverflowError:
+        return math.exp(math.log(alpha) - 2.0 * log_phi)
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ def exact_cov(space, xi, eta):
 
 def exact_lp(space, xi, p):
     """Exact L_p norm; p = +inf is the sup over atoms of positive mass."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise DomainError("p must lie in [1, infinity]")
     if math.isinf(p):
         return float(np.abs(xi.values).max())

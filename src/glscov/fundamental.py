@@ -20,16 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optimize
-from ._optimize import exponent, grid_golden_max, log_ratio, psi_table, ratio_probes
+from ._optimize import exponent, grid_golden_max, log_ratio, psi_table
 from .errors import DomainError
 from .psi import finite_support, scan_bound
 
 #: scan points of a 1-D sup on [1, b) or [s, b); the conjugate reads the same
 #: table as fundamental
 N_GRID = 2048
-
-#: scan points of truncated_sup_value
-_N_GRID_VALUE = 512
 
 
 @dataclass(frozen=True)
@@ -43,47 +40,46 @@ class FundamentalResult:
     trunc_low: float = 1.0
 
 
-def _sup(psi, delta, s, n_grid, refine):
-    """(u, ln value) at the sup over p in [s, b) of delta^(1/p)/psi(p); None if empty."""
+def _log_delta(delta):
+    """ln delta for a delta the fundamental functions accept."""
     if not 0.0 < delta < math.inf:
         raise DomainError("delta must be positive and finite")
+    return math.log(delta)
+
+
+def _sup(psi, log_x, s, n_grid, refine=True):
+    """(u, ln value) at the sup over p in [s, b) of x^(1/p)/psi(p), from ln x.
+
+    The one row kernel of every fundamental function: a scan of psi's table,
+    refined by Newton unless psi is piecewise log-linear, where the objective
+    is linear in u between the breakpoints and the grid is exact.  ln value
+    is -inf on an empty domain.
+    """
     if 1.0 / s < 1.0 / scan_bound(psi):
-        return None  # empty domain
-    us, fs, probe, newton = log_ratio(psi, math.log(delta), s, n_grid)
-    # linear in u between the breakpoints of a piecewise psi: the grid is exact
-    refine = refine and psi.breakpoints is None
-    u_best, f_best = grid_golden_max(us, fs, probe, refine=refine, df=newton)
-    if f_best == -math.inf:
-        return None
-    return u_best, f_best
+        return 0.0, -math.inf
+    us, fs, probe, newton = log_ratio(psi, log_x, s, n_grid)
+    return grid_golden_max(us, fs, probe, refine=refine and psi.breakpoints is None, df=newton)
 
 
 def _sups(psi, log_xs, s, n):
-    """`_sup` at every x with ln x in `log_xs`, in one pass over psi's table.
+    """[`_sup`(psi, log_x, s, n) for log_x in log_xs] as the lists (u, ln value).
 
-    Returns the arrays (u, ln value) of the sups over p in [s, b) of
-    x^(1/p)/psi(p); ln value is -inf on an empty domain.  The grid stage is
-    one matrix u ln x - ln psi(1/u) with a row argmax, in chunks of rows below
-    `_optimize.CHUNK_ELEMENTS`; a piecewise psi stops at that maximum, a smooth
-    one refines each row as `_sup` does, so every row equals `_sup`'s.
+    A smooth psi runs `_sup` row by row.  A piecewise one takes each row's
+    grid maximum from one matrix u ln x - ln psi(1/u) over its table, in
+    chunks of rows below `_optimize.CHUNK_ELEMENTS`.
     """
-    log_xs = np.asarray(log_xs, dtype=float)
-    u_best, f_best = np.zeros(log_xs.size), np.full(log_xs.size, -np.inf)
-    if 1.0 / s < 1.0 / scan_bound(psi):
-        return u_best, f_best  # empty domain
     us, logs = psi_table(psi, s, n)
+    if psi.breakpoints is None or not us.size:  # smooth, or an empty domain
+        rows = [_sup(psi, log_x, s, n) for log_x in log_xs]
+        return [u for u, _ in rows], [f for _, f in rows]
+    u_best, f_best = [], []
     step = max(1, _optimize.CHUNK_ELEMENTS // us.size)
-    for lo in range(0, log_xs.size, step):
-        rows = log_xs[lo : lo + step]
+    for lo in range(0, len(log_xs), step):
+        rows = np.asarray(log_xs[lo : lo + step], dtype=float)
         fs = us[None, :] * rows[:, None] - logs[None, :]
-        if psi.breakpoints is None:
-            for r, log_x in enumerate(rows.tolist()):
-                probe, newton = ratio_probes(psi, log_x)
-                u_best[lo + r], f_best[lo + r] = grid_golden_max(us, fs[r], probe, df=newton)
-        else:
-            best = np.argmax(fs, axis=1)
-            u_best[lo : lo + step] = us[best]
-            f_best[lo : lo + step] = fs[np.arange(rows.size), best]
+        best = np.argmax(fs, axis=1)
+        u_best += us[best].tolist()
+        f_best += fs[np.arange(rows.size), best].tolist()
     return u_best, f_best
 
 
@@ -97,15 +93,11 @@ def _log_fundamentals(psi, deltas, s=None, n_grid=N_GRID):
     valid = next((i for i, d in enumerate(deltas) if not 0.0 < d < math.inf), len(deltas))
     low = 1.0 if s is None else float(s)
     us, lns = _sups(psi, [math.log(d) for d in deltas[:valid]], low, n_grid)
-    if np.any(lns == -math.inf):  # then it is -inf for every delta
-        raise DomainError(
-            "empty effective support: psi is +inf on [1, b)"
-            if s is None
-            else "empty effective support on the truncated interval"
-        )
+    if -math.inf in lns:  # then it is -inf for every delta
+        raise _empty(low)
     if valid < len(deltas):
         raise DomainError("delta must be positive and finite")
-    return us.tolist(), lns.tolist()
+    return us, lns
 
 
 def _fundamentals(psi, deltas, s=None):
@@ -116,8 +108,22 @@ def _fundamentals(psi, deltas, s=None):
     return [_result(psi, d, low, p) for d, p in zip(deltas, packed)]
 
 
+def _empty(s):
+    """The error of a sup over p in [s, b) where psi is +inf."""
+    if s == 1.0:
+        return DomainError("empty effective support: psi is +inf on [1, b)")
+    return DomainError("empty effective support on the truncated interval")
+
+
 def _result(psi, delta, s, packed):
+    """The FundamentalResult of `_sup`'s (u, ln value) on [s, b)."""
     u_best, f_best = packed
+    if f_best == -math.inf:
+        raise _empty(s)
+    try:
+        value = math.exp(f_best)
+    except OverflowError:
+        raise DomainError("the sup exceeds the float range (above 1.8e308)") from None
     b_scan = scan_bound(psi)
     u_lo, u_hi = 1.0 / b_scan, 1.0 / s
     span = max(u_hi - u_lo, 1e-300)
@@ -127,12 +133,22 @@ def _result(psi, delta, s, packed):
     elif u_best - u_lo <= 1e-9 * span:
         boundary = "at_b" if math.isfinite(psi.b) else "at_infinity"
     return FundamentalResult(
-        value=float(math.exp(f_best)),
+        value=value,
         argmax_p=exponent(u_best, b_scan, s),
         delta=float(delta),
         boundary=boundary,
         trunc_low=float(s),
     )
+
+
+def _over_phi(c, log_phi, power=1):
+    """c / phi^power for phi = e^log_phi, power 1 or 2, one division a factor;
+    exp(ln c - power ln phi) where phi itself leaves the float range."""
+    try:
+        phi = math.exp(log_phi)
+    except OverflowError:
+        return math.exp(math.log(c) - power * log_phi) if c > 0.0 else 0.0
+    return c / phi if power == 1 else c / phi / phi
 
 
 def fundamental(psi, delta, n_grid=N_GRID, refine=True):
@@ -141,34 +157,23 @@ def fundamental(psi, delta, n_grid=N_GRID, refine=True):
     delta may exceed 1 (the strong-mixing bound evaluates at 1/beta); the sup
     then favors small p and the maximizer is typically reported at_one.
     """
-    packed = _sup(psi, delta, 1.0, n_grid, refine)
-    if packed is None:
-        raise DomainError("empty effective support: psi is +inf on [1, b)")
-    return _result(psi, delta, 1.0, packed)
+    return _result(psi, delta, 1.0, _sup(psi, _log_delta(delta), 1.0, n_grid, refine))
 
 
 def fundamental_truncated(psi, s, delta):
     """Sup restricted to p in [s, b); coincides with fundamental() at s = 1."""
     if not 1.0 <= s < psi.b:
         raise DomainError("truncation point must satisfy 1 <= s < b")
-    packed = _sup(psi, delta, float(s), N_GRID, True)
-    if packed is None:
-        raise DomainError("empty effective support on the truncated interval")
-    return _result(psi, delta, float(s), packed)
+    return _result(psi, delta, float(s), _sup(psi, _log_delta(delta), float(s), N_GRID))
 
 
 def truncated_sup_value(psi, s, delta):
-    """Like fundamental_truncated().value, but 0.0 on an empty domain.
+    """fundamental_truncated(psi, s, delta).value, but 0.0 on an empty domain.
 
     Used where a sup over an empty set should silently contribute nothing
     (e.g. inside the two-exponent optimization routes).
     """
-    if s > scan_bound(psi):
-        return 0.0
-    packed = _sup(psi, delta, float(s), _N_GRID_VALUE, True)
-    if packed is None:
-        return 0.0
-    return float(math.exp(packed[1]))
+    return math.exp(_sup(psi, _log_delta(delta), float(s), N_GRID)[1])
 
 
 # ---------------------------------------------------------------------------

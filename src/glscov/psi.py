@@ -58,14 +58,11 @@ class PsiFunction:
     """A generating function: immutable, pure, safe to share across threads.
 
     kind is one of power / finite_support / extremal / tabulated / empirical
-    / product / dual.  `b` is the support bound (math.inf when unbounded);
-    `closed_at_b` tells whether psi is finite at p = b itself (extremal and
-    tabulated kinds are).
+    / product / dual.  `b` is the support bound (math.inf when unbounded).
     """
 
     kind: str
     b: float
-    closed_at_b: bool = False
     params: dict = field(default_factory=dict)
     left: "PsiFunction | None" = None
     right: "PsiFunction | None" = None
@@ -102,6 +99,14 @@ class PsiFunction:
         if us[-1] < 1.0:  # the flat extension on [1, p_min) ends at u = 1
             us, logs = np.append(us, 1.0), np.append(logs, logs[-1])
         return us, logs
+
+    @property
+    def closed_at_b(self):
+        """Whether psi is finite at p = b itself: a psi with knots (extremal,
+        tabulated, empirical) is, and a product whose left factor is."""
+        if self.kind == "product":
+            return self.left.closed_at_b
+        return "points" in self.params
 
     @property
     def breakpoints(self):
@@ -229,17 +234,17 @@ class PsiFunction:
 
 def power(m):
     """psi(p) = p^(1/m) on [1, inf)."""
-    if m <= 0:
+    if not m > 0:
         raise DomainError("power family requires m > 0")
     return PsiFunction("power", math.inf, params={"m": float(m)})
 
 
 def finite_support(b, beta):
     """psi(p) = (b - p)^(-beta) on [1, b), +inf beyond."""
-    if b <= 1:
-        raise DomainError("finite-support family requires b > 1")
-    if beta < 0:
-        raise DomainError("finite-support family requires beta >= 0")
+    if not 1 < b < math.inf:
+        raise DomainError("finite-support family requires a finite b > 1")
+    if not 0 <= beta < math.inf:
+        raise DomainError("finite-support family requires a finite beta >= 0")
     return PsiFunction(
         "finite_support", float(b), params={"b": float(b), "beta": float(beta)}
     )
@@ -251,10 +256,10 @@ def extremal(r):
     It is piecewise log-linear with the one knot (r, 1), read like a
     tabulated psi: ln psi(1/u) = 0 on [1/r, 1].
     """
-    if r <= 1:
+    if not r > 1:
         raise DomainError("extremal family requires r > 1")
     r = float(r)
-    return PsiFunction("extremal", r, closed_at_b=True, params={"r": r, "points": ((r, 1.0),)})
+    return PsiFunction("extremal", r, params={"r": r, "points": ((r, 1.0),)})
 
 
 def tabulated(points, kind="tabulated"):
@@ -262,11 +267,11 @@ def tabulated(points, kind="tabulated"):
     pts = sorted((float(p), float(v)) for p, v in points)
     if not pts:
         raise DomainError("tabulated generating function needs at least one knot")
-    if any(p < 1.0 for p, _ in pts):
+    if any(not p >= 1.0 for p, _ in pts):
         raise DomainError("tabulated knots require p >= 1")
     if any(v <= 0 or not math.isfinite(v) for _, v in pts):
         raise DomainError("tabulated knot values must be positive and finite")
-    return PsiFunction(kind, pts[-1][0], closed_at_b=True, params={"points": tuple(pts)})
+    return PsiFunction(kind, pts[-1][0], params={"points": tuple(pts)})
 
 
 def eval_psi(psi, p):
@@ -299,8 +304,7 @@ def product_zeta(psi, nu):
     is decided once here, so no evaluation of a product tests them.
     """
     piecewise = psi.breakpoints is not None and nu.breakpoints is not None
-    return PsiFunction("product", psi.b, closed_at_b=psi.closed_at_b,
-                       params={"piecewise": piecewise}, left=psi, right=nu)
+    return PsiFunction("product", psi.b, params={"piecewise": piecewise}, left=psi, right=nu)
 
 
 def scan_bound(psi):
@@ -330,11 +334,11 @@ class MomentTable:
             raise DomainError("moment table must be non-empty")
         ps = [p for p, _ in ents]
         vs = [v for _, v in ents]
-        if any(p < 1.0 for p in ps):
+        if any(not p >= 1.0 for p in ps):
             raise DomainError("moment table requires p >= 1")
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise DomainError("moment table p values must be strictly increasing")
-        if any(v < 0 for v in vs):
+        if any(not v >= 0 for v in vs):
             raise DomainError("moment table values must be non-negative")
         if any(b < a - 1e-12 for a, b in zip(vs, vs[1:])):
             raise DomainError("moment table violates L_p monotonicity")
@@ -345,8 +349,10 @@ def lp_norm_of_samples(samples, p):
     x = np.abs(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise DomainError("empty sample")
-    if p < 1.0:
-        raise DomainError("p must lie in [1, infinity)")
+    if np.isnan(x).any():
+        raise DomainError("samples must not be NaN")
+    if not p >= 1.0:
+        raise DomainError("p must lie in [1, infinity]")
     if math.isinf(p):
         return float(x.max())
     nz = x[x > 0]
@@ -460,6 +466,9 @@ def moment_table_from_csv(text, provenance="analytic"):
         raise DomainError("moment table CSV must start with header 'p,norm'")
     entries = []
     for ln in rows[1:]:
-        a, b = ln.split(",")
-        entries.append((float(a), float(b)))
+        try:
+            a, b = ln.split(",")
+            entries.append((float(a), float(b)))
+        except ValueError:
+            raise DomainError(f"moment table CSV row {ln.strip()!r} is not 'p,norm'") from None
     return MomentTable(tuple(entries), provenance=provenance)

@@ -26,8 +26,8 @@ def v_of(psi, p):
     of g(0) otherwise.  For a finite p so large that a dual's 1 - 1/p rounds
     to 1, it reads psi(1) and returns 0 (-0.0) rather than near that limit.
     """
-    if p < 1.0:
-        raise DomainError("p must lie in [1, infinity)")
+    if not p >= 1.0:
+        raise DomainError("p must lie in [1, infinity]")
     if p == math.inf:
         g0, d1, _ = psi.log_u_jet(0.0)
         return d1 if g0 == 0.0 else math.copysign(math.inf, g0)
@@ -103,6 +103,8 @@ def orlicz_N(psi, u):
     Orlicz function).
     """
     a = abs(u)
+    if not a < math.inf:
+        raise DomainError("u must be finite")
     if a >= math.e:
         return math.exp(conjugate(psi, math.log(a)))
     c = math.exp(conjugate(psi, 1.0)) / (math.e**2)

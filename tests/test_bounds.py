@@ -270,11 +270,24 @@ def test_generic_bound_on_a_rectangle_outside_the_support_is_infeasible(psi, dom
     assert rep.notes == ("empty domain",)
 
 
-def test_gls_strong_bound_with_a_subnormal_beta_names_the_overflow():
-    # 1/beta overflows to +inf before the sup: psi and nu are finite everywhere
+def test_gls_strong_bound_with_a_subnormal_beta_reads_minus_ln_beta():
+    # 1/beta overflows to +inf: the sup reads ln(1/beta) as -ln beta, and a
+    # smaller beta gives a smaller bound
     rep = gls_strong_bound(power(1.0), power(2.0), 1e-320, 1.0, 1.0)
-    assert not rep.feasible
-    assert rep.notes == ("1/beta overflows to +inf",)
+    assert rep.feasible and rep.notes == ()
+    assert 0.0 < rep.value <= gls_strong_bound(power(1.0), power(2.0), 1e-300, 1.0, 1.0).value
+
+
+def test_gls_bounds_divide_in_logs_where_phi_leaves_the_float_range():
+    # psi(p) = (1e200 - p)^-2 is about 1e-400, so phi is about 1e400
+    psi = finite_support(1e200, 2.0)
+    for rep in (gls_strong_bound(psi, power(2.0), 0.5, 1.0, 1.0),
+                gls_identical_bound(psi, 0.5, 1.0, 1.0)):
+        assert rep.feasible and rep.notes == ()
+        assert 0.0 <= rep.value < math.inf
+    # 1e300 / phi keeps a normal value: 2e300 exp(-ln phi), not 0
+    rep = gls_strong_bound(psi, power(2.0), 0.5, 1e150, 1e150)
+    assert rep.feasible and 0.0 < rep.value < 1e-90
 
 
 def test_generic_bound_vanishing_kernel_gives_zero():

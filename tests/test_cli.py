@@ -70,6 +70,17 @@ def test_fundamental_delta_grid_errors_are_the_per_delta_ones(capsys, argv, mess
     assert json.loads(out)["error"].startswith(message)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--delta", "1e308"),
+    ("--delta-grid", "1e-3,1e308,3"),
+])
+def test_fundamental_beyond_the_float_range_exits_2(capsys, argv):
+    psi = '{"kind":"finite_support","b":3,"beta":1}'  # 1e308 / psi(1) = 2e308
+    code, out = run(capsys, "fundamental", "--psi", psi, *argv)
+    assert code == 2
+    assert "float range" in json.loads(out)["error"]
+
+
 def test_bound_davydov_trivial(capsys):
     code, out = run(
         capsys, "bound", "--theorem", "davydov", "--alpha", "0", "--p", "4",

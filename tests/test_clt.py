@@ -315,6 +315,19 @@ def test_z_names_the_product_when_a_beta_has_no_finite_inverse():
         per_lag_z(prof)
 
 
+def test_sequences_divide_in_logs_where_phi_leaves_the_float_range():
+    # values +-1e-160 scale psi by 1e-160: phi^2 and phi[zeta] reach 1e320,
+    # past the float range, while y and z shrink by 1e-320 to subnormals;
+    # five lags stay above 5e-322, where a subnormal resolves 1%
+    transition = [[0.9, 0.1], [0.2, 0.8]]
+    unit = markov_mixing_profile(FiniteMarkovModel(transition, [1.0, -1.0]), 6)
+    tiny = markov_mixing_profile(FiniteMarkovModel(transition, [1e-160, -1e-160]), 6)
+    for seq in (y_sequence, z_sequence):
+        got, want = seq(tiny), seq(unit) * 1e-320
+        assert np.all(want > 5e-322)
+        assert np.allclose(got, want, rtol=1e-2, atol=0.0)
+
+
 def test_chunked_passes_equal_one_pass(monkeypatch):
     model = lazy_chain(5, 3)
     whole = markov_mixing_profile(model, 200)

@@ -10,6 +10,7 @@ from glscov import (
     closed_form_finite,
     closed_form_power,
     conjugate,
+    dual_psi,
     extremal,
     finite_support,
     finite_support_constant,
@@ -22,6 +23,8 @@ from glscov import (
     solve_argmax,
     tabulated,
 )
+from glscov.fundamental import N_GRID, _sup, _sups, truncated_sup_value
+from glscov.psi import scan_bound
 
 
 def test_power_closed_form_example():
@@ -212,3 +215,64 @@ def test_piecewise_sups_make_no_scalar_probe(monkeypatch):
     calls.clear()
     conjugate(power(2.0), 1.0)
     assert calls
+
+
+#: smooth psi (every row refined by Newton) and piecewise psi (grid maxima)
+_KERNEL_PSIS = {
+    "power": power(1.5),
+    "finite_support": finite_support(4.0, 1.0),
+    "smooth_product": product_zeta(power(2.0), dual_psi(power(2.0))),
+    "tabulated": tabulated(ref.KNOTS),
+    "piecewise_product": ref.piecewise_case("product")[0],
+}
+
+
+def _lows(psi):
+    """Truncation points: none, inside, at the scan bound, and beyond it (empty)."""
+    return [1.0, 1.7, scan_bound(psi), 2.0 * scan_bound(psi)]
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PSIS))
+def test_batched_sups_are_the_row_kernel_bit_for_bit(name):
+    psi = _KERNEL_PSIS[name]
+    log_xs = [-700.0, -30.0, -2.5, -0.1, 0.0, 1.5, 40.0]
+    for s in _lows(psi):
+        us, lns = _sups(psi, log_xs, s, N_GRID)
+        assert isinstance(us, list) and isinstance(lns, list)
+        assert list(zip(us, lns)) == [_sup(psi, x, s, N_GRID) for x in log_xs], s
+    assert _sups(psi, [], 1.0, N_GRID) == ([], [])
+    assert set(_sups(psi, log_xs, 2.0 * scan_bound(psi), N_GRID)[1]) == {-math.inf}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_PSIS))
+def test_truncated_sup_value_is_the_truncated_fundamental(name):
+    psi = _KERNEL_PSIS[name]
+    for delta in (1e-300, 1e-6, 0.3, 5.0):
+        for s in (1.0, 1.7):
+            assert truncated_sup_value(psi, s, delta) == fundamental_truncated(psi, s, delta).value
+        assert truncated_sup_value(psi, 2.0 * scan_bound(psi), delta) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["power", "finite_support"]),
+    st.floats(0.2, 8.0),
+    st.floats(1.05, 50.0),
+    st.floats(0.0, 1.0),
+    st.floats(-200.0, 3.0),
+)
+def test_truncated_sup_value_matches_on_random_smooth_psi(kind, a, b, t, log_delta):
+    # finite_support(b, a), or power(a) truncated below b
+    psi = power(a) if kind == "power" else finite_support(b, a)
+    s = 1.0 + 0.99 * t * (b - 1.0)
+    delta = math.exp(log_delta)
+    assert truncated_sup_value(psi, s, delta) == fundamental_truncated(psi, s, delta).value
+
+
+@pytest.mark.parametrize("psi, delta", [
+    (finite_support(3.0, 1.0), 1e308),  # 1e308 / psi(1) = 2e308 at p = 1
+    (finite_support(1e200, 2.0), 0.5),  # psi is about 1e-400 everywhere
+])
+def test_a_sup_beyond_the_float_range_raises_domain_error(psi, delta):
+    with pytest.raises(DomainError, match="float range"):
+        fundamental(psi, delta)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +26,12 @@ from glscov import (
     psi_to_json,
     tabulated,
 )
+from glscov.bounds import davydov_bound, ibragimov_bound
+from glscov.cli import main
+from glscov.finite import FiniteProbSpace, RandomVar, exact_lp
 from glscov.fundamental import g_prime
-from glscov.psi import logsumexp
+from glscov.psi import PsiFunction, logsumexp
+from glscov.tails import orlicz_N, v_of
 
 import piecewise_reference as ref
 
@@ -454,3 +460,61 @@ def test_gls_norm_picks_argmax():
     # candidates: 1/1, 3/2, 3.5/4 -> max at p = 2
     assert res.argmax_p == 2.0
     assert res.value == pytest.approx(1.5)
+
+
+_NAN = math.nan
+_SPACE, _XI = FiniteProbSpace(np.array([0.5, 0.5])), RandomVar(np.array([1.0, -2.0]))
+
+#: a call with a NaN or malformed argument -> the DomainError message it gives
+_REFUSED = {
+    "power": (lambda: power(_NAN), "m > 0"),
+    "finite_support_b": (lambda: finite_support(_NAN, 1.0), "b > 1"),
+    "finite_support_beta": (lambda: finite_support(3.0, _NAN), "beta >= 0"),
+    "extremal": (lambda: extremal(_NAN), "r > 1"),
+    "tabulated_knot_p": (lambda: tabulated([(_NAN, 1.0), (2.0, 1.5)]), "p >= 1"),
+    "moment_table_value": (lambda: MomentTable(((1.0, _NAN), (2.0, 1.0))), "non-negative"),
+    "davydov_p": (lambda: davydov_bound(0.1, _NAN, 4.0, 1.0, 1.0), "exponents"),
+    "davydov_q": (lambda: davydov_bound(0.1, 4.0, _NAN, 1.0, 1.0), "exponents"),
+    "ibragimov_p": (lambda: ibragimov_bound(0.1, _NAN, 1.0, 1.0), "p > 1"),
+    "exact_lp": (lambda: exact_lp(_SPACE, _XI, _NAN), "p must lie"),
+    "lp_norm_of_samples_p": (lambda: lp_norm_of_samples([1.0, 2.0], _NAN), "p must lie"),
+    "lp_norm_of_samples_sample": (lambda: lp_norm_of_samples([1.0, _NAN], 2.0), "NaN"),
+    "v_of": (lambda: v_of(power(1.0), _NAN), "p must lie"),
+    "orlicz_N": (lambda: orlicz_N(power(1.0), _NAN), "u must be finite"),
+    "csv_three_fields": (lambda: moment_table_from_csv("p,norm\n1,2,3\n"), "'1,2,3'"),
+    "csv_not_a_number": (lambda: moment_table_from_csv("p,norm\n1,1\n2,abc\n"), "'2,abc'"),
+    "cli_nan_power": (
+        lambda: main(["fundamental", "--psi", '{"kind":"power","m":NaN}', "--delta", "0.01"]),
+        "m > 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_nan_and_malformed_input_raise_domain_error(name, capsys):
+    call, message = _REFUSED[name]
+    if name.startswith("cli_"):  # the CLI prints the error as JSON and exits 2
+        assert call() == 2
+        assert message in json.loads(capsys.readouterr().out)["error"]
+        return
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
+def test_closed_at_b_follows_the_kind():
+    knots = [(1.0, 1.0), (3.0, 2.0)]
+    closed = {
+        "power": (power(2.0), False),
+        "finite_support": (finite_support(4.0, 1.0), False),
+        "extremal": (extremal(3.0), True),
+        "tabulated": (tabulated(knots), True),
+        "empirical": (tabulated(knots, kind="empirical"), True),
+        "dual": (dual_psi(power(2.0)), False),
+        "product_of_a_closed_left": (product_zeta(extremal(3.0), power(2.0)), True),
+        "product_of_an_open_left": (product_zeta(power(2.0), extremal(3.0)), False),
+        "piecewise_product": (product_zeta(tabulated(knots), extremal(2.0)), True),
+    }
+    for name, (psi, want) in closed.items():
+        assert psi.closed_at_b is want, name
+    with pytest.raises(TypeError):  # derived, not set
+        PsiFunction("power", math.inf, closed_at_b=True)
