@@ -1,11 +1,13 @@
 """One-dimensional maximization: a grid scan, then a refinement of its best point.
 
 Objectives are evaluated in log space by the callers; a value of -inf marks an
-infeasible point and is simply never selected.  `psi_table` is the one scan
-grid of a generating function: every sup over p reads its grid from it.  The
-grid holds every breakpoint of a piecewise log-linear psi, so a 1-D sup whose
-objective is linear or monotone on each cell between them is the grid
-maximum, and its caller skips the refinement.
+infeasible point and is simply never selected.  `psi_table` is the scan grid
+of a 1-D sup over p, with ln psi on it.  A piecewise log-linear psi's is its
+breakpoints and the scan ends alone: a 1-D objective linear or monotone on
+each cell between them has its sup at one of them, the grid maximum, and
+its caller skips the refinement.  Any other psi reads the dense `_u_grid`
+of its scan range, one shared array.  `axis_table` is the grid along one
+coordinate of a two-exponent sup, dense for every psi.
 
 Every other psi refines by safeguarded Newton (`newton_max`) on its jet
 `log_u_jet`, exact on every cell; `cell_max` takes that route whenever the
@@ -31,8 +33,8 @@ import numpy as np
 
 from .psi import scan_bound
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _LOG_PHI = -math.log(_INV_PHI)
 
 #: golden-section steps at most; 200 steps shrink any bracket below 1e-40
@@ -44,11 +46,13 @@ _ZOOM_POINTS = 33
 _ZOOM_PASSES = 64
 _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 
-#: scan tables kept at once (about 36 kB each).  The size caps what the cache
-#: holds however many generating functions a caller keeps alive.  The 1-D sups
-#: of one psi use at most two tables (on [1, b) for fundamental and the
-#: conjugate, on [s, b) for a truncated sup); a two-exponent bound on
-#: (psi, nu) adds one axis table per function, which the nested route shares.
+#: scan tables kept at once, and as many axes and u grids: a smooth psi's
+#: table holds ln psi on a shared u grid (about 18 kB each), a piecewise
+#: psi's about one point per knot.  The size caps what the caches hold however
+#: many generating functions a caller keeps alive.  The 1-D sups of one psi
+#: use at most two tables (on [1, b) for fundamental and the conjugate, on
+#: [s, b) for a truncated sup); a two-exponent bound on (psi, nu) adds one
+#: axis per function, which the nested route shares.
 TABLE_CACHE_SIZE = 8
 
 #: elements at most in one array of a batched pass (8 MB of floats): sups
@@ -252,40 +256,74 @@ def exponent(u, p_hi, p_lo):
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def psi_table(psi, s, n):
-    """The scan grid of psi for a sup over p in [s, min(b, P_MAX)], and ln psi on it.
+def _u_grid(lo, hi, n, finite_b):
+    """The dense scan grid in u on [lo, hi], read-only and shared by every
+    psi that scans it.
 
-    The grid is in u = 1/p on [1/min(b, P_MAX), 1/s]: linspace(n), 128
-    geometric points (dense toward p -> infinity), for a finite b 64 more
-    points geometric toward p -> b, and psi's breakpoints when it is
-    piecewise log-linear.  Returns (us, ln psi(1/us)); both arrays are
-    read-only, since every caller shares them.
+    linspace(n), 128 geometric points (dense toward p -> infinity) and, for
+    a finite support bound, 64 more points geometric toward p -> b.
     """
-    p_hi = scan_bound(psi)
-    lo, hi = 1.0 / p_hi, 1.0 / s
     parts = [np.linspace(lo, hi, n), np.geomspace(lo, hi, 128)]
-    if math.isfinite(psi.b):
+    if finite_b:
         parts.append(lo + (hi - lo) * np.logspace(-12, 0, 64))
-    breakpoints = psi.breakpoints
-    if breakpoints is not None:
-        parts.append(breakpoints)
     us = np.unique(np.concatenate(parts))
     us = us[(us >= lo) & (us <= hi)]
-    logs = psi.log_u(us)
     us.flags.writeable = False
-    logs.flags.writeable = False
+    return us
+
+
+def _table(us, psi):
+    """(us, ln psi(1/us)), both read-only, since every caller shares them."""
+    logs = psi.log_u(us)
+    us.flags.writeable = logs.flags.writeable = False
     return us, logs
 
 
-def log_ratio(psi, log_x, s, n):
-    """u ln x - ln psi(1/u) for a sup over p in [s, min(b, P_MAX)].
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def psi_table(psi, s, n):
+    """The scan grid of a 1-D sup over p in [s, min(b, P_MAX)], and ln psi on it.
 
-    Returns psi_table(psi, s, n)'s grid, the objective on it, the objective
-    as a scalar probe of u, and its derivative probe u -> (f, f', f'') for
+    The grid is in u = 1/p on [lo, hi] = [1/min(b, P_MAX), 1/s].  A
+    piecewise log-linear psi scans its breakpoints there and both ends,
+    about one point per knot: every 1-D objective is linear or monotone in u
+    between them, so its grid maximum is its sup.  Any other psi scans
+    `_u_grid(lo, hi, n, b < inf)`, one array for every such psi with that
+    scan range.  Returns (us, ln psi(1/us)), both read-only.
+    """
+    lo, hi = 1.0 / scan_bound(psi), 1.0 / s
+    if psi.breakpoints is None:
+        return _table(_u_grid(lo, hi, n, math.isfinite(psi.b)), psi)
+    us = np.unique(np.concatenate([psi.breakpoints, [lo, hi]]))
+    return _table(us[(us >= lo) & (us <= hi)], psi)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def axis_table(psi, n):
+    """The scan grid of psi along one axis of a two-exponent sup, p in
+    [1, min(b, P_MAX)], and ln psi on it.
+
+    A smooth psi's is its `psi_table`.  A piecewise psi's is the dense
+    `_u_grid` with its breakpoints: next to a smooth function the objective
+    along the edge u + w = 1 is not linear between breakpoints, and for
+    knot slopes that are not monotone it has several local maxima there,
+    each of which a dense axis puts grid points next to.
+    """
+    table = psi_table(psi, 1.0, n)
+    if psi.breakpoints is None:
+        return table
+    grid = _u_grid(1.0 / scan_bound(psi), 1.0, n, math.isfinite(psi.b))
+    return _table(np.union1d(grid, table[0]), psi)
+
+
+def log_ratio(psi, log_x, table):
+    """u ln x - ln psi(1/u) on a table (us, ln psi(1/us)) of psi.
+
+    Returns the table's grid, the objective on it, the objective as a scalar
+    probe of u, and its derivative probe u -> (f, f', f'') for
     `grid_golden_max`, both read from psi's jet.  u > 0 and ln psi > -inf, so
     no value is NaN; -inf marks an infeasible point.
     """
-    us, logs = psi_table(psi, s, n)
+    us, logs = table
 
     def probe(u):  # golden section needs the value only
         return u * log_x - psi.log_u_jet(u)[0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optimize import (
+    axis_table,
     cell_max,
     exponent,
     golden_max,
@@ -24,6 +25,8 @@ from ._optimize import (
 )
 from .errors import DomainError
 from .fundamental import (
+    _exp_sup,
+    _log_inverse,
     _over_phi,
     _sup,
     finite_support_constant,
@@ -110,9 +113,7 @@ def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta, n_grid=2048, refine=True)
     if beta == 0.0:
         return BoundReport(0.0, "gls_strong", notes=("beta=0: independent fields",))
     zeta = product_zeta(psi, nu)
-    inverse = 1.0 / beta
-    log_x = math.log(inverse) if inverse < math.inf else -math.log(beta)
-    u, log_phi = _sup(zeta, log_x, 1.0, n_grid, refine)
+    u, log_phi = _sup(zeta, _log_inverse(beta), 1.0, n_grid, refine)
     if log_phi == -math.inf:
         return _infeasible("gls_strong", "product generating function nowhere finite")
     value = _over_phi(2.0 * norm_xi * norm_eta, log_phi)
@@ -261,8 +262,8 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
     In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable; a and
-    c are `log_ratio` on one cached table per function, which the nested
-    route shares.  The grid-best over the triangle comes from a running
+    c are `log_ratio` on one cached `axis_table` per function, which the
+    nested route shares.  The grid-best over the triangle comes from a running
     maximum of c.  Refinement keeps the best of: the grid-best moved inside
     its own cells; the product point of the two 1-D sups, when it lies in
     the triangle (the factorization); and the sup along the edge u + w = 1.
@@ -282,8 +283,8 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     _check_unit(beta, "beta")
     la = math.log(alpha) if alpha > 0 else -math.inf
     lb = math.log(beta) if beta > 0 else -math.inf
-    us, a, a_at, a_newton = log_ratio(psi, la, 1.0, n_grid)
-    ws, c, c_at, c_newton = log_ratio(nu, lb, 1.0, n_grid)
+    us, a, a_at, a_newton = log_ratio(psi, la, axis_table(psi, n_grid))
+    ws, c, c_at, c_newton = log_ratio(nu, lb, axis_table(nu, n_grid))
     i, j, best = _triangle_grid_best(us, a, ws, c)
     if best == -math.inf:
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
@@ -308,7 +309,7 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
         on_edge = float(ts[k]), edge - float(ts[k]), float(fs[k])
     if on_edge is not None and on_edge[2] > best:
         u, w, best = on_edge
-    return UniformPhi(alpha, beta, float(math.exp(best)),
+    return UniformPhi(alpha, beta, _exp_sup(best),
                       exponent(u, scan_bound(psi), 1.0), exponent(w, scan_bound(nu), 1.0))
 
 
@@ -329,7 +330,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_at, c_newton = log_ratio(nu, la, 1.0, n_grid)
+    ws, c, c_at, c_newton = log_ratio(nu, la, axis_table(nu, n_grid))
     w_lo = float(ws[0])
     run, arg = _running_max(c)
     refine = nu.breakpoints is None
@@ -356,7 +357,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     )
     fs = us * la - psi.log_u(us) + inner
     _, best = grid_golden_max(us, fs, objective, tol=1e-12)
-    return 0.0 if best == -math.inf else float(math.exp(best))
+    return _exp_sup(best)
 
 
 def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _optimize
 from .errors import DomainError
-from .fundamental import _log_fundamentals, _over_phi
+from .fundamental import _log_fundamentals, _log_inverse, _over_phi, _sups
 from .psi import MomentTable, natural_from_moments, product_zeta, scan_bound
 from .finite import _log_moments, _mixing_pair
 
@@ -93,14 +93,17 @@ def y_sequence(profile):
 
 
 def z_sequence(profile):
-    """z(k) = 1 / phi[G zeta](1/beta(k)) with zeta(p) = psi(p) psi(p/(p-1))."""
+    """z(k) = 1 / phi[G zeta](1/beta(k)) with zeta(p) = psi(p) psi(p/(p-1)).
+
+    The sup reads ln phi at ln(1/beta), or at -ln beta for a subnormal beta,
+    where 1/beta overflows, as `gls_strong_bound` does.
+    """
     _require_nontrivial(profile.psi_gamma)
     zeta = product_zeta(profile.psi_gamma, profile.psi_gamma)
 
     def term(betas):
-        try:
-            _, lns = _log_fundamentals(zeta, [1.0 / b for b in betas], n_grid=_N_GRID)
-        except DomainError:
+        _, lns = _sups(zeta, [_log_inverse(b) for b in betas], 1.0, _N_GRID)
+        if -math.inf in lns:  # then it is -inf for every beta
             raise DomainError("product generating function nowhere finite")
         return [_over_phi(1.0, f) for f in lns]
 

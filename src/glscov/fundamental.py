@@ -6,7 +6,8 @@ the interval ends, where a dense grid plus a refinement of its best point
 behaves well.  For a piecewise log-linear psi (`PsiFunction.breakpoints`:
 extremal, tabulated, empirical, and products of these) the objective
 u ln delta - ln psi(1/u) is linear in u between psi's breakpoints, which
-are all on the grid, so the grid maximum is the sup and no refinement runs.
+with the scan ends make up its whole grid, so the grid maximum is the sup
+and no refinement runs.
 Every other psi refines by safeguarded Newton on the exact derivatives of
 its jet, a product with one piecewise factor included: its jet is exact on
 every cell.
@@ -57,7 +58,7 @@ def _sup(psi, log_x, s, n_grid, refine=True):
     """
     if 1.0 / s < 1.0 / scan_bound(psi):
         return 0.0, -math.inf
-    us, fs, probe, newton = log_ratio(psi, log_x, s, n_grid)
+    us, fs, probe, newton = log_ratio(psi, log_x, psi_table(psi, s, n_grid))
     return grid_golden_max(us, fs, probe, refine=refine and psi.breakpoints is None, df=newton)
 
 
@@ -65,8 +66,9 @@ def _sups(psi, log_xs, s, n):
     """[`_sup`(psi, log_x, s, n) for log_x in log_xs] as the lists (u, ln value).
 
     A smooth psi runs `_sup` row by row.  A piecewise one takes each row's
-    grid maximum from one matrix u ln x - ln psi(1/u) over its table, in
-    chunks of rows below `_optimize.CHUNK_ELEMENTS`.
+    grid maximum from one matrix u ln x - ln psi(1/u) over its table, its
+    breakpoints and scan ends (rows x about its knot count), in chunks of rows
+    below `_optimize.CHUNK_ELEMENTS`.
     """
     us, logs = psi_table(psi, s, n)
     if psi.breakpoints is None or not us.size:  # smooth, or an empty domain
@@ -120,10 +122,7 @@ def _result(psi, delta, s, packed):
     u_best, f_best = packed
     if f_best == -math.inf:
         raise _empty(s)
-    try:
-        value = math.exp(f_best)
-    except OverflowError:
-        raise DomainError("the sup exceeds the float range (above 1.8e308)") from None
+    value = _exp_sup(f_best)
     b_scan = scan_bound(psi)
     u_lo, u_hi = 1.0 / b_scan, 1.0 / s
     span = max(u_hi - u_lo, 1e-300)
@@ -139,6 +138,20 @@ def _result(psi, delta, s, packed):
         boundary=boundary,
         trunc_low=float(s),
     )
+
+
+def _exp_sup(log_value):
+    """e^log_value for a sup computed in logs; DomainError where it overflows."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError("the sup exceeds the float range (above 1.8e308)") from None
+
+
+def _log_inverse(x):
+    """ln(1/x) for x in (0, 1], or -ln x where 1/x overflows (a subnormal x)."""
+    inverse = 1.0 / x
+    return math.log(inverse) if inverse < math.inf else -math.log(x)
 
 
 def _over_phi(c, log_phi, power=1):

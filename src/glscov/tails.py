@@ -47,9 +47,10 @@ def conjugate_info(psi, x):
     The scan runs in u = 1/p, on fundamental's table, with the objective
     (x - ln psi(1/u)) / u.  For a piecewise log-linear psi, ln psi(1/u) =
     a + c u on each cell between breakpoints, so the objective (x - a)/u - c
-    is monotone there and the grid maximum, breakpoints included, is the
-    sup.  Every other psi refines it by Newton with f' = -(g' + f)/u and
-    f'' = -(g'' + 2 f')/u, g = ln psi(1/u).  `unbounded_at_cap` flags a sup
+    is monotone there and the grid maximum, over the breakpoints and scan
+    ends, is the sup.  Every other psi refines it by Newton with
+    f' = -(g' + f)/u and f'' = -(g'' + 2 f')/u, g = ln psi(1/u).
+    `unbounded_at_cap` flags a sup
     still increasing at the scan cap (the conjugate is then effectively +inf
     for this x).
     """

@@ -1,12 +1,16 @@
 """Per-lag summability sequences: the reference for glscov.clt's batched sups.
 
 y(k) and z(k) from one `fundamental` call per distinct coefficient, lag by
-lag, as the sequences were first written.
+lag, as the sequences were first written; z(k) at a subnormal beta(k), where
+1/beta overflows, from fundamental's kernel at -ln beta.
 """
+
+import math
 
 import numpy as np
 
 from glscov import DomainError, fundamental, product_zeta
+from glscov.fundamental import _sup
 
 #: scan points of the fundamental functions in y(k) and z(k)
 N_GRID = 512
@@ -35,11 +39,15 @@ def per_lag_z(profile):
         if b == 0.0:
             continue
         if b not in cache:
-            try:
-                phi = fundamental(zeta, 1.0 / b, n_grid=N_GRID).value
-            except DomainError:
-                raise DomainError("product generating function nowhere finite")
-            cache[b] = 1.0 / phi
+            if 1.0 / b < math.inf:
+                try:
+                    phi = fundamental(zeta, 1.0 / b, n_grid=N_GRID).value
+                except DomainError:
+                    raise DomainError("product generating function nowhere finite")
+                cache[b] = 1.0 / phi
+            else:  # fundamental takes no delta past the float range: its kernel at -ln b
+                log_phi = _sup(zeta, -math.log(b), 1.0, N_GRID)[1]
+                cache[b] = math.exp(-log_phi)
         out[k - 2] = cache[b]
     return out
 

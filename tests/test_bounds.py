@@ -278,6 +278,25 @@ def test_gls_strong_bound_with_a_subnormal_beta_reads_minus_ln_beta():
     assert 0.0 < rep.value <= gls_strong_bound(power(1.0), power(2.0), 1e-300, 1.0, 1.0).value
 
 
+def test_gls_strong_bound_reports_a_golden_section_exponent_as_a_float():
+    # the subnormal beta's sup is refined by golden section, whose probes
+    # were numpy scalars: p printed as np.float64(1.00067812453563)
+    p = gls_strong_bound(power(1.0), power(2.0), 1e-320, 1.0, 1.0).p
+    assert type(p) is float
+    assert p == 1.00067812453563
+
+
+@pytest.mark.parametrize("call", [
+    lambda psi: factorization_check(psi, power(2.0), 0.5, 0.5),
+    lambda psi: gls_uniform_bound(psi, power(2.0), 0.5, 1.0, 1.0),
+    lambda psi: phi_uniform_theta(psi, power(2.0), 0.5),
+], ids=["factorization_check", "gls_uniform_bound", "phi_uniform_theta"])
+def test_two_exponent_sups_past_the_float_range_raise_domain_error(call):
+    # psi(p) = (1e200 - p)^-2 is about 1e-400, so Phi is about 1e400
+    with pytest.raises(DomainError, match=r"the sup exceeds the float range \(above 1.8e308\)"):
+        call(finite_support(1e200, 2.0))
+
+
 def test_gls_bounds_divide_in_logs_where_phi_leaves_the_float_range():
     # psi(p) = (1e200 - p)^-2 is about 1e-400, so phi is about 1e400
     psi = finite_support(1e200, 2.0)

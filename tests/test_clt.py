@@ -23,6 +23,7 @@ from glscov import (
     y_sequence,
     z_sequence,
 )
+from glscov._optimize import psi_table
 from glscov.clt import _paths_markov
 from glscov.finite import _mixing_pair
 from mixing_reference import brute_force_mixing, flattened_space
@@ -307,12 +308,17 @@ def test_sequences_repeat_a_coefficient_without_a_second_sup():
     assert np.array_equal(z_sequence(prof), per_lag_z(prof))
 
 
-def test_z_names_the_product_when_a_beta_has_no_finite_inverse():
+def test_z_reads_minus_ln_beta_where_a_beta_has_no_finite_inverse():
+    # 1/5e-324 overflows: phi[zeta] is read at -ln beta = 744.4, as the
+    # strong bound reads it, and reaches about 1e320, so z is subnormal
     prof = CltProfile(np.full(4, 0.1), np.array([0.1, 5e-324, 0.1, 0.1]), power(1.0), 4)
-    with pytest.raises(DomainError, match="product generating function nowhere finite"):
-        z_sequence(prof)
-    with pytest.raises(DomainError, match="product generating function nowhere finite"):
-        per_lag_z(prof)
+    z = z_sequence(prof)
+    assert np.array_equal(z, per_lag_z(prof))
+    assert 0.0 < z[0] < 1e-300 and np.isfinite(z).all()
+    assert z[0] == gls_strong_bound(power(1.0), power(1.0), 5e-324, 0.5, 1.0, n_grid=512).value
+    ordinary = CltProfile(np.full(4, 0.1), np.array([0.1, 1e-300, 0.1, 0.1]), power(1.0), 4)
+    assert z_sequence(ordinary)[0] == 1.0 / fundamental(
+        product_zeta(power(1.0), power(1.0)), 1e300, n_grid=512).value
 
 
 def test_sequences_divide_in_logs_where_phi_leaves_the_float_range():
@@ -332,11 +338,16 @@ def test_chunked_passes_equal_one_pass(monkeypatch):
     model = lazy_chain(5, 3)
     whole = markov_mixing_profile(model, 200)
     y, z = y_sequence(whole), z_sequence(whole)
-    # 80 lags of joint laws, 25 union products and 2 or 3 sup rows a chunk
+    # 80 lags of joint laws and 25 union products a chunk
     monkeypatch.setattr(glscov._optimize, "CHUNK_ELEMENTS", 2000)
     chunked = markov_mixing_profile(model, 200)
     assert np.array_equal(chunked.alpha_seq, whole.alpha_seq)
     assert np.array_equal(chunked.beta_seq, whole.beta_seq)
+    # the 199 distinct alphas and betas read tables of 9 (psi) and 16
+    # (zeta) points: 4 and 2 sup rows a chunk
+    zeta = product_zeta(whole.psi_gamma, whole.psi_gamma)
+    assert [psi_table(f, 1.0, 512)[0].size for f in (whole.psi_gamma, zeta)] == [9, 16]
+    monkeypatch.setattr(glscov._optimize, "CHUNK_ELEMENTS", 40)
     assert np.array_equal(y_sequence(chunked), y)
     assert np.array_equal(z_sequence(chunked), z)
     for psi in (power(1.0), finite_support(4.0, 1.0)):

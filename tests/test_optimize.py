@@ -51,6 +51,15 @@ def test_golden_max_two_infeasible_probes_shrink_toward_the_finite_end(feasible_
     assert fx == pytest.approx(edge if feasible_left else -edge, abs=1e-11)
 
 
+def test_golden_max_returns_python_floats():
+    # the golden ratios are Python floats, so no probe becomes a numpy scalar
+    assert type(_optimize._INV_PHI) is float and type(_optimize._INV_PHI2) is float
+    assert _optimize._INV_PHI == (np.sqrt(5.0) - 1.0) / 2.0
+    assert _optimize._INV_PHI2 == (3.0 - np.sqrt(5.0)) / 2.0
+    x, fx = golden_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
+    assert type(x) is float and type(fx) is float
+
+
 # ---------------------------------------------------------------------------
 # zoom_max: nested grids on an array objective
 

@@ -25,7 +25,7 @@ from glscov import (
     product_zeta,
     tabulated,
 )
-from glscov._optimize import TABLE_CACHE_SIZE, log_ratio, psi_table, u_axis
+from glscov._optimize import TABLE_CACHE_SIZE, axis_table, log_ratio, psi_table, u_axis
 from glscov.bounds import (
     _T_MARGIN,
     _edge_max,
@@ -74,8 +74,8 @@ def test_grid_best_is_the_masked_scan_on_random_pairs(seed):
     psi, nu = _random_psi(rng), _random_psi(rng)
     n = int(rng.choice([16, 64, 512]))
     la, lb = rng.uniform(-12.0, -0.1, size=2)
-    us, a, _, _ = log_ratio(psi, la, 1.0, n)
-    ws, c, _, _ = log_ratio(nu, lb, 1.0, n)
+    us, a, _, _ = log_ratio(psi, la, axis_table(psi, n))
+    ws, c, _, _ = log_ratio(nu, lb, axis_table(nu, n))
     _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -103,8 +103,8 @@ def test_grid_best_non_convex_tabulated():
     psi, nu = tabulated(NON_CONVEX), power(1.0)
     for la in (-1.0, -2.5, -4.0, -7.0):
         for first, second in ((psi, nu), (nu, psi)):
-            us, a, _, _ = log_ratio(first, la, 1.0, 512)
-            ws, c, _, _ = log_ratio(second, 0.6 * la, 1.0, 512)
+            us, a, _, _ = log_ratio(first, la, axis_table(first, 512))
+            ws, c, _, _ = log_ratio(second, 0.6 * la, axis_table(second, 512))
             _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -134,18 +134,21 @@ def test_uniform_bound_builds_one_table_per_function():
     ],
 )
 def test_one_pair_op_fits_the_table_cache(psi, nu):
-    # the two axis tables (the nested route reads nu's), the two 2048-point
+    # the two axes (the nested route reads nu's), the two 2048-point
     # fundamental tables and the product's table: nothing may be evicted
     psi_table.cache_clear()
+    axis_table.cache_clear()
     gls_strong_bound(psi, nu, 0.05, 1.0, 1.0)
     gls_uniform_bound(psi, nu, 0.01, 1.0, 1.0)
     factorization_check(psi, nu, 0.01, 0.05)
-    info = psi_table.cache_info()
+    info, axes = psi_table.cache_info(), axis_table.cache_info()
     assert info.misses == info.currsize <= TABLE_CACHE_SIZE
+    assert axes.misses == axes.currsize == 2
     gls_uniform_bound(psi, nu, 0.02, 1.0, 1.0)
     factorization_check(psi, nu, 0.02, 0.03)
     gls_strong_bound(psi, nu, 0.03, 1.0, 1.0)  # reuses the product's table
     assert psi_table.cache_info().misses == info.misses
+    assert axis_table.cache_info().misses == axes.misses
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +332,8 @@ def test_edge_search_falls_back_when_its_middle_is_infeasible():
     # zeta(power, finite_support(1.5)) is finite only for u < 1/3, so the
     # middle of the edge is infeasible and Newton could pick no side there
     psi, nu = product_zeta(power(2.0), finite_support(1.5, 0.5)), power(1.0)
-    us, _, a_at, da = log_ratio(psi, -3.0, 1.0, 128)
-    ws, _, c_at, dc = log_ratio(nu, -0.5, 1.0, 128)
+    us, _, a_at, da = log_ratio(psi, -3.0, axis_table(psi, 128))
+    ws, _, c_at, dc = log_ratio(nu, -0.5, axis_table(nu, 128))
     assert da is not None and dc is not None
 
     def f(s, t):
