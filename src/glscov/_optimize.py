@@ -9,15 +9,14 @@ its caller skips the refinement.  Any other psi reads the dense `_u_grid`
 of its scan range, one shared array.  `axis_table` is the grid along one
 coordinate of a two-exponent sup, dense for every psi.
 
-Every other psi refines by safeguarded Newton (`newton_max`) on its jet
-`log_u_jet`, exact on every cell; `cell_max` takes that route whenever the
-caller hands it a derivative probe.  Golden-section search is left to what
-carries no derivative and is read one point at a time (moment curves, the
-outer sup of the nested route) and to cells next to an infeasible grid
-point.  `grid_golden_max` is a grid scan plus `cell_max`.  Newton never
-takes more evaluations than the golden search on the same cells.  An
-objective read on whole arrays, such as a user kernel, refines by
-`zoom_max`: a few array calls in place of one call per probe.
+Every other psi refines by safeguarded Newton (`newton_max`, `cell_max`)
+on its jet `log_u_jet`, exact on every cell, next to an infeasible grid
+point too: Newton closes its bracket at a point past the support.  It never
+takes more evaluations than golden section on the same cells.  An objective
+read on whole arrays, such as a user kernel or a moment curve, refines by
+`zoom_max` (`zoom_cells`): a few array calls in place of one per probe.
+`grid_golden_max` is a grid scan plus `cell_max`, or plus golden section for
+an objective with neither: the outer sup of the nested route.
 
 Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
 scan turns u back into p for psi.  A reported exponent, and the exponents
@@ -122,24 +121,25 @@ def zoom_max(F, lo, hi, tol):
     return best_x, best_f
 
 
-def cell_max(f, xs, i, cap=math.inf, tol=1e-13, df=None, fs=None):
-    """Max of f on the two grid cells around xs[i], clipped at cap.
+def _cell(xs, i, cap=math.inf):
+    """The two grid cells around xs[i], clipped at cap: (lo, hi), or None
+    when they are empty."""
+    lo, hi = float(xs[max(i - 1, 0)]), min(float(xs[min(i + 1, xs.size - 1)]), cap)
+    return (lo, hi) if hi > lo else None
 
-    Refines by `newton_max` from xs[i] when the caller hands a derivative
-    probe `df` (exact on every cell) and both neighbouring grid values `fs` are
-    finite, by golden_max otherwise: a cell next to an infeasible grid point
-    reaches past the support, where a derivative means nothing.  Returns
-    (x, f(x)), or None when the clipped cells are empty.
-    """
-    j, k = max(i - 1, 0), min(i + 1, xs.size - 1)
-    lo, hi = float(xs[j]), float(xs[k])
-    if cap < hi:
-        hi = cap
-    if hi <= lo:
-        return None
-    if df is not None and fs[j] > -np.inf and fs[k] > -np.inf:
-        return newton_max(df, lo, min(float(xs[i]), hi), hi, tol)
-    return golden_max(f, lo, hi, tol=tol)
+
+def cell_max(df, xs, i, cap=math.inf, tol=1e-13):
+    """`newton_max` from xs[i] of a smooth objective, given by its derivative
+    probe df, on `_cell`(xs, i, cap), next to an infeasible grid point too:
+    (x, f(x)), or None when the cells are empty."""
+    cell = _cell(xs, i, cap)
+    return cell and newton_max(df, cell[0], min(float(xs[i]), cell[1]), cell[1], tol)
+
+
+def zoom_cells(F, xs, i, cap=math.inf, tol=1e-13):
+    """`zoom_max` of the array objective F on `_cell`(xs, i, cap), or None."""
+    cell = _cell(xs, i, cap)
+    return cell and zoom_max(F, *cell, tol)
 
 
 def _golden_evals(width, tol):
@@ -173,9 +173,11 @@ def newton_max(df, lo, x, hi, tol):
     bisection within golden_max's count on [lo, hi]: no refinement costs
     more than the golden search it replaces.
 
-    Stops once a Newton step or the bracket is below tol, and at once when
-    f(x) = -inf, where f' picks no side.  Returns (x_best, f_best) over every
-    point evaluated.
+    A later point where f = -inf lies past the support: it closes the
+    bracket on its side of the best point, and the next step bisects.  Stops
+    once a Newton step or the bracket is below tol, and at once when f = -inf
+    at the start, where f' picks no side.  Returns (x_best, f_best) over
+    every point evaluated.
     """
     budget = _golden_evals(hi - lo, tol)
     fx, d1, d2 = df(x)
@@ -209,7 +211,9 @@ def newton_max(df, lo, x, hi, tol):
         evals += 1
         if fx >= best_f:  # on a tie the later iterate is nearer the root
             best_x, best_f = x, fx
-        if d1 > 0:
+        if fx == -math.inf:  # past the support: close the bracket here, then bisect
+            a, b, d2 = (a, x, 0.0) if x > best_x else (x, b, 0.0)
+        elif d1 > 0:
             a = x
         elif d1 < 0:
             b = x
@@ -221,16 +225,21 @@ def newton_max(df, lo, x, hi, tol):
 def grid_golden_max(xs, fs, f, refine=True, tol=1e-12, df=None):
     """Maximize an objective given by its values `fs` on the sorted grid `xs`.
 
-    Takes the best grid point, then refines it with the scalar objective `f`
-    on the two grid cells around it (`cell_max`: by Newton on the derivative
-    probe `df` of a smooth objective, by golden section otherwise).  Returns
-    (x_best, f_best); f_best is -inf when the objective is -inf everywhere.
+    Takes the best grid point, then refines it on the two grid cells around
+    it: by `cell_max` on the derivative probe `df` of a smooth objective, by
+    golden section on the scalar objective `f` where the caller has no
+    derivative.  Returns (x_best, f_best); f_best is -inf when the objective
+    is -inf everywhere.
     """
     i = int(np.argmax(fs))
     best_x, best_f = float(xs[i]), float(fs[i])
     if not np.isfinite(best_f) or not refine:
         return best_x, best_f
-    cell = cell_max(f, xs, i, tol=tol, df=df, fs=fs)
+    if df is None:  # no derivative: golden section on the same cells
+        cell = _cell(xs, i)
+        cell = cell and golden_max(f, *cell, tol=tol)
+    else:
+        cell = cell_max(df, xs, i, tol=tol)
     if cell is not None and cell[1] > best_f:
         best_x, best_f = cell
     return best_x, best_f
@@ -261,11 +270,12 @@ def _u_grid(lo, hi, n, finite_b):
     psi that scans it.
 
     linspace(n), 128 geometric points (dense toward p -> infinity) and, for
-    a finite support bound, 64 more points geometric toward p -> b.
+    a finite support bound, 63 more points geometric toward p -> b.
     """
     parts = [np.linspace(lo, hi, n), np.geomspace(lo, hi, 128)]
     if finite_b:
-        parts.append(lo + (hi - lo) * np.logspace(-12, 0, 64))
+        # without logspace's end: lo + (hi - lo) can round below hi, which linspace holds
+        parts.append(lo + (hi - lo) * np.logspace(-12, 0, 64)[:-1])
     us = np.unique(np.concatenate(parts))
     us = us[(us >= lo) & (us <= hi)]
     us.flags.writeable = False
@@ -325,7 +335,7 @@ def log_ratio(psi, log_x, table):
     """
     us, logs = table
 
-    def probe(u):  # golden section needs the value only
+    def probe(u):  # the value alone, for a point that is not refined
         return u * log_x - psi.log_u_jet(u)[0]
 
     def newton(u):

@@ -16,15 +16,17 @@ from ._optimize import (
     axis_table,
     cell_max,
     exponent,
-    golden_max,
     grid_golden_max,
     log_ratio,
     newton_max,
     u_axis,
+    zoom_cells,
     zoom_max,
 )
 from .errors import DomainError
 from .fundamental import (
+    N_GRID,
+    _empty,
     _exp_sup,
     _log_inverse,
     _over_phi,
@@ -125,8 +127,10 @@ def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta):
     _check_unit(beta, "beta")
     if beta == 0.0:
         return BoundReport(0.0, "gls_dual_pair")
-    phi = fundamental(psi, beta**-0.5).value
-    return BoundReport(2.0 * norm_xi * norm_eta / phi / phi, "gls_dual_pair")  # phi^2 can overflow
+    _, log_phi = _sup(psi, math.log(beta**-0.5), 1.0, N_GRID)
+    if log_phi == -math.inf:
+        raise _empty(1.0)
+    return BoundReport(_over_phi(2.0 * norm_xi * norm_eta, log_phi, 2), "gls_dual_pair")
 
 
 # ---------------------------------------------------------------------------
@@ -202,60 +206,52 @@ def _cell_polish(move_u, move_w, u, w, best):
     return u, w, best
 
 
-def _edge_max(f, u_lo, w_lo, da=None, dc=None):
-    """Max of f(u, w) along the edge u + w = 1 - margin.
+def _edge_max(u_lo, w_lo, da, dc, grid_best):
+    """Max of a separable f(u, w) = a(u) + c(w) along the edge u + w = 1 - margin.
 
-    Coordinate moves stall there, so the triangle sups search it explicitly.
-    With the derivative probes da, dc of both parts of a separable
-    f(u, w) = a(u) + c(w) the edge objective f(t) = a(t) + c(e - t) has
-    f' = a'(t) - c'(e - t) and f'' = a''(t) + c''(e - t), exact on every
-    cell, and refines by `newton_max` from the middle of the edge; an
-    infeasible middle by golden section.  Returns (u, w, value), or None
-    when the edge misses [u_lo, 1] x [w_lo, 1].
+    Coordinate moves stall there, so the triangle sups search it explicitly,
+    by `newton_max` on f(t) = a(t) + c(e - t) from the derivative probes da,
+    dc of a and c, exact on every cell.  It starts at the middle of the edge
+    or, where that is infeasible, at the u of the grid-best point
+    `grid_best` = (u, w), where a is finite, or else at its w.  Returns
+    (u, w, value), or None when the edge misses [u_lo, 1] x [w_lo, 1].
     """
     edge = 1.0 - _T_MARGIN
     lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
     if hi <= lo:
         return None
-    if da is not None and dc is not None:
-        def df(t):
-            fa, a1, a2 = da(t)
-            fc, c1, c2 = dc(edge - t)
-            return fa + fc, a1 - c1, a2 + c2
 
-        t, ft = newton_max(df, lo, 0.5 * (lo + hi), hi, 1e-13)
+    def df(t):
+        fa, a1, a2 = da(t)
+        fc, c1, c2 = dc(edge - t)
+        return fa + fc, a1 - c1, a2 + c2
+
+    u, w = grid_best
+    for start in (0.5 * (lo + hi), u, edge - w):
+        t, ft = newton_max(df, lo, start, hi, 1e-13)
         if ft > -math.inf:
-            return t, edge - t, ft
-    t, ft = golden_max(lambda t: f(t, edge - t), lo, hi, tol=1e-13)
+            break
     return t, edge - t, ft
 
 
-def _shifted(df, shift):
-    """The derivative probe df with its value raised by a constant; None stays None."""
-    if df is None:
-        return None
-
-    def probe(t):
-        v, d1, d2 = df(t)
-        return v + shift, d1, d2
-
-    return probe
-
-
-def _separable_move(psi, xs, k, fs, at, df, shift, cap):
+def _separable_move(psi, xs, k, at, df, shift, cap):
     """The move of at(t) + shift on the cells around the grid-best xs[k],
     clipped at cap, for a separable objective: (t, value) or None.
 
-    at is the part of the objective over psi, fs its grid values and df its
-    derivative probe.  For a piecewise psi at is linear between grid
-    points, so the max is at a grid point or at the clip point.  The grid
-    points were rivals of the grid-best at its other coordinate, so the
-    clip point is the one point evaluated.  Any other psi moves by
-    `cell_max`.
+    at is the part of the objective over psi and df its derivative probe.
+    For a piecewise psi at is linear between grid points, so the max is at a
+    grid point or at the clip point.  The grid points were rivals of the
+    grid-best at its other coordinate, so the clip point is the one point
+    evaluated.  Any other psi moves by `cell_max`.
     """
     if psi.breakpoints is not None:
         return (cap, at(cap) + shift) if xs[k] < cap < xs[min(k + 1, xs.size - 1)] else None
-    return cell_max(lambda t: at(t) + shift, xs, k, cap, df=_shifted(df, shift), fs=fs)
+
+    def shifted(t):
+        v, d1, d2 = df(t)
+        return v + shift, d1, d2
+
+    return cell_max(shifted, xs, k, cap)
 
 
 def phi_uniform(psi, nu, alpha, beta, n_grid=512):
@@ -290,8 +286,8 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
     edge = 1.0 - _T_MARGIN
     u, w, best = _cell_polish(
-        lambda w: _separable_move(psi, us, i, a, a_at, a_newton, c_at(w), edge - w),
-        lambda u: _separable_move(nu, ws, j, c, c_at, c_newton, a_at(u), edge - u),
+        lambda w: _separable_move(psi, us, i, a_at, a_newton, c_at(w), edge - w),
+        lambda u: _separable_move(nu, ws, j, c_at, c_newton, a_at(u), edge - u),
         float(us[i]), float(ws[j]), best,
     )
     u1, fu = grid_golden_max(us, a, a_at, refine=psi.breakpoints is None, tol=1e-13, df=a_newton)
@@ -299,8 +295,8 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     if u1 + w1 <= edge and fu + fw > best:
         u, w, best = u1, w1, fu + fw
     if psi.breakpoints is None or nu.breakpoints is None:
-        on_edge = _edge_max(lambda s, t: a_at(s) + c_at(t), float(us[0]), float(ws[0]),
-                            a_newton, c_newton)
+        on_edge = _edge_max(float(us[0]), float(ws[0]), a_newton, c_newton,
+                            (float(us[i]), float(ws[j])))
     else:  # linear between the edge's vertices: its ends, u at a breakpoint of psi, w at one of nu
         lo, hi = max(float(us[0]), edge - 1.0), min(1.0, edge - float(ws[0]))
         ts = np.clip(np.concatenate([[lo, hi], psi.breakpoints, edge - nu.breakpoints]), lo, hi)
@@ -342,9 +338,8 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
             return -math.inf
         k = int(np.searchsorted(ws, top, side="right")) - 1
         inner = max(float(run[k]), c_at(top))
-        cell = (cell_max(c_at, ws, int(arg[k]), top, df=c_newton, fs=c)
-                if refine and math.isfinite(run[k]) else None)
-        if cell is not None:
+        cell = refine and math.isfinite(run[k]) and cell_max(c_newton, ws, int(arg[k]), top)
+        if cell:
             inner = max(inner, cell[1])
         return u * la - lp + inner
 
@@ -575,7 +570,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             fs = line(us, ps)
             i = int(np.argmax(fs))
             u, best = float(us[i]), float(fs[i])
-            cell = _zoom_cells(lambda ts: line(ts, 1.0 / ts), us, i, tol=1e-12)
+            cell = zoom_cells(lambda ts: line(ts, 1.0 / ts), us, i, tol=1e-12)
         if best == -math.inf:
             return _infeasible("generic", "empty domain")
         if cell is not None and cell[1] > best:
@@ -622,8 +617,8 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         edge = 1.0 - _T_MARGIN
         cap = edge if tri else math.inf
         u, w, best = _cell_polish(
-            lambda w: _zoom_cells(along_u(w), us, i, cap - w),
-            lambda u: _zoom_cells(along_w(u), ws, j, cap - u),
+            lambda w: zoom_cells(along_u(w), us, i, cap - w),
+            lambda u: zoom_cells(along_w(u), ws, j, cap - u),
             float(us[i]), float(ws[j]), best,
         )
         for _ in range(3):
@@ -651,13 +646,6 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         math.exp(-best) * norm_xi * norm_eta, "generic",
         p=exponent(u, p_top, p_bot), q=exponent(w, q_top, q_bot),
     )
-
-
-def _zoom_cells(F, xs, i, cap=math.inf, tol=1e-13):
-    """zoom_max of F on the two grid cells around xs[i], clipped at cap, or None
-    when the clipped cells are empty."""
-    lo, hi = float(xs[max(i - 1, 0)]), min(float(xs[min(i + 1, xs.size - 1)]), cap)
-    return zoom_max(F, lo, hi, tol) if hi > lo else None
 
 
 def _kernel_grid_best(h, ps, lp, qs, lq, counts):

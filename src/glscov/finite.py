@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _optimize
-from ._optimize import grid_golden_max, u_axis
+from ._optimize import u_axis, zoom_cells
 from .errors import DomainError
 from .psi import logsumexp, power, scan_bound
 from . import bounds as _bounds
@@ -243,16 +243,17 @@ def _log_moment_rows(probs, values, ps):
 
 
 def gls_norm_exact(space, xi, psi, n_grid=512, refine=True):
-    """sup over p of |xi|_p / psi(p), using exact moments at every scanned p."""
+    """sup over p of |xi|_p / psi(p), using exact moments at every scanned p;
+    `refine` zooms in on the best scan point's cells (`zoom_cells`)."""
 
     def log_norms(ps):
         return _log_moments(space.atom_probs, xi.values, ps) / ps
 
-    def objective(t):
-        return float(log_norms(np.array([1.0 / t]))[0]) - psi.log_u_jet(t)[0]
-
     us, ps = u_axis(scan_bound(psi), 1.0, n_grid)
-    _, best = grid_golden_max(us, log_norms(ps) - psi.log_u(us), objective, refine=refine)
+    fs = log_norms(ps) - psi.log_u(us)
+    i = int(np.argmax(fs))
+    cell = refine and zoom_cells(lambda ts: log_norms(1.0 / ts) - psi.log_u(ts), us, i, tol=1e-12)
+    best = max(float(fs[i]), cell[1] if cell else -math.inf)
     return 0.0 if best == -math.inf else math.exp(best)
 
 

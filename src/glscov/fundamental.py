@@ -164,13 +164,13 @@ def _over_phi(c, log_phi, power=1):
     return c / phi if power == 1 else c / phi / phi
 
 
-def fundamental(psi, delta, n_grid=N_GRID, refine=True):
+def fundamental(psi, delta, n_grid=N_GRID):
     """Fundamental function: sup over p in [1, b) of delta^(1/p)/psi(p).
 
     delta may exceed 1 (the strong-mixing bound evaluates at 1/beta); the sup
     then favors small p and the maximizer is typically reported at_one.
     """
-    return _result(psi, delta, 1.0, _sup(psi, _log_delta(delta), 1.0, n_grid, refine))
+    return _result(psi, delta, 1.0, _sup(psi, _log_delta(delta), 1.0, n_grid))
 
 
 def fundamental_truncated(psi, s, delta):

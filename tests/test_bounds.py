@@ -27,6 +27,7 @@ from glscov import (
     phi_uniform,
     phi_uniform_theta,
     power,
+    product_zeta,
     tabulated,
 )
 
@@ -129,6 +130,22 @@ def test_dual_pair_identity():
             a = gls_strong_bound(psi, dual_psi(psi), beta, 1.0, 1.0).value
             b = gls_dual_pair_bound(psi, beta, 1.0, 1.0).value
             assert a == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("psi", [power(1.0), finite_support(3.0, 0.5), dual_psi(power(2.0)),
+                                 extremal(3.0)], ids=["power", "finite", "dual", "extremal"])
+def test_dual_pair_bound_in_logs_keeps_the_plain_quotient(psi):
+    # the sup is read in logs, and an ordinary phi still divides as c/phi/phi
+    for beta in (1e-320, 1e-8, 0.3, 1.0):
+        phi = fundamental(psi, beta**-0.5).value
+        assert gls_dual_pair_bound(psi, beta, 1.3, 0.7).value == 2.0 * 1.3 * 0.7 / phi / phi
+
+
+def test_dual_pair_bound_on_an_empty_support_raises():
+    # zeta is finite where p < 1.5 and p' < 1.5: nowhere
+    zeta = product_zeta(finite_support(1.5, 0.5), finite_support(1.5, 0.5))
+    with pytest.raises(DomainError, match=r"empty effective support: psi is \+inf on \[1, b\)"):
+        gls_dual_pair_bound(zeta, 0.01, 1.0, 1.0)
 
 
 def test_phi_uniform_routes_agree():
@@ -278,12 +295,14 @@ def test_gls_strong_bound_with_a_subnormal_beta_reads_minus_ln_beta():
     assert 0.0 < rep.value <= gls_strong_bound(power(1.0), power(2.0), 1e-300, 1.0, 1.0).value
 
 
-def test_gls_strong_bound_reports_a_golden_section_exponent_as_a_float():
-    # the subnormal beta's sup is refined by golden section, whose probes
-    # were numpy scalars: p printed as np.float64(1.00067812453563)
-    p = gls_strong_bound(power(1.0), power(2.0), 1e-320, 1.0, 1.0).p
-    assert type(p) is float
-    assert p == 1.00067812453563
+def test_gls_strong_bound_reports_a_subnormal_beta_exponent_as_a_float():
+    # the subnormal beta's sup sits in a cell next to an infeasible grid
+    # point, once refined by golden section, whose probes were numpy scalars
+    # (p printed as np.float64(1.00067812453563)); Newton refines it now
+    rep = gls_strong_bound(power(1.0), power(2.0), 1e-320, 1.0, 1.0)
+    assert type(rep.p) is float
+    assert rep.p == 1.0006781243276246
+    assert rep.value == 1.266676e-318
 
 
 @pytest.mark.parametrize("call", [
@@ -301,7 +320,8 @@ def test_gls_bounds_divide_in_logs_where_phi_leaves_the_float_range():
     # psi(p) = (1e200 - p)^-2 is about 1e-400, so phi is about 1e400
     psi = finite_support(1e200, 2.0)
     for rep in (gls_strong_bound(psi, power(2.0), 0.5, 1.0, 1.0),
-                gls_identical_bound(psi, 0.5, 1.0, 1.0)):
+                gls_identical_bound(psi, 0.5, 1.0, 1.0),
+                gls_dual_pair_bound(psi, 0.5, 1.0, 1.0)):
         assert rep.feasible and rep.notes == ()
         assert 0.0 <= rep.value < math.inf
     # 1e300 / phi keeps a normal value: 2e300 exp(-ln phi), not 0

@@ -229,7 +229,7 @@ def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
 
 
 def _golden_calls(monkeypatch):
-    """The list of golden_max calls, made by cell_max or by the bounds module."""
+    """The list of golden_max calls; only `_optimize` makes them."""
     calls = []
     plain = _optimize.golden_max
 
@@ -238,7 +238,6 @@ def _golden_calls(monkeypatch):
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(_optimize, "golden_max", counted)
-    monkeypatch.setattr(bounds, "golden_max", counted)
     return calls
 
 
@@ -368,30 +367,40 @@ def test_mixed_product_sups_match_a_dense_reference_in_fewer_probes(monkeypatch,
     assert newton < sups()[1]
 
 
-def _concave_probe(top):
-    """(f, f', f'') of -(x - top)^2."""
-    return lambda x: (-(x - top) ** 2, -2.0 * (x - top), -2.0)
-
-
 @pytest.mark.parametrize("edge", ["left", "right"])
-def test_an_infeasible_neighbour_cell_takes_the_golden_path(edge):
-    # the grid max sits next to a -inf grid value: the bracket reaches past
-    # psi's support, where a derivative means nothing
+def test_an_infeasible_neighbour_cell_takes_the_newton_path(monkeypatch, edge):
+    # the grid max sits next to a -inf grid value, so its cells reach past
+    # psi's support: Newton closes its bracket at a -inf point and bisects,
+    # to a max inside the cells or to the support's end for a peak past it
+    calls = _golden_calls(monkeypatch)
     xs = np.linspace(0.0, 1.0, 11)
-    top = 0.12 if edge == "left" else 0.88
+    end = 0.05 if edge == "left" else 0.95
+    for top in ((0.12, 0.02) if edge == "left" else (0.88, 0.98)):
+        def df(x, top=top):  # f' and f'' past the support are never to be used
+            feasible = x > end if edge == "left" else x < end
+            return (-((x - top) ** 2) if feasible else -math.inf), -2.0 * (x - top), -2.0
 
-    def f(x):
-        feasible = x > 0.05 if edge == "left" else x < 0.95
-        return -((x - top) ** 2) if feasible else -math.inf
+        fs = np.array([df(x)[0] for x in xs])
+        x, fx = grid_golden_max(xs, fs, lambda x: df(x)[0], df=df)
+        want = min(max(top, 0.05), 0.95)
+        assert x == pytest.approx(want, abs=1e-12)
+        assert fx == pytest.approx(-((want - top) ** 2), abs=1e-12)
+    assert calls == []
+
+
+def test_newton_max_closes_its_bracket_past_the_support():
+    # f = -(x - 2)^2 is finite only for x <= 0.7: the steps toward 2 and the
+    # end hi land past the support, so the search bisects onto its edge
+    n = [0]
 
     def df(x):
-        raise AssertionError("Newton probe called next to an infeasible cell")
+        n[0] += 1
+        return (-((x - 2.0) ** 2) if x <= 0.7 else -math.inf), -2.0 * (x - 2.0), -2.0
 
-    fs = np.array([f(x) for x in xs])
-    x, fx = grid_golden_max(xs, fs, f, df=df)
-    assert x == pytest.approx(top, abs=1e-9)
-    x, fx = grid_golden_max(xs, fs, f, df=_concave_probe(top))
-    assert x == pytest.approx(top, abs=1e-9)  # no -inf neighbour: Newton
+    x, fx = newton_max(df, 0.0, 0.5, 1.0, 1e-12)
+    assert 0.7 - 1e-12 <= x <= 0.7
+    assert fx == -((x - 2.0) ** 2)
+    assert n[0] <= _optimize._golden_evals(1.0, 1e-12)
 
 
 def test_newton_max_bisects_where_f_is_not_concave():

@@ -51,6 +51,14 @@ def test_uniform_sup_on_an_extremal_pair_reports_the_support_ends():
     assert (rep.p, rep.q) == (R, 4.0)
 
 
+def test_smooth_truncated_sup_at_its_truncation_point_reports_it():
+    # the finite-b part of the u grid ended at lo + (hi - lo), one ulp below
+    # hi = 1/1.2, and its sup was reported at p = 1.2000000000000002
+    psi = finite_support(3.0, 0.5)
+    assert fundamental_truncated(psi, 1.2, math.exp(6.0)).argmax_p == 1.2
+    assert fundamental_truncated(psi, 1.7, math.exp(6.0)).argmax_p == 1.7
+
+
 @pytest.mark.parametrize("s", [1.46, 1.51])
 def test_truncated_sup_at_its_truncation_point_reports_it(s):
     # for power(1) at delta = 0.9 the objective rises on all of [1/b, 1/s]

@@ -25,7 +25,15 @@ from glscov import (
     product_zeta,
     tabulated,
 )
-from glscov._optimize import TABLE_CACHE_SIZE, axis_table, log_ratio, psi_table, u_axis
+from glscov import _optimize
+from glscov._optimize import (
+    TABLE_CACHE_SIZE,
+    axis_table,
+    golden_max,
+    log_ratio,
+    psi_table,
+    u_axis,
+)
 from glscov.bounds import (
     _T_MARGIN,
     _edge_max,
@@ -191,16 +199,38 @@ def _two_exponent_values(pairs):
     ]
 
 
+def _golden_edge_max(u_lo, w_lo, da, dc, grid_best):
+    """`_edge_max` by golden section on the values of its probes."""
+    edge = 1.0 - _T_MARGIN
+    lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
+    if hi <= lo:
+        return None
+    t, ft = golden_max(lambda t: da(t)[0] + dc(edge - t)[0], lo, hi, tol=1e-13)
+    return t, edge - t, ft
+
+
+def _golden_refinement(monkeypatch):
+    """Refine every cell, 1-D sup and edge of the two-exponent routes by
+    golden section on the values of their probes, ignoring the derivatives."""
+    plain = _optimize.grid_golden_max
+
+    def grid(*args, df=None, **kwargs):
+        return plain(*args, **kwargs)
+
+    def cell(df, xs, i, cap=math.inf, tol=1e-13):
+        lo, hi = float(xs[max(i - 1, 0)]), min(float(xs[min(i + 1, xs.size - 1)]), cap)
+        return golden_max(lambda t: df(t)[0], lo, hi, tol=tol) if hi > lo else None
+
+    monkeypatch.setattr(bounds, "grid_golden_max", grid)
+    monkeypatch.setattr(bounds, "cell_max", cell)
+    monkeypatch.setattr(bounds, "_edge_max", _golden_edge_max)
+
+
 def test_newton_two_exponent_sups_never_below_golden_section(monkeypatch):
     pairs = _smooth_pairs()
     assert all(psi.breakpoints is None and nu.breakpoints is None for psi, nu, _, _, _ in pairs)
     newton = _two_exponent_values(pairs)
-
-    def without_probe(*args):
-        us, fs, probe, _ = log_ratio(*args)
-        return us, fs, probe, None
-
-    monkeypatch.setattr(bounds, "log_ratio", without_probe)
+    _golden_refinement(monkeypatch)
     golden = _two_exponent_values(pairs)
     assert any(g != n for g, n in zip(golden, newton))  # the routes differ
     for got, want in zip(newton, golden):
@@ -330,18 +360,18 @@ def test_a_kernel_of_p_alone_works_on_every_domain(domain):
 
 def test_edge_search_falls_back_when_its_middle_is_infeasible():
     # zeta(power, finite_support(1.5)) is finite only for u < 1/3, so the
-    # middle of the edge is infeasible and Newton could pick no side there
+    # middle of the edge is infeasible and Newton could pick no side there:
+    # it restarts from the grid-best's u, where psi is finite
     psi, nu = product_zeta(power(2.0), finite_support(1.5, 0.5)), power(1.0)
-    us, _, a_at, da = log_ratio(psi, -3.0, axis_table(psi, 128))
-    ws, _, c_at, dc = log_ratio(nu, -0.5, axis_table(nu, 128))
-    assert da is not None and dc is not None
-
-    def f(s, t):
-        return a_at(s) + c_at(t)
-
-    got = _edge_max(f, float(us[0]), float(ws[0]), da, dc)
+    us, a, a_at, da = log_ratio(psi, -3.0, axis_table(psi, 128))
+    ws, c, _, dc = log_ratio(nu, -0.5, axis_table(nu, 128))
+    i, j, _ = _triangle_grid_best(us, a, ws, c)
+    edge = 1.0 - _T_MARGIN
+    lo, hi = float(us[0]), min(1.0, edge - float(ws[0]))
+    assert a_at(0.5 * (lo + hi)) == -math.inf
+    got = _edge_max(float(us[0]), float(ws[0]), da, dc, (float(us[i]), float(ws[j])))
     assert math.isfinite(got[2])
-    assert got == _edge_max(f, float(us[0]), float(ws[0]))
+    assert got[2] >= _golden_edge_max(float(us[0]), float(ws[0]), da, dc, None)[2]
 
 
 def test_neg_log_kernel_equals_the_out_of_place_expression():
