@@ -6,8 +6,8 @@ of a 1-D sup over p, with ln psi on it.  A piecewise log-linear psi's is its
 breakpoints and the scan ends alone: a 1-D objective linear or monotone on
 each cell between them has its sup at one of them, the grid maximum, and
 its caller skips the refinement.  Any other psi reads the dense `_u_grid`
-of its scan range, one shared array.  `axis_table` is the grid along one
-coordinate of a two-exponent sup, dense for every psi.
+of its scan range, one shared array.  Both axes of a two-exponent sup read
+these tables on [1, b).
 
 Every other psi refines by safeguarded Newton (`newton_max`, `cell_max`)
 on its jet `log_u_jet`, exact on every cell, next to an infeasible grid
@@ -45,13 +45,13 @@ _ZOOM_POINTS = 33
 _ZOOM_PASSES = 64
 _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 
-#: scan tables kept at once, and as many axes and u grids: a smooth psi's
-#: table holds ln psi on a shared u grid (about 18 kB each), a piecewise
-#: psi's about one point per knot.  The size caps what the caches hold however
-#: many generating functions a caller keeps alive.  The 1-D sups of one psi
-#: use at most two tables (on [1, b) for fundamental and the conjugate, on
+#: scan tables kept at once, and as many u grids: a smooth psi's table holds
+#: ln psi on a shared u grid (about 18 kB each), a piecewise psi's about one
+#: point per knot.  The size caps what the caches hold however many
+#: generating functions a caller keeps alive.  The 1-D sups of one psi use
+#: at most two tables (on [1, b) for fundamental and the conjugate, on
 #: [s, b) for a truncated sup); a two-exponent bound on (psi, nu) adds one
-#: axis per function, which the nested route shares.
+#: table on [1, b) per function at its grid size, which both routes share.
 TABLE_CACHE_SIZE = 8
 
 #: elements at most in one array of a batched pass (8 MB of floats): sups
@@ -305,24 +305,6 @@ def psi_table(psi, s, n):
         return _table(_u_grid(lo, hi, n, math.isfinite(psi.b)), psi)
     us = np.unique(np.concatenate([psi.breakpoints, [lo, hi]]))
     return _table(us[(us >= lo) & (us <= hi)], psi)
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def axis_table(psi, n):
-    """The scan grid of psi along one axis of a two-exponent sup, p in
-    [1, min(b, P_MAX)], and ln psi on it.
-
-    A smooth psi's is its `psi_table`.  A piecewise psi's is the dense
-    `_u_grid` with its breakpoints: next to a smooth function the objective
-    along the edge u + w = 1 is not linear between breakpoints, and for
-    knot slopes that are not monotone it has several local maxima there,
-    each of which a dense axis puts grid points next to.
-    """
-    table = psi_table(psi, 1.0, n)
-    if psi.breakpoints is None:
-        return table
-    grid = _u_grid(1.0 / scan_bound(psi), 1.0, n, math.isfinite(psi.b))
-    return _table(np.union1d(grid, table[0]), psi)
 
 
 def log_ratio(psi, log_x, table):

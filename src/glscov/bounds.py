@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optimize import (
-    axis_table,
     cell_max,
     exponent,
     grid_golden_max,
     log_ratio,
     newton_max,
+    psi_table,
     u_axis,
     zoom_cells,
     zoom_max,
@@ -188,123 +188,135 @@ def _triangle_grid_best(us, a, ws, c):
     return i, int(arg[last[i]]), float(rows[i])
 
 
-def _cell_polish(move_u, move_w, u, w, best):
-    """Moves of the grid-best point (u, w) inside its own cells, first in u
-    and then in w.
-
-    Where the objective is not concave its grid-best can hold a local sup
-    that no other candidate reaches.  move_u(w) returns the best (u, value)
-    of the u-move at fixed w, or None; move_w(u) does the same for w.
-    Returns (u, w, value).
-    """
-    cell = move_u(w)
-    if cell is not None and cell[1] > best:
-        u, best = cell
-    cell = move_w(u)
-    if cell is not None and cell[1] > best:
-        w, best = cell
-    return u, w, best
+#: how far Newton stays inside a piece of Phi: a kink mirrored as 1 - w or
+#: e - w is rounded, and a jet read that close can take the next cell's slope
+_KINK_GAP = 8.0 * math.ulp(1.0)
 
 
-def _edge_max(u_lo, w_lo, da, dc, grid_best):
-    """Max of a separable f(u, w) = a(u) + c(w) along the edge u + w = 1 - margin.
+def _kinks(psi):
+    """The u = 1/p points, ascending, where ln psi(1/u) may have a kink: a piecewise
+    psi's breakpoints, a dual's (inner psi at 1 - u) and a product's from its factors."""
+    if psi.breakpoints is not None:
+        return psi.breakpoints
+    if psi.kind == "dual":
+        return 1.0 - _kinks(psi.left)[::-1]
+    if psi.kind == "product":
+        return np.union1d(_kinks(psi.left), 1.0 - _kinks(psi.right))
+    return np.empty(0)
 
-    Coordinate moves stall there, so the triangle sups search it explicitly,
-    by `newton_max` on f(t) = a(t) + c(e - t) from the derivative probes da,
-    dc of a and c, exact on every cell.  It starts at the middle of the edge
-    or, where that is infeasible, at the u of the grid-best point
-    `grid_best` = (u, w), where a is finite, or else at its w.  Returns
-    (u, w, value), or None when the edge misses [u_lo, 1] x [w_lo, 1].
-    """
-    edge = 1.0 - _T_MARGIN
-    lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
+
+def _segment_maxima(df, ts, fs, xs, gs):
+    """[(t, f(t))]: Newton's max on each segment [ts[k], ts[k + 1]] of the
+    ascending vertices ts (f there: fs) where f is concave and the end
+    slopes, read _KINK_GAP inside (a -inf end rises), bracket a max.  df(t)
+    is (f, f', f''); Newton starts from the best of the ends so read and the
+    points xs (f there: gs) inside the segment.  All four are arrays."""
+    maxima = []
+    for t0, t1, f0, f1 in zip(*(x.tolist() for x in (ts[:-1], ts[1:], fs[:-1], fs[1:]))):
+        left, right, starts = t0 + _KINK_GAP, t1 - _KINK_GAP, []
+        for end, f_end, sign in ((left, f0, 1.0), (right, f1, -1.0)):
+            if f_end > -math.inf:
+                f, d1, _ = df(end)
+                if not sign * d1 > 0:  # f falls into the segment: its max is at this end
+                    break
+                starts.append((f, end))
+        else:
+            inside = np.flatnonzero((xs >= left) & (xs <= right))
+            if inside.size:
+                k = inside[np.argmax(gs[inside])]
+                starts.append((float(gs[k]), float(xs[k])))
+            f, x = max(starts, default=(-math.inf, 0.0))
+            if f > -math.inf and right > left:
+                maxima.append(newton_max(df, left, x, right, 1e-13))
+    return maxima
+
+
+def _axis(psi, log_x, n):
+    """(us, a(us), kinks): the candidates of one axis of Phi, u = 1/p on
+    [1/min(b, P_MAX), 1], where a(u) = u ln x - ln psi(1/u) is concave
+    between the kinks inside it.  A piecewise psi's a is linear there: its
+    `psi_table`.  One piece: its `_sup`.  A product with a piecewise factor:
+    the scan ends, its kinks and `_segment_maxima` from its table."""
+    lo = 1.0 / scan_bound(psi)
+    kinks = _kinks(psi)
+    kinks = kinks[(kinks > lo) & (kinks < 1.0)]
+    if psi.breakpoints is None and not kinks.size:
+        u, f = _sup(psi, log_x, 1.0, n)
+        return np.array([u]), np.array([f]), kinks
+    us, fs, _, newton = log_ratio(psi, log_x, psi_table(psi, 1.0, n))
+    if psi.breakpoints is not None:
+        return us, fs, kinks
+    ends = np.concatenate([[lo], kinks, [1.0]])
+    maxima = _segment_maxima(newton, ends, ends * log_x - psi.log_u(ends), us, fs)
+    xs = np.sort(np.concatenate([ends, [t for t, _ in maxima]]))
+    return xs, xs * log_x - psi.log_u(xs), kinks
+
+
+def _on_edge(psi, nu, la, lb, ku, kw, starts):
+    """Best point (u, w, value) of a(u) + c(w) on the edge u + w = e, or None.
+
+    The edge splits at psi's kinks ku and at e - kw for nu's.  Its vertices
+    are one array, each side read at its own exact coordinate, so nu's
+    closed end w = 1/b survives the rounding of e - u.  Each concave segment
+    takes `_segment_maxima` from its midpoint or the u = starts inside it,
+    unless both psi are piecewise and every segment is linear."""
+    e, w_lo = 1.0 - _T_MARGIN, 1.0 / scan_bound(nu)
+    lo, hi = 1.0 / scan_bound(psi), e - w_lo
     if hi <= lo:
         return None
+    ku, kw = ku[(ku > lo) & (ku < hi)], kw[(e - kw > lo) & (e - kw < hi)]
+    us = np.concatenate([[lo], ku, e - kw, [hi]])
+    order = np.argsort(us, kind="stable")
+    us, ws = us[order], np.concatenate([[e - lo], e - ku, kw, [w_lo]])[order]
+    fs = (us * la - psi.log_u(us)) + (ws * lb - nu.log_u(ws))
+    k = int(np.argmax(fs))
+    best = float(us[k]), float(ws[k]), float(fs[k])
+    if psi.breakpoints is not None and nu.breakpoints is not None:
+        return best
+    ts = np.concatenate([0.5 * (us[:-1] + us[1:]), starts])
+    ts = ts[(ts > lo) & (ts < hi)]
 
     def df(t):
-        fa, a1, a2 = da(t)
-        fc, c1, c2 = dc(edge - t)
-        return fa + fc, a1 - c1, a2 + c2
+        ga, a1, a2 = psi.log_u_jet(t)
+        gc, c1, c2 = nu.log_u_jet(e - t)
+        return (t * la - ga) + ((e - t) * lb - gc), la - a1 - lb + c1, -a2 - c2
 
-    u, w = grid_best
-    for start in (0.5 * (lo + hi), u, edge - w):
-        t, ft = newton_max(df, lo, start, hi, 1e-13)
-        if ft > -math.inf:
-            break
-    return t, edge - t, ft
-
-
-def _separable_move(psi, xs, k, at, df, shift, cap):
-    """The move of at(t) + shift on the cells around the grid-best xs[k],
-    clipped at cap, for a separable objective: (t, value) or None.
-
-    at is the part of the objective over psi and df its derivative probe.
-    For a piecewise psi at is linear between grid points, so the max is at a
-    grid point or at the clip point.  The grid points were rivals of the
-    grid-best at its other coordinate, so the clip point is the one point
-    evaluated.  Any other psi moves by `cell_max`.
-    """
-    if psi.breakpoints is not None:
-        return (cap, at(cap) + shift) if xs[k] < cap < xs[min(k + 1, xs.size - 1)] else None
-
-    def shifted(t):
-        v, d1, d2 = df(t)
-        return v + shift, d1, d2
-
-    return cell_max(shifted, xs, k, cap)
+    gs = (ts * la - psi.log_u(ts)) + ((e - ts) * lb - nu.log_u(e - ts))
+    for t, f in _segment_maxima(df, us, fs, ts, gs):
+        if f > best[2]:
+            best = t, e - t, f
+    return best
 
 
 def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
-    In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable; a and
-    c are `log_ratio` on one cached `axis_table` per function, which the
-    nested route shares.  The grid-best over the triangle comes from a running
-    maximum of c.  Refinement keeps the best of: the grid-best moved inside
-    its own cells; the product point of the two 1-D sups, when it lies in
-    the triangle (the factorization); and the sup along the edge u + w = 1.
-    Along a piecewise psi's coordinate the objective is linear between grid
-    points: its move evaluates the clip point alone, and its 1-D sup is the
-    grid maximum.  On a pair of piecewise psi the edge sup is the best edge
-    vertex (u at a breakpoint of psi, or w at one of nu), all evaluated as
-    one array.  Every other search is Newton on the exact jets.  For concave
-    a and c, which every built-in kind gives except a tabulated psi with
-    non-monotone knot slopes, the sup is one of the last two; for a
-    tabulated psi the knots on the grid put the grid-best on the right
-    local maximum.  Every candidate is an evaluated admissible point, so
-    the value is a lower estimate for any psi.  Returns a UniformPhi (value
-    0.0 when the admissible region carries no finite point).
-    """
+    In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable and
+    concave on every pair of pieces of the axes, so (KKT) its sup there is
+    the product point of the two 1-D sups or on the edge u + w = e =
+    1 - margin.  Phi is the better of the best admissible pair of the axes'
+    candidates (`_axis`, `_triangle_grid_best`) and the best edge point
+    (`_on_edge`; skipped when both axes are one piece and their product
+    point is admissible).  Every candidate is an evaluated admissible point:
+    a lower estimate for any psi.  UniformPhi's value is 0.0 when the region
+    carries no finite point."""
     _check_unit(alpha, "alpha")
     _check_unit(beta, "beta")
     la = math.log(alpha) if alpha > 0 else -math.inf
     lb = math.log(beta) if beta > 0 else -math.inf
-    us, a, a_at, a_newton = log_ratio(psi, la, axis_table(psi, n_grid))
-    ws, c, c_at, c_newton = log_ratio(nu, lb, axis_table(nu, n_grid))
-    i, j, best = _triangle_grid_best(us, a, ws, c)
+    us, a, ku = _axis(psi, la, n_grid)
+    ws, c, kw = _axis(nu, lb, n_grid)
+    i, j = int(np.argmax(a)), int(np.argmax(c))  # the product point of the 1-D sups
+    u, w, best = float(us[i]), float(ws[j]), float(a[i] + c[j])
+    if ku.size or kw.size or u + w > 1.0 - _T_MARGIN:
+        i, j, best = _triangle_grid_best(us, a, ws, c)
+        u, w = float(us[i]), float(ws[j])
+        smooth = [xs for f, xs in ((psi, us), (nu, 1.0 - _T_MARGIN - ws)) if f.breakpoints is None]
+        on_edge = _on_edge(psi, nu, la, lb, ku, kw, np.concatenate([[], *smooth]))
+        if on_edge is not None and on_edge[2] > best:
+            u, w, best = on_edge
     if best == -math.inf:
         return UniformPhi(alpha, beta, 0.0, math.nan, math.nan)
-    edge = 1.0 - _T_MARGIN
-    u, w, best = _cell_polish(
-        lambda w: _separable_move(psi, us, i, a_at, a_newton, c_at(w), edge - w),
-        lambda u: _separable_move(nu, ws, j, c_at, c_newton, a_at(u), edge - u),
-        float(us[i]), float(ws[j]), best,
-    )
-    u1, fu = grid_golden_max(us, a, a_at, refine=psi.breakpoints is None, tol=1e-13, df=a_newton)
-    w1, fw = grid_golden_max(ws, c, c_at, refine=nu.breakpoints is None, tol=1e-13, df=c_newton)
-    if u1 + w1 <= edge and fu + fw > best:
-        u, w, best = u1, w1, fu + fw
-    if psi.breakpoints is None or nu.breakpoints is None:
-        on_edge = _edge_max(float(us[0]), float(ws[0]), a_newton, c_newton,
-                            (float(us[i]), float(ws[j])))
-    else:  # linear between the edge's vertices: its ends, u at a breakpoint of psi, w at one of nu
-        lo, hi = max(float(us[0]), edge - 1.0), min(1.0, edge - float(ws[0]))
-        ts = np.clip(np.concatenate([[lo, hi], psi.breakpoints, edge - nu.breakpoints]), lo, hi)
-        fs = ts * la - psi.log_u(ts) + (edge - ts) * lb - nu.log_u(edge - ts)
-        k = int(np.argmax(fs))
-        on_edge = float(ts[k]), edge - float(ts[k]), float(fs[k])
-    if on_edge is not None and on_edge[2] > best:
-        u, w, best = on_edge
     return UniformPhi(alpha, beta, _exp_sup(best),
                       exponent(u, scan_bound(psi), 1.0), exponent(w, scan_bound(nu), 1.0))
 
@@ -315,18 +327,19 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
 
     In u = 1/p the inner sup runs over w = 1/q in [1/b_nu, 1 - u].  It comes
     from the running maximum of c(w) = w ln alpha - ln nu(1/w) on nu's
-    table, which phi_uniform at the same n_grid reads too, and c(1 - u).
-    The outer scan uses that grid value; its golden-section probes also
-    refine the inner sup on the cells around the running argmax, clipped at
-    1 - u, by `cell_max`.  For a piecewise nu, c is linear between grid
-    points, so the running maximum and c(1 - u) are already exact and the
-    inner sup is not refined.
+    `psi_table` on [1, b), which phi_uniform at the same n_grid reads too,
+    and c(1 - u).  The outer scan uses that grid value; its golden-section
+    probes also refine the inner sup on the cells around the running
+    argmax, clipped at 1 - u, by `cell_max`.  A piecewise nu's table is its
+    knots and scan ends, and c is linear between them, so the running
+    maximum and c(1 - u) are already exact and the inner sup is not
+    refined.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_at, c_newton = log_ratio(nu, la, axis_table(nu, n_grid))
+    ws, c, c_at, c_newton = log_ratio(nu, la, psi_table(nu, 1.0, n_grid))
     w_lo = float(ws[0])
     run, arg = _running_max(c)
     refine = nu.breakpoints is None
@@ -358,9 +371,10 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
 def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512):
     """12 alpha ||xi|| ||eta|| / Phi[psi,nu](alpha, alpha).
 
-    Phi is computed by the 2-D triangle sup and the nested 1-D route; both
-    are lower estimates of the same sup, so the larger one is used and a
-    note records any disagreement beyond 1e-6 relative.
+    Phi is computed by `phi_uniform` (note phi_2d), which reports the
+    exponents, and the nested route `phi_uniform_theta` (note phi_theta);
+    both are lower estimates of the same sup, so the larger one is used and
+    a note records any disagreement beyond 1e-6 relative.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
@@ -553,11 +567,12 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     w = 1 - u on the conjugate line.  psi and nu are evaluated once on each
     grid axis and h on the grid's admissible points, in a few row blocks
     (`_kernel_grid_best`).  The best grid point is refined by moves inside
-    its own cells, then along each coordinate in turn (h need not be
-    separable): it rounds until a round moves neither coordinate, at most
-    three.  On "T" a search along the edge u + w = 1, where coordinate moves
-    stall, competes with them.  A kernel carries no derivative, and every
-    search is `zoom_max`, which reads h on a whole array of points per pass.
+    its own cells, in u then in w (a non-concave objective's local sup),
+    then along each coordinate in turn (h need not be separable): it rounds
+    until a round moves neither coordinate, at most three.  On "T" a search
+    along the edge u + w = 1, where coordinate moves stall, competes with
+    them.  A kernel carries no derivative, and every search is `zoom_max`,
+    which reads h on a whole array of points per pass.
     """
     if domain == "conjugate":
         def line(us, ps):
@@ -616,11 +631,13 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
 
         edge = 1.0 - _T_MARGIN
         cap = edge if tri else math.inf
-        u, w, best = _cell_polish(
-            lambda w: zoom_cells(along_u(w), us, i, cap - w),
-            lambda u: zoom_cells(along_w(u), ws, j, cap - u),
-            float(us[i]), float(ws[j]), best,
-        )
+        u, w = float(us[i]), float(ws[j])
+        cell = zoom_cells(along_u(w), us, i, cap - w)
+        if cell is not None and cell[1] > best:
+            u, best = cell
+        cell = zoom_cells(along_w(u), ws, j, cap - u)
+        if cell is not None and cell[1] > best:
+            w, best = cell
         for _ in range(3):
             start = (u, w)
             hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]
@@ -635,7 +652,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
                     w, best = w2, fw
             if (u, w) == start:  # the next round would repeat this one exactly
                 break
-        lo, hi = max(u_rng[0], edge - 1.0), min(1.0, edge - w_rng[0])  # as in _edge_max
+        lo, hi = max(u_rng[0], edge - 1.0), min(1.0, edge - w_rng[0])
         if tri and hi > lo:
             t, ft = zoom_max(lambda ts: _neg_log_kernel(h(1.0 / ts, 1.0 / (edge - ts)),
                                                         psi.log_u(ts), nu.log_u(edge - ts)),

@@ -5,8 +5,10 @@ the first knot to u = 1; ln zeta(1/u) of zeta(p) = psi(p) nu(p/(p-1)) adds
 ln nu at w = 1 - u.  An objective that is linear or monotone in u on each cell
 between these vertices attains its sup over a scan range [lo, hi] at a vertex
 inside it or at lo or hi, so the references below take the max over exactly
-those points.  The references never call glscov; `piecewise_case` builds the
-glscov function they are compared with.
+those points; `dense_two_exponent_sup`, for a pair with a smooth function,
+scans a dense grid on each axis and along the edge, with the kinks on it.
+The references never call glscov; `piecewise_case` builds the glscov
+function they are compared with.
 """
 
 import math
@@ -125,3 +127,55 @@ def two_exponent_sup(left, right, log_alpha, log_beta, edge):
     cands += [(u, edge - u) for u in lu if ru[0] <= edge - u <= ru[-1]]
     cands += [(edge - w, w) for w in ru if lu[0] <= edge - w <= lu[-1]]
     return max((value(u, w) for u, w in cands), default=-math.inf)
+
+
+def log_power(m):
+    """ln psi(1/w) of psi(p) = p^(1/m), on arrays of w in (0, 1]."""
+    return lambda w: -np.log(w) / m
+
+
+def log_finite_support(b, beta):
+    """ln psi(1/w) of psi(p) = (b - p)^(-beta) on [1, b), +inf for w <= 1/b."""
+    def g(w):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = b - 1.0 / w
+            return np.where(d > 0.0, -beta * np.log(d), np.inf)
+
+    return g
+
+
+def log_table(verts):
+    """ln psi(1/u) of a tabulated psi from its vertices, on arrays of u; +inf
+    outside [first vertex, 1]."""
+    us, logs = (np.array(x) for x in zip(*verts))
+    return lambda u: np.where((u >= us[0]) & (u <= us[-1]), np.interp(u, us, logs), np.inf)
+
+
+def dense_two_exponent_sup(log_psi, u_lo, u_kinks, log_nu, w_lo, log_alpha, log_beta, edge,
+                           n=20001):
+    """ln sup over u + w <= edge of u ln alpha - ln psi(1/u) + w ln beta - ln nu(1/w),
+    u in [u_lo, 1] and w in [w_lo, 1], where log_psi(u) = ln psi(1/u) and
+    log_nu(w) = ln nu(1/w) on arrays, +inf outside the supports.
+
+    A lower estimate: n dense u and the kinks u_kinks of psi, each paired
+    with the best of n dense w admissible with it, and n dense points of the
+    edge u + w = edge with the kinks on it.  -inf when no point is
+    admissible.
+    """
+    def axis(lo, extra):
+        xs = np.concatenate([np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, n // 4), extra])
+        return np.unique(xs[(xs >= lo) & (xs <= 1.0)])
+
+    us, ws = axis(u_lo, u_kinks), axis(w_lo, [])
+    lo, hi = max(u_lo, edge - 1.0), edge - w_lo
+    kinks = np.asarray(u_kinks, dtype=float)
+    ts = np.concatenate([np.linspace(lo, hi, n), kinks[(kinks > lo) & (kinks < hi)]])
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln 0 = -inf: outside a support
+        a = us * log_alpha - log_psi(us)
+        run = np.maximum.accumulate(ws * log_beta - log_nu(ws))
+        on_edge = ts * log_alpha - log_psi(ts) + (edge - ts) * log_beta - log_nu(edge - ts)
+    k = np.searchsorted(ws, edge - us, side="right") - 1
+    best = float(np.max(np.where(k >= 0, a + run[np.maximum(k, 0)], -np.inf)))
+    if hi > lo:
+        best = max(best, float(np.max(on_edge)))
+    return best

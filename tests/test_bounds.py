@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import piecewise_reference as ref
 from glscov import (
     DomainError,
     conjugate_exponent,
@@ -365,3 +366,38 @@ def test_generic_bound_on_the_conjugate_line(psi, nu, want):
     # the maximum is flat in p, which the value pins far tighter than p
     assert rep.p == pytest.approx(p, rel=1e-7)
     assert rep.q == pytest.approx(q, rel=1e-7)
+
+
+def _builtin_psi():
+    """Every built-in kind with b up to 1e300, a dual, and products of them."""
+    base = st.one_of(
+        st.floats(0.05, 20.0).map(power),
+        st.builds(finite_support, st.floats(1.0, 1e300, exclude_min=True), st.floats(0.0, 5.0)),
+        st.floats(1.0, 1e300, exclude_min=True).map(extremal),
+        ref.knot_sets().map(tabulated),
+    )
+    return st.one_of(base, st.floats(0.05, 20.0).map(lambda m: dual_psi(power(m))),
+                     st.builds(product_zeta, base, base))
+
+
+def _unit(**kwargs):
+    return st.floats(1e-320, 1.0, allow_subnormal=True, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_builtin_psi(), _builtin_psi(), _unit(), _unit(), _unit(exclude_max=True),
+       _unit(exclude_max=True))
+def test_two_exponent_bounds_give_a_value_an_infeasible_report_or_a_domain_error(
+        psi, nu, alpha, beta, alpha_open, beta_open):
+    def outcome(call):
+        try:
+            return call()
+        except DomainError:
+            return None
+
+    phi = outcome(lambda: phi_uniform(psi, nu, alpha, beta))
+    assert phi is None or 0.0 <= phi.value < math.inf
+    rep = outcome(lambda: gls_uniform_bound(psi, nu, alpha, 1.0, 1.0))
+    assert rep is None or (0.0 <= rep.value < math.inf if rep.feasible else rep.value == math.inf)
+    fact = outcome(lambda: factorization_check(psi, nu, alpha_open, beta_open))
+    assert fact is None or (0.0 <= fact.lhs < math.inf and 0.0 <= fact.rhs < math.inf)

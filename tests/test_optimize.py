@@ -211,12 +211,12 @@ def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
         return out
 
     monkeypatch.setattr(_optimize, "newton_max", counted)
-    monkeypatch.setattr(bounds, "newton_max", counted)  # the edge search
+    monkeypatch.setattr(bounds, "newton_max", counted)  # the pieces and the edge of Phi
     _run(_smooth_cases())
     assert len(counts) > 200
     assert all(n <= min(48, golden) for n, golden in counts)
     assert sum(n for n, _ in counts) / len(counts) <= 8.0
-    # the 2-D cell polish, the edge search and theta's inner cells
+    # the 1-D sups and edge segments of Phi and theta's inner cells
     del counts[:]
     _run_pairs(_smooth_cases())
     assert len(counts) > 1000
@@ -279,12 +279,12 @@ def test_uniform_sup_makes_no_golden_section_call(monkeypatch, psi, nu):
 
 
 def test_piecewise_coordinates_take_no_cell_refinement(monkeypatch):
-    # linear between grid points: a move along a piecewise coordinate
-    # evaluates its clip point alone, a piecewise pair's edge sup is the best
-    # of its vertices as one array, and theta's inner sup over a piecewise nu
-    # is its running maximum and c(1 - u)
+    # linear between breakpoints: a piecewise pair's Phi is the best of its
+    # knot pairs and edge vertices, each read as one array, with no jet
+    # probe, and theta's inner sup over a piecewise nu is its running
+    # maximum and c(1 - u)
     cells, probes = [], [0]
-    plain, jet = bounds.cell_max, PsiFunction.log_u_jet
+    plain, jet = _optimize.cell_max, PsiFunction.log_u_jet
 
     def counted_cell(*args, **kwargs):
         cells.append(args[1])
@@ -294,17 +294,18 @@ def test_piecewise_coordinates_take_no_cell_refinement(monkeypatch):
         probes[0] += 1
         return jet(self, u)
 
+    monkeypatch.setattr(_optimize, "cell_max", counted_cell)
     monkeypatch.setattr(bounds, "cell_max", counted_cell)
     monkeypatch.setattr(PsiFunction, "log_u_jet", counted_jet)
     for psi, nu in ((extremal(3.0), extremal(4.0)), (tabulated(ref.KNOTS), tabulated(ref.KNOTS_2))):
         probes[0] = 0
         phi_uniform(psi, nu, 1e-3, 1e-2)
-        assert probes[0] <= 4  # the two moves' fixed parts and clip points
+        assert probes[0] == 0
         phi_uniform_theta(psi, nu, 1e-3)
         phi_uniform_theta(power(1.5), nu, 1e-3)
     assert cells == []
     phi_uniform(power(1.5), NATURAL, 1e-3, 1e-2)
-    assert len(cells) == 1  # the move along power's coordinate
+    assert len(cells) == 1  # the 1-D sup along power's coordinate
 
 
 def _mixed_log_zeta(m, natural_left):

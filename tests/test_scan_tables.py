@@ -1,7 +1,7 @@
-"""Scan tables: a piecewise psi's 1-D sups scan its breakpoints and scan
-ends, a smooth psi's the shared u grid of its scan range, a two-exponent axis
-the dense grid, and every sup equals the one read off the dense table
-(`table_reference`)."""
+"""Scan tables: a piecewise psi's sups scan its breakpoints and scan ends,
+a smooth psi's the shared u grid of its scan range, both axes of the
+two-exponent sup read the same tables, and every sup equals the one read off
+the dense table (`table_reference`)."""
 
 import bisect
 import math
@@ -25,8 +25,7 @@ from glscov import (
     product_zeta,
     tabulated,
 )
-from glscov import bounds
-from glscov._optimize import axis_table, exponent, psi_table
+from glscov._optimize import exponent, psi_table
 from glscov.bounds import _T_MARGIN
 from glscov.fundamental import N_GRID, _sups
 from glscov.psi import scan_bound
@@ -223,9 +222,10 @@ def test_a_cell_where_the_conjugate_is_flat_ties_inside_the_dense_table():
     assert want.value == got.value + math.ulp(got.value)
 
 
-def test_a_piecewise_axis_is_the_dense_table(monkeypatch):
+def test_a_piecewise_axis_on_its_knots_reaches_the_edge_sup():
     # the sup of this pair sits on the edge u + w = 1 at nu's closed end
-    # w = 1/9.75, which an axis of breakpoints and ends alone misses
+    # w = 1/9.75: the edge reads nu there at its own coordinate, which
+    # e - u can round past
     left = [(1.09375, 6.734048393513417), (1.484375, 31.245924376072658),
             (3.890625, 14.84534953961514)]
     right = [(1.0, 12.871526644280772), (1.375, 48.75209931740156),
@@ -233,21 +233,14 @@ def test_a_piecewise_axis_is_the_dense_table(monkeypatch):
              (6.859375, 35.778054472066536), (7.84375, 24.865022640880813),
              (9.75, 0.05000000000000001)]
     psi, nu = tabulated(left), tabulated(right)
-    for f in (psi, nu, extremal(3.0), product_zeta(psi, nu)):
-        for n in (64, 512):
-            us, logs = axis_table(f, n)
-            want_us, want_logs = dense_table(f, 1.0, n)
-            assert np.array_equal(us, want_us)
-            assert np.array_equal(logs, want_logs)
-            assert not us.flags.writeable and not logs.flags.writeable
-    smooth = finite_support(3.0, 0.5)
-    assert axis_table(smooth, 512) is psi_table(smooth, 1.0, 512)
+    for f in (psi, nu):  # each axis is the knots and the scan ends
+        us, _ = psi_table(f, 1.0, 512)
+        assert np.array_equal(us, np.union1d(f.breakpoints, [1.0 / scan_bound(f), 1.0]))
     edge = 1.0 - _T_MARGIN
     for la, lb in ((-0.05, -0.05), (-1.0, -4.0)):
         got = phi_uniform(psi, nu, math.exp(la), math.exp(lb))
         want = ref.two_exponent_sup(ref.vertices(left), ref.vertices(right), la, lb, edge)
         assert got.q == 9.75
         assert got.value == pytest.approx(math.exp(want), rel=1e-13)
-    monkeypatch.setattr(bounds, "axis_table", lambda f, n: psi_table(f, 1.0, n))
-    knots_only = phi_uniform(psi, nu, math.exp(-0.05), math.exp(-0.05)).value
-    assert knots_only == pytest.approx(1.3232, abs=1e-4)  # for 2.5372
+    got = phi_uniform(psi, nu, math.exp(-0.05), math.exp(-0.05)).value
+    assert got == pytest.approx(2.5372395525938707, rel=1e-13)

@@ -1,8 +1,10 @@
 """The two-exponent sup: its grid-best scan, its table-cache use, Newton
 against golden-section refinement, the generic engine against reference
 searches and by its kernel calls, pinned values that no later change may
-loosen, and piecewise pairs against their vertices."""
+loosen, piecewise pairs against their vertices, a piecewise psi next to a
+smooth one against a dense reference, and weak duality."""
 
+import importlib
 import math
 from functools import partial
 
@@ -16,6 +18,7 @@ from glscov import (
     extremal,
     factorization_check,
     finite_support,
+    fundamental,
     generic_bound,
     gls_strong_bound,
     gls_uniform_bound,
@@ -28,7 +31,6 @@ from glscov import (
 from glscov import _optimize
 from glscov._optimize import (
     TABLE_CACHE_SIZE,
-    axis_table,
     golden_max,
     log_ratio,
     psi_table,
@@ -36,7 +38,6 @@ from glscov._optimize import (
 )
 from glscov.bounds import (
     _T_MARGIN,
-    _edge_max,
     _kernel_grid_best,
     _neg_log_kernel,
     _triangle_counts,
@@ -47,6 +48,10 @@ from glscov.psi import P_MAX, scan_bound
 from generic_reference import generic_search, golden_search, masked_grid_best, neg_log_kernel
 import piecewise_reference as ref
 from piecewise_reference import NON_CONVEX, NON_CONVEX_2
+from table_reference import dense_table
+
+#: the module; glscov re-exports the function `fundamental` under its name
+_FUNDAMENTAL = importlib.import_module("glscov.fundamental")
 
 
 def _masked_scan(us, a, ws, c):
@@ -82,8 +87,8 @@ def test_grid_best_is_the_masked_scan_on_random_pairs(seed):
     psi, nu = _random_psi(rng), _random_psi(rng)
     n = int(rng.choice([16, 64, 512]))
     la, lb = rng.uniform(-12.0, -0.1, size=2)
-    us, a, _, _ = log_ratio(psi, la, axis_table(psi, n))
-    ws, c, _, _ = log_ratio(nu, lb, axis_table(nu, n))
+    us, a, _, _ = log_ratio(psi, la, dense_table(psi, 1.0, n))
+    ws, c, _, _ = log_ratio(nu, lb, dense_table(nu, 1.0, n))
     _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -111,8 +116,8 @@ def test_grid_best_non_convex_tabulated():
     psi, nu = tabulated(NON_CONVEX), power(1.0)
     for la in (-1.0, -2.5, -4.0, -7.0):
         for first, second in ((psi, nu), (nu, psi)):
-            us, a, _, _ = log_ratio(first, la, axis_table(first, 512))
-            ws, c, _, _ = log_ratio(second, 0.6 * la, axis_table(second, 512))
+            us, a, _, _ = log_ratio(first, la, dense_table(first, 1.0, 512))
+            ws, c, _, _ = log_ratio(second, 0.6 * la, dense_table(second, 1.0, 512))
             _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -126,7 +131,7 @@ def test_theta_route_adds_at_most_one_table_miss():
 
 
 def test_uniform_bound_builds_one_table_per_function():
-    # the nested route reads nu's axis table of the 2-D route
+    # the nested route reads nu's table of the 2-D route
     psi, nu = power(2.0), finite_support(3.0, 0.5)
     psi_table.cache_clear()
     gls_uniform_bound(psi, nu, 0.01, 1.0, 1.0)
@@ -142,21 +147,19 @@ def test_uniform_bound_builds_one_table_per_function():
     ],
 )
 def test_one_pair_op_fits_the_table_cache(psi, nu):
-    # the two axes (the nested route reads nu's), the two 2048-point
-    # fundamental tables and the product's table: nothing may be evicted
+    # the two 512-point axes (the nested route reads nu's), the two
+    # 2048-point fundamental tables and the product's table: nothing may be
+    # evicted
     psi_table.cache_clear()
-    axis_table.cache_clear()
     gls_strong_bound(psi, nu, 0.05, 1.0, 1.0)
     gls_uniform_bound(psi, nu, 0.01, 1.0, 1.0)
     factorization_check(psi, nu, 0.01, 0.05)
-    info, axes = psi_table.cache_info(), axis_table.cache_info()
-    assert info.misses == info.currsize <= TABLE_CACHE_SIZE
-    assert axes.misses == axes.currsize == 2
+    info = psi_table.cache_info()
+    assert info.misses == info.currsize == 5 <= TABLE_CACHE_SIZE
     gls_uniform_bound(psi, nu, 0.02, 1.0, 1.0)
     factorization_check(psi, nu, 0.02, 0.03)
     gls_strong_bound(psi, nu, 0.03, 1.0, 1.0)  # reuses the product's table
     assert psi_table.cache_info().misses == info.misses
-    assert axis_table.cache_info().misses == axes.misses
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +202,23 @@ def _two_exponent_values(pairs):
     ]
 
 
-def _golden_edge_max(u_lo, w_lo, da, dc, grid_best):
-    """`_edge_max` by golden section on the values of its probes."""
+def _golden_edge_max(psi, nu, la, lb):
+    """The max along the edge u + w = 1 - margin by golden section on the
+    values of the objective."""
     edge = 1.0 - _T_MARGIN
-    lo, hi = max(u_lo, edge - 1.0), min(1.0, edge - w_lo)
-    if hi <= lo:
-        return None
-    t, ft = golden_max(lambda t: da(t)[0] + dc(edge - t)[0], lo, hi, tol=1e-13)
+    lo, hi = 1.0 / scan_bound(psi), edge - 1.0 / scan_bound(nu)
+
+    def f(t):
+        return (t * la - psi.log_u_jet(t)[0]) + ((edge - t) * lb - nu.log_u_jet(edge - t)[0])
+
+    t, ft = golden_max(f, lo, hi, tol=1e-13)
     return t, edge - t, ft
 
 
 def _golden_refinement(monkeypatch):
-    """Refine every cell, 1-D sup and edge of the two-exponent routes by
-    golden section on the values of their probes, ignoring the derivatives."""
+    """Refine every 1-D sup, piece and edge segment of the two-exponent
+    routes, and theta's cells, by golden section on the values of their
+    probes, ignoring the derivatives."""
     plain = _optimize.grid_golden_max
 
     def grid(*args, df=None, **kwargs):
@@ -221,9 +228,13 @@ def _golden_refinement(monkeypatch):
         lo, hi = float(xs[max(i - 1, 0)]), min(float(xs[min(i + 1, xs.size - 1)]), cap)
         return golden_max(lambda t: df(t)[0], lo, hi, tol=tol) if hi > lo else None
 
+    def newton(df, lo, x, hi, tol):
+        return golden_max(lambda t: df(t)[0], lo, hi, tol=tol)
+
     monkeypatch.setattr(bounds, "grid_golden_max", grid)
+    monkeypatch.setattr(_FUNDAMENTAL, "grid_golden_max", grid)
     monkeypatch.setattr(bounds, "cell_max", cell)
-    monkeypatch.setattr(bounds, "_edge_max", _golden_edge_max)
+    monkeypatch.setattr(bounds, "newton_max", newton)
 
 
 def test_newton_two_exponent_sups_never_below_golden_section(monkeypatch):
@@ -361,17 +372,23 @@ def test_a_kernel_of_p_alone_works_on_every_domain(domain):
 def test_edge_search_falls_back_when_its_middle_is_infeasible():
     # zeta(power, finite_support(1.5)) is finite only for u < 1/3, so the
     # middle of the edge is infeasible and Newton could pick no side there:
-    # it restarts from the grid-best's u, where psi is finite
+    # the segment's search starts from the point just inside its finite end
     psi, nu = product_zeta(power(2.0), finite_support(1.5, 0.5)), power(1.0)
-    us, a, a_at, da = log_ratio(psi, -3.0, axis_table(psi, 128))
-    ws, c, _, dc = log_ratio(nu, -0.5, axis_table(nu, 128))
-    i, j, _ = _triangle_grid_best(us, a, ws, c)
     edge = 1.0 - _T_MARGIN
-    lo, hi = float(us[0]), min(1.0, edge - float(ws[0]))
-    assert a_at(0.5 * (lo + hi)) == -math.inf
-    got = _edge_max(float(us[0]), float(ws[0]), da, dc, (float(us[i]), float(ws[j])))
+    lo, hi = 1.0 / scan_bound(psi), edge - 1.0 / scan_bound(nu)
+    assert psi.log_u_jet(0.5 * (lo + hi))[0] == math.inf
+    none = np.empty(0)
+    got = bounds._on_edge(psi, nu, -3.0, -0.5, none, none, none)
     assert math.isfinite(got[2])
-    assert got[2] >= _golden_edge_max(float(us[0]), float(ws[0]), da, dc, None)[2]
+    assert got[2] >= _golden_edge_max(psi, nu, -3.0, -0.5)[2]
+    # zeta(finite_support(1.5), finite_support(4)) is finite only for u in
+    # (2/3, 3/4): both ends of the edge and its middle are infeasible, and
+    # the search starts from psi's 1-D sup, where both sides are finite
+    psi = product_zeta(finite_support(1.5, 0.5), finite_support(4.0, 0.5))
+    ts = np.linspace(2.0 / 3.0, 0.75, 200001)[1:-1]
+    dense = np.max(ts * math.log(0.3) - psi.log_u(ts) - 0.5 * (edge - ts) + np.log(edge - ts))
+    got = phi_uniform(psi, nu, 0.3, math.exp(-0.5)).value
+    assert got > 0.0 and math.log(got) >= dense - 1e-12
 
 
 def test_neg_log_kernel_equals_the_out_of_place_expression():
@@ -538,3 +555,95 @@ def test_random_piecewise_pair_sup_is_the_best_vertex(left, right, log_alpha, lo
     want = ref.two_exponent_sup(ref.vertices(left), ref.vertices(right), log_alpha, log_beta,
                                 1.0 - _T_MARGIN)
     assert got == pytest.approx(math.exp(want), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# a piecewise psi next to a smooth one, and the Lagrange dual
+
+
+def test_a_sup_next_to_a_non_concave_table_on_the_edge_at_a_knot():
+    # a(u) is linear on each cell of this table and c(w) concave: the sup
+    # sits on the edge u + w = 1 at the knot p = 1.890625, where a grid-best
+    # moved inside its own cells stopped at 0.4476585
+    psi, nu = tabulated([(1, 1), (1.890625, 1), (4.03125, 3), (4.40625, 2)]), power(1.0)
+    alpha = math.exp(-0.05)
+    got = phi_uniform(psi, nu, alpha, alpha)
+    assert got.value == pytest.approx(0.4480998106128342, rel=1e-13)
+    assert got.p == 1.890625
+    assert "route_mismatch" not in gls_uniform_bound(psi, nu, alpha, 1.0, 1.0).notes
+
+
+_SMOOTH = st.one_of(
+    st.floats(0.5, 4.0).map(lambda m: (power(m), ref.log_power(m), 1.0 / P_MAX)),
+    st.tuples(st.floats(1.5, 6.0), st.floats(0.25, 2.0)).map(
+        lambda t: (finite_support(*t), ref.log_finite_support(*t), 1.0 / t[0])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref.knot_sets(), _SMOOTH, st.floats(-12.0, -0.1), st.floats(-12.0, -0.1))
+def test_a_table_next_to_a_smooth_psi_is_never_below_the_dense_reference(knots, smooth, la, lb):
+    nu, log_nu, w_lo = smooth
+    verts = ref.vertices(knots)
+    kinks = [u for u, _ in verts]
+    want = ref.dense_two_exponent_sup(ref.log_table(verts), kinks[0], kinks, log_nu, w_lo,
+                                      la, lb, 1.0 - _T_MARGIN)
+    psi = tabulated(knots)
+    # both orders: Phi(psi, nu, alpha, beta) = Phi(nu, psi, beta, alpha)
+    for got in (phi_uniform(psi, nu, math.exp(la), math.exp(lb)).value,
+                phi_uniform(nu, psi, math.exp(lb), math.exp(la)).value):
+        assert (math.log(got) if got > 0.0 else -math.inf) >= want - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref.knot_sets(), st.floats(0.5, 4.0), st.booleans(), _SMOOTH, st.floats(-12.0, -0.1),
+       st.floats(-12.0, -0.1))
+def test_a_product_with_a_table_factor_is_never_below_the_dense_reference(
+        knots, m, table_left, smooth, la, lb):
+    # ln zeta(1/u) is concave on each cell between the table's kinks, at its
+    # knots u when it is the left factor and at 1 - u when the right one
+    nu, log_nu, w_lo = smooth
+    verts = ref.vertices(knots)
+    table, factor = ref.log_table(verts), ref.log_power(m)
+    if table_left:
+        psi = product_zeta(tabulated(knots), power(m))
+        kinks, u_lo = [u for u, _ in verts], verts[0][0]
+
+        def log_psi(u):
+            return table(u) + factor(1.0 - u)
+    else:
+        psi = product_zeta(power(m), tabulated(knots))
+        kinks, u_lo = [1.0 - u for u, _ in verts], 1.0 / P_MAX
+
+        def log_psi(u):
+            return factor(u) + table(1.0 - u)
+    want = ref.dense_two_exponent_sup(log_psi, u_lo, kinks, log_nu, w_lo, la, lb,
+                                      1.0 - _T_MARGIN)
+    got = phi_uniform(psi, nu, math.exp(la), math.exp(lb)).value
+    assert (math.log(got) if got > 0.0 else -math.inf) >= want - 1e-12
+
+
+def _log_dual(psi, nu, la, lb, lam):
+    """D(lam) = ln phi_psi(alpha e^-lam) + ln phi_nu(beta e^-lam) + lam e, from
+    the fundamental functions: ln Phi <= D(lam) for every lam >= 0."""
+    return (math.log(fundamental(psi, math.exp(la - lam)).value)
+            + math.log(fundamental(nu, math.exp(lb - lam)).value) + lam * (1.0 - _T_MARGIN))
+
+
+def test_phi_is_the_minimum_of_its_lagrange_dual_on_smooth_pairs():
+    # a and c are concave for every smooth built-in psi, so strong duality
+    # holds and D, convex in lam, has ln Phi as its minimum
+    checked = 0
+    for psi, nu, alpha, beta, n in _smooth_pairs():
+        phi = phi_uniform(psi, nu, alpha, beta, n_grid=n).value
+        if phi == 0.0:  # the supports leave no admissible point
+            continue
+        la, lb, log_phi = math.log(alpha), math.log(beta), math.log(phi)
+        for lam in (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0):
+            dual = _log_dual(psi, nu, la, lb, lam)
+            assert log_phi <= dual + 1e-12 * max(1.0, abs(dual))
+        lam, neg = golden_max(lambda t: -_log_dual(psi, nu, la, lb, t), 0.0, 60.0, tol=1e-10)
+        assert lam < 59.0
+        assert -neg == pytest.approx(log_phi, rel=0.0, abs=1e-9)
+        checked += 1
+    assert checked >= 30
