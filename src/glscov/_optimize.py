@@ -12,11 +12,11 @@ these tables on [1, b).
 Every other psi refines by safeguarded Newton (`newton_max`, `cell_max`)
 on its jet `log_u_jet`, exact on every cell, next to an infeasible grid
 point too: Newton closes its bracket at a point past the support.  It never
-takes more evaluations than golden section on the same cells.  An objective
-read on whole arrays, such as a user kernel or a moment curve, refines by
-`zoom_max` (`zoom_cells`): a few array calls in place of one per probe.
-`grid_golden_max` is a grid scan plus `cell_max`, or plus golden section for
-an objective with neither: the outer sup of the nested route.
+takes more evaluations than golden section (`golden_max`) on the same cells.
+`grid_golden_max` is a grid scan plus `cell_max`.  An objective read on
+whole arrays, such as a user kernel or a moment curve, refines by `zoom_max`
+(`zoom_cells`) until its bracket is below tol or flat: a few array calls in
+place of one per probe.
 
 Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
 scan turns u back into p for psi.  A reported exponent, and the exponents
@@ -101,10 +101,10 @@ def zoom_max(F, lo, hi, tol):
     """Maximization of an array objective F on [lo, hi] by nested grids.
 
     Evaluates F on _ZOOM_POINTS points of [lo, hi], ends included, and keeps
-    the two cells around the best; repeats until that bracket is below tol,
-    or at once when every point is infeasible (-inf).  Each pass shrinks the
-    bracket 16-fold in one call of F.  Returns (x_best, f_best) over every
-    point evaluated, like golden_max.
+    the two cells around the best; repeats until that bracket is below tol or
+    flat (`_flat`), or at once when every point is infeasible (-inf).  Each
+    pass shrinks the bracket 16-fold in one call of F.  Returns (x_best,
+    f_best) over every point evaluated, like golden_max.
     """
     best_x, best_f = lo, -math.inf
     last = _ZOOM_POINTS - 1
@@ -116,9 +116,23 @@ def zoom_max(F, lo, hi, tol):
         if fs[k] > best_f:
             best_x, best_f = float(xs[k]), float(fs[k])
         lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, last)])
-        if hi - lo <= tol or fs[k] == -math.inf:
+        if hi - lo <= tol or fs[k] == -math.inf or _flat(fs, k):
             break
     return best_x, best_f
+
+
+def _flat(fs, k):
+    """Whether no point of the cells around the best point k of a pass can
+    beat fs[k] by 4 ulp, were f concave: below fs[k] plus its larger drop to
+    a neighbour, or at an end below the secant through the next two points.
+    A -inf or NaN neighbour certifies nothing."""
+    if 0 < k < fs.size - 1:  # the neighbours a, b
+        a, top, b = fs[k - 1 : k + 2].tolist()
+        rise = top - min(a, b)
+    else:  # the next two points inward, a then b
+        top, a, b = (fs[:3] if k == 0 else fs[:-4:-1]).tolist()
+        rise = 2.0 * a - b - top
+    return a > -math.inf and b > -math.inf and rise <= 4.0 * math.ulp(top)
 
 
 def _cell(xs, i, cap=math.inf):
@@ -222,27 +236,17 @@ def newton_max(df, lo, x, hi, tol):
     return best_x, best_f
 
 
-def grid_golden_max(xs, fs, f, refine=True, tol=1e-12, df=None):
-    """Maximize an objective given by its values `fs` on the sorted grid `xs`.
+def grid_golden_max(xs, fs, df, refine=True, tol=1e-12):
+    """Maximize a smooth objective given by its values `fs` on the sorted grid `xs`.
 
     Takes the best grid point, then refines it on the two grid cells around
-    it: by `cell_max` on the derivative probe `df` of a smooth objective, by
-    golden section on the scalar objective `f` where the caller has no
-    derivative.  Returns (x_best, f_best); f_best is -inf when the objective
-    is -inf everywhere.
+    it by `cell_max` on the objective's derivative probe `df`.  Returns
+    (x_best, f_best); f_best is -inf when the objective is -inf everywhere.
     """
     i = int(np.argmax(fs))
-    best_x, best_f = float(xs[i]), float(fs[i])
-    if not np.isfinite(best_f) or not refine:
-        return best_x, best_f
-    if df is None:  # no derivative: golden section on the same cells
-        cell = _cell(xs, i)
-        cell = cell and golden_max(f, *cell, tol=tol)
-    else:
-        cell = cell_max(df, xs, i, tol=tol)
-    if cell is not None and cell[1] > best_f:
-        best_x, best_f = cell
-    return best_x, best_f
+    best = float(xs[i]), float(fs[i])
+    cell = refine and np.isfinite(best[1]) and cell_max(df, xs, i, tol=tol)
+    return cell if cell and cell[1] > best[1] else best
 
 
 def u_axis(p_hi, p_lo, n):
@@ -310,18 +314,14 @@ def psi_table(psi, s, n):
 def log_ratio(psi, log_x, table):
     """u ln x - ln psi(1/u) on a table (us, ln psi(1/us)) of psi.
 
-    Returns the table's grid, the objective on it, the objective as a scalar
-    probe of u, and its derivative probe u -> (f, f', f'') for
-    `grid_golden_max`, both read from psi's jet.  u > 0 and ln psi > -inf, so
-    no value is NaN; -inf marks an infeasible point.
+    Returns the table's grid, the objective on it, and its derivative probe
+    u -> (f, f', f'') for `grid_golden_max`, read from psi's jet.  u > 0 and
+    ln psi > -inf, so no value is NaN; -inf marks an infeasible point.
     """
     us, logs = table
-
-    def probe(u):  # the value alone, for a point that is not refined
-        return u * log_x - psi.log_u_jet(u)[0]
 
     def newton(u):
         g, d1, d2 = psi.log_u_jet(u)
         return u * log_x - g, log_x - d1, -d2
 
-    return us, us * log_x - logs, probe, newton
+    return us, us * log_x - logs, newton

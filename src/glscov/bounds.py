@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .psi import conjugate_exponent, product_zeta, scan_bound
 _T_MARGIN = 1e-9
 
 #: row blocks of generic_bound's kernel grid: more blocks hug the admissible
-#: staircase closer, but each is one more kernel call
-_GRID_BLOCKS = 4
+#: staircase closer (8: 1.125 times its points), but each is one more call
+_GRID_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def _axis(psi, log_x, n):
     if psi.breakpoints is None and not kinks.size:
         u, f = _sup(psi, log_x, 1.0, n)
         return np.array([u]), np.array([f]), kinks
-    us, fs, _, newton = log_ratio(psi, log_x, psi_table(psi, 1.0, n))
+    us, fs, newton = log_ratio(psi, log_x, psi_table(psi, 1.0, n))
     if psi.breakpoints is not None:
         return us, fs, kinks
     ends = np.concatenate([[lo], kinks, [1.0]])
@@ -325,46 +326,52 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     """The same sup via the nested route: sup_p alpha^(1/p)/theta(p) with
     theta(p) = psi(p) / (sup over q >= p' of alpha^(1/q)/nu(q)).
 
-    In u = 1/p the inner sup runs over w = 1/q in [1/b_nu, 1 - u].  It comes
-    from the running maximum of c(w) = w ln alpha - ln nu(1/w) on nu's
-    `psi_table` on [1, b), which phi_uniform at the same n_grid reads too,
-    and c(1 - u).  The outer scan uses that grid value; its golden-section
-    probes also refine the inner sup on the cells around the running
-    argmax, clipped at 1 - u, by `cell_max`.  A piecewise nu's table is its
-    knots and scan ends, and c is linear between them, so the running
-    maximum and c(1 - u) are already exact and the inner sup is not
-    refined.
+    In u = 1/p this is the sup of F(u) = u ln alpha - ln psi(1/u) + C(1 - u),
+    C(top) the sup of c(w) = w ln alpha - ln nu(1/w) over w in [1/b_nu, top]:
+    the running maximum of c on nu's `psi_table` on [1, b) (phi_uniform's
+    too), c(top), and for a smooth nu its running argmax refined once by
+    `cell_max` (a piecewise nu's c is linear between its knots).  The scan
+    holds psi's kinks and one minus nu's and 1/b_nu, so a piecewise pair's F
+    is convex on each cell and its grid exact.  Any other F refines by Newton
+    on its slope from the envelope theorem: F' = ln alpha - g'(u), less
+    c'(1 - u) where the clip w = top holds the inner sup, and F'' alike.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_at, c_newton = log_ratio(nu, la, psi_table(nu, 1.0, n_grid))
-    w_lo = float(ws[0])
+    ws, c, c_jet = log_ratio(nu, la, psi_table(nu, 1.0, n_grid))
     run, arg = _running_max(c)
     refine = nu.breakpoints is None
+    concave = refine and not _kinks(nu).size
+    peak = cache(lambda i: cell_max(c_jet, ws, i) or (math.inf, -math.inf))  # c's max near ws[i]
 
-    def objective(u):
-        lp = psi.log_u_jet(u)[0]
+    def df(u):
+        lp, g1, g2 = psi.log_u_jet(u)
         top = 1.0 - u
-        if math.isinf(lp) or top < w_lo:
-            return -math.inf
         k = int(np.searchsorted(ws, top, side="right")) - 1
-        inner = max(float(run[k]), c_at(top))
-        cell = refine and math.isfinite(run[k]) and cell_max(c_newton, ws, int(arg[k]), top)
-        if cell:
-            inner = max(inner, cell[1])
-        return u * la - lp + inner
+        if math.isinf(lp) or k < 0:  # past psi's support, or top below nu's
+            return -math.inf, 0.0, 0.0
+        inner, past_peak = float(run[k]), False
+        if refine and math.isfinite(inner):
+            w, f = peak(int(arg[k]))
+            if w <= top:
+                inner, past_peak = max(inner, f), concave
+        if not past_peak:  # past its peak, a concave c stays below it
+            ct, c1, c2 = c_jet(top)
+            if ct >= inner:  # the clip w = top holds the inner sup
+                return u * la - lp + ct, la - g1 - c1, c2 - g2
+        return u * la - lp + inner, la - g1, -g2
 
-    us, _ = u_axis(scan_bound(psi), 1.0, n_grid)
+    lo = 1.0 / scan_bound(psi)
+    # one ulp down, so that top = 1 - u reaches each kink of nu and 1/b_nu
+    ts = np.concatenate([_kinks(psi), np.nextafter(1.0 - np.append(_kinks(nu), ws[0]), 0.0)])
+    us = np.unique(np.concatenate([np.linspace(lo, 1.0, n_grid), ts[(ts > lo) & (ts < 1.0)]]))
     tops = 1.0 - us
-    tops = tops[tops >= w_lo]  # a prefix, since us increases
-    inner = np.full(n_grid, -np.inf)
-    inner[: tops.size] = np.maximum(
-        run[np.searchsorted(ws, tops, side="right") - 1], tops * la - nu.log_u(tops)
-    )
+    k = np.searchsorted(ws, tops, side="right") - 1
+    inner = np.where(k >= 0, np.maximum(run[k], tops * la - nu.log_u(tops)), -np.inf)
     fs = us * la - psi.log_u(us) + inner
-    _, best = grid_golden_max(us, fs, objective, tol=1e-12)
+    _, best = grid_golden_max(us, fs, df, refine=refine or psi.breakpoints is None, tol=1e-12)
     return _exp_sup(best)
 
 
@@ -569,10 +576,11 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
     (`_kernel_grid_best`).  The best grid point is refined by moves inside
     its own cells, in u then in w (a non-concave objective's local sup),
     then along each coordinate in turn (h need not be separable): it rounds
-    until a round moves neither coordinate, at most three.  On "T" a search
-    along the edge u + w = 1, where coordinate moves stall, competes with
-    them.  A kernel carries no derivative, and every search is `zoom_max`,
-    which reads h on a whole array of points per pass.
+    until a round raises the value by at most 4 ulp, at most three.  On "T"
+    a search along the edge u + w = 1, where coordinate moves stall,
+    competes with them.  A kernel carries no derivative, and every search is
+    `zoom_max`, which reads h on a whole array of points per pass and stops
+    once its bracket is flat.
     """
     if domain == "conjugate":
         def line(us, ps):
@@ -639,7 +647,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
         if cell is not None and cell[1] > best:
             w, best = cell
         for _ in range(3):
-            start = (u, w)
+            start = best
             hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]
             if hi_u > u_rng[0]:
                 u2, fu = zoom_max(along_u(w), u_rng[0], hi_u, 1e-13)
@@ -650,7 +658,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
                 w2, fw = zoom_max(along_w(u), w_rng[0], hi_w, 1e-13)
                 if fw > best:
                     w, best = w2, fw
-            if (u, w) == start:  # the next round would repeat this one exactly
+            if best <= start + 4.0 * math.ulp(start):  # the value stopped moving
                 break
         lo, hi = max(u_rng[0], edge - 1.0), min(1.0, edge - w_rng[0])
         if tri and hi > lo:

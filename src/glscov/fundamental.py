@@ -58,8 +58,8 @@ def _sup(psi, log_x, s, n_grid, refine=True):
     """
     if 1.0 / s < 1.0 / scan_bound(psi):
         return 0.0, -math.inf
-    us, fs, probe, newton = log_ratio(psi, log_x, psi_table(psi, s, n_grid))
-    return grid_golden_max(us, fs, probe, refine=refine and psi.breakpoints is None, df=newton)
+    us, fs, newton = log_ratio(psi, log_x, psi_table(psi, s, n_grid))
+    return grid_golden_max(us, fs, newton, refine=refine and psi.breakpoints is None)
 
 
 def _sups(psi, log_xs, s, n):

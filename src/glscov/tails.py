@@ -50,16 +50,11 @@ def conjugate_info(psi, x):
     is monotone there and the grid maximum, over the breakpoints and scan
     ends, is the sup.  Every other psi refines it by Newton with
     f' = -(g' + f)/u and f'' = -(g'' + 2 f')/u, g = ln psi(1/u).
-    `unbounded_at_cap` flags a sup
-    still increasing at the scan cap (the conjugate is then effectively +inf
-    for this x).
+    `unbounded_at_cap` flags a sup still increasing at the scan cap (the
+    conjugate is then effectively +inf for this x).
     """
     if not math.isfinite(x):
         raise DomainError("x must be finite")
-
-    def objective(u):
-        g = psi.log_u_jet(u)[0]
-        return -math.inf if math.isinf(g) else (x - g) / u
 
     def newton(u):
         g, d1, d2 = psi.log_u_jet(u)
@@ -70,16 +65,13 @@ def conjugate_info(psi, x):
     us, logs = psi_table(psi, 1.0, N_GRID)
     with np.errstate(invalid="ignore"):
         fs = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
-    u_best, f_best = grid_golden_max(
-        us, fs, objective, refine=psi.breakpoints is None, tol=1e-13, df=newton
-    )
+    u_best, f_best = grid_golden_max(us, fs, newton, refine=psi.breakpoints is None, tol=1e-13)
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")
     p_cap = scan_bound(psi)
     p_best = exponent(u_best, p_cap, 1.0)
-    unbounded = False
-    if math.isinf(psi.b) and p_best >= p_cap * (1 - 1e-9):
-        unbounded = f_best > objective(1.0 / (p_cap * (1 - 1e-6)))
+    unbounded = (math.isinf(psi.b) and p_best >= p_cap * (1 - 1e-9)
+                 and f_best > newton(1.0 / (p_cap * (1 - 1e-6)))[0])
     return ConjugateInfo(float(f_best), float(p_best), unbounded)
 
 

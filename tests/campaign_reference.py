@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from glscov import bounds as _bounds
-from glscov._optimize import grid_golden_max, u_axis
+from glscov._optimize import u_axis
 from glscov.finite import (
     _N_GRID,
     _PQ_GRID,
@@ -36,19 +36,13 @@ def _exact_lps(space, xi, ps):
     return {p: math.exp(v / p) for p, v in zip(ps, lms.tolist())}
 
 
-def _gls_norms_exact(space, xi, psis, n_grid, refine):
-    def log_norms(ps):
-        return _log_moments(space.atom_probs, xi.values, ps) / ps
-
+def _gls_norms_exact(space, xi, psis, n_grid):
+    """The scan-grid maxima of the GLS norms, unrefined, as the campaign reads them."""
     us, ps = u_axis(scan_bound(psis[0]), 1.0, n_grid)
-    curve = log_norms(ps)
+    curve = _log_moments(space.atom_probs, xi.values, ps) / ps
     out = []
     for psi in psis:
-
-        def objective(t, psi=psi):
-            return float(log_norms(np.array([1.0 / t]))[0]) - psi.log_u_jet(t)[0]
-
-        _, best = grid_golden_max(us, curve - psi.log_u(us), objective, refine=refine)
+        best = float(np.max(curve - psi.log_u(us)))
         out.append(0.0 if best == -math.inf else float(math.exp(best)))
     return out
 
@@ -88,8 +82,8 @@ def instance_checks(space, f_field, g_field, xi, eta):
         rep = _bounds.ibragimov_bound(beta, p, lp_xi[p], lp_eta[q])
         out.append((f"ibragimov({p:g})", rep.value))
     out.append(("holder(2)", _bounds.holder_bound(lp_xi[2.0], lp_eta[2.0]).value))
-    nx1, nx2 = _gls_norms_exact(space, xi, (_PSI1, _PSI2), _N_GRID, refine=False)
-    (ne2,) = _gls_norms_exact(space, eta, (_PSI2,), _N_GRID, refine=False)
+    nx1, nx2 = _gls_norms_exact(space, xi, (_PSI1, _PSI2), _N_GRID)
+    (ne2,) = _gls_norms_exact(space, eta, (_PSI2,), _N_GRID)
     rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=_N_GRID, refine=False)
     if rep.feasible:
         out.append(("gls_strong", rep.value))

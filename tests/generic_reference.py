@@ -2,12 +2,11 @@
 
 `generic_search` is generic_bound's search with its shortcuts taken out: the
 kernel on the whole grid with the triangle masked by the sum u + w, where
-generic_bound evaluates only the admissible row blocks; -ln(h psi nu) in its
-plain out-of-place form; and the coordinate rounds always run three times,
-where generic_bound stops once a round moves neither coordinate (the search
-is deterministic, so the next round would repeat that one exactly).  It
-refines by the same batched line search (`zoom_max`) on the same points, so
-a test can check all three shortcuts bit for bit.
+generic_bound evaluates only the admissible row blocks; and -ln(h psi nu) in
+its plain out-of-place form.  It refines by the same batched line search
+(`zoom_max`) on the same points, in at most three coordinate rounds that stop
+once a round raises the value by at most 4 ulp, as generic_bound's do, so a
+test can check both shortcuts bit for bit.
 
 `golden_search` is the scalar search generic_bound ran before: the same grid,
 then golden-section moves that call the kernel on one-element arrays and read
@@ -22,7 +21,7 @@ import math
 
 import numpy as np
 
-from glscov._optimize import exponent, golden_max, grid_golden_max, u_axis, zoom_max
+from glscov._optimize import exponent, golden_max, u_axis, zoom_max
 from glscov.bounds import _T_MARGIN
 from glscov.psi import conjugate_exponent, scan_bound
 
@@ -62,7 +61,7 @@ def _zoom_cell(F, xs, i, cap, tol=1e-13):
 
 
 def generic_search(h, psi, nu, domain, n_grid=512):
-    """(sup of -ln(h psi nu), p, q) as generic_bound finds it, three rounds."""
+    """(sup of -ln(h psi nu), p, q) as generic_bound finds it, on the whole grid."""
     if domain == "conjugate":
         def line(us, ps):
             return neg_log_kernel(h(ps, conjugate_exponent(ps)), psi.log_u(us),
@@ -100,6 +99,7 @@ def generic_search(h, psi, nu, domain, n_grid=512):
     if cell is not None and cell[1] > best:
         w, best = cell
     for _ in range(3):
+        start = best
         hi_u = min(u_rng[1], 1.0 - w - _T_MARGIN) if tri else u_rng[1]
         if hi_u > u_rng[0]:
             u2, fu = zoom_max(along_u(w), u_rng[0], hi_u, 1e-13)
@@ -110,6 +110,8 @@ def generic_search(h, psi, nu, domain, n_grid=512):
             w2, fw = zoom_max(along_w(u), w_rng[0], hi_w, 1e-13)
             if fw > best:
                 w, best = w2, fw
+        if best <= start + 4.0 * math.ulp(start):
+            break
     edge = 1.0 - _T_MARGIN
     lo, hi = max(u_rng[0], edge - 1.0), min(1.0, edge - w_rng[0])
     if tri and hi > lo:
@@ -121,10 +123,10 @@ def generic_search(h, psi, nu, domain, n_grid=512):
     return best, exponent(u, p_top, p_bot), exponent(w, q_top, q_bot)
 
 
-def _golden_cell(f, xs, i, cap):
+def _golden_cell(f, xs, i, cap, tol=1e-13):
     lo = float(xs[max(i - 1, 0)])
     hi = min(float(xs[min(i + 1, xs.size - 1)]), cap)
-    return golden_max(f, lo, hi, tol=1e-13) if hi > lo else None
+    return golden_max(f, lo, hi, tol=tol) if hi > lo else None
 
 
 def golden_search(h, psi, nu, domain, n_grid=512):
@@ -136,9 +138,13 @@ def golden_search(h, psi, nu, domain, n_grid=512):
 
         p_top = scan_bound(psi)
         us, ps = u_axis(p_top, 1.0, n_grid)
-        u, best = grid_golden_max(
-            us, line(us, ps), lambda t: float(line(np.array([t]), np.array([1.0 / t]))[0])
-        )
+        fs = line(us, ps)
+        i = int(np.argmax(fs))
+        u, best = float(us[i]), float(fs[i])
+        cell = _golden_cell(lambda t: float(line(np.array([t]), np.array([1.0 / t]))[0]),
+                            us, i, math.inf, tol=1e-12)
+        if cell is not None and cell[1] > best:
+            u, best = cell
         p = exponent(u, p_top, 1.0)
         return best, p, float(conjugate_exponent(np.array([p]))[0])
     tri = domain == "T"

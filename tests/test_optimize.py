@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -103,6 +102,43 @@ def test_zoom_max_stops_at_once_when_nothing_is_feasible():
     assert sizes == [33]
 
 
+def _zoom_to_tol(F, lo, hi, tol):
+    """zoom_max without its flat-bracket stop, down to the x-tolerance:
+    (x_best, f_best, passes)."""
+    best_x, best_f = lo, -math.inf
+    for passes in range(1, 65):
+        xs = lo + (hi - lo) * np.linspace(0.0, 1.0, 33)
+        xs[-1] = hi
+        fs = F(xs)
+        k = int(np.argmax(fs))
+        if fs[k] > best_f:
+            best_x, best_f = float(xs[k]), float(fs[k])
+        lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, 32)])
+        if hi - lo <= tol or fs[k] == -math.inf:
+            break
+    return best_x, best_f, passes
+
+
+#: (objective, lo, hi, whether the flat bracket stops it early)
+FLAT_CASES = {
+    "concave": (lambda xs: 2.5 - (xs - 0.3137) ** 2, 0.0, 1.0, True),
+    "rising_to_the_end": (lambda xs: 1.0 + np.sqrt(xs), 0.2, 0.7, True),
+    "kink": (lambda xs: 3.0 - 1e-4 * np.abs(xs - 0.4321), 0.0, 1.0, True),
+    "non_concave": (lambda xs: np.sin(13.0 * xs) + 0.3 * np.cos(41.0 * xs), 0.0, 1.0, False),
+    "infeasible_neighbour": (lambda xs: np.where(xs <= 0.7, 1.0 + xs, -np.inf), 0.0, 1.0, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CASES))
+def test_zoom_max_stops_on_a_flat_bracket_within_4_ulp(name):
+    F, lo, hi, early = FLAT_CASES[name]
+    G, sizes = _counted(F)
+    _, fx = zoom_max(G, lo, hi, 1e-13)
+    _, want, passes = _zoom_to_tol(F, lo, hi, 1e-13)
+    assert abs(fx - want) <= 4.0 * math.ulp(want)
+    assert len(sizes) < passes if early else len(sizes) <= passes
+
+
 # ---------------------------------------------------------------------------
 # Newton refinement of smooth sups against golden section
 
@@ -139,14 +175,14 @@ def _run(cases):
 
 
 def _golden_only(monkeypatch):
-    """Refine every 1-D sup by golden section, ignoring the derivative probe."""
-    plain = _optimize.grid_golden_max
+    """Refine every 1-D sup by golden section on the values of its probe, on
+    the same cells, ignoring the derivatives."""
 
-    def golden(*args, df=None, **kwargs):
-        return plain(*args, **kwargs)
+    def golden(df, xs, i, cap=math.inf, tol=1e-13):
+        cell = _optimize._cell(xs, i, cap)
+        return cell and golden_max(lambda t: df(t)[0], *cell, tol=tol)
 
-    for name in ("glscov.fundamental", "glscov.tails"):
-        monkeypatch.setattr(importlib.import_module(name), "grid_golden_max", golden)
+    monkeypatch.setattr(_optimize, "cell_max", golden)
 
 
 def test_newton_sups_match_golden_section(monkeypatch):
@@ -216,10 +252,11 @@ def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
     assert len(counts) > 200
     assert all(n <= min(48, golden) for n, golden in counts)
     assert sum(n for n, _ in counts) / len(counts) <= 8.0
-    # the 1-D sups and edge segments of Phi and theta's inner cells
+    # the 1-D sups and edge segments of Phi, theta's outer scan and its
+    # inner cells
     del counts[:]
     _run_pairs(_smooth_cases())
-    assert len(counts) > 1000
+    assert len(counts) > 150
     assert all(n <= golden for n, golden in counts)
     assert sum(n for n, _ in counts) / len(counts) <= 8.0
 
@@ -281,8 +318,9 @@ def test_uniform_sup_makes_no_golden_section_call(monkeypatch, psi, nu):
 def test_piecewise_coordinates_take_no_cell_refinement(monkeypatch):
     # linear between breakpoints: a piecewise pair's Phi is the best of its
     # knot pairs and edge vertices, each read as one array, with no jet
-    # probe, and theta's inner sup over a piecewise nu is its running
-    # maximum and c(1 - u)
+    # probe; theta's inner sup over a piecewise nu is its running maximum
+    # and c(1 - u), and its outer scan over a piecewise psi holds every
+    # kink, so only a smooth psi's outer scan refines
     cells, probes = [], [0]
     plain, jet = _optimize.cell_max, PsiFunction.log_u_jet
 
@@ -302,8 +340,10 @@ def test_piecewise_coordinates_take_no_cell_refinement(monkeypatch):
         phi_uniform(psi, nu, 1e-3, 1e-2)
         assert probes[0] == 0
         phi_uniform_theta(psi, nu, 1e-3)
+        assert cells == []
         phi_uniform_theta(power(1.5), nu, 1e-3)
-    assert cells == []
+        assert len(cells) == 1  # the outer scan
+        del cells[:]
     phi_uniform(power(1.5), NATURAL, 1e-3, 1e-2)
     assert len(cells) == 1  # the 1-D sup along power's coordinate
 
@@ -382,7 +422,7 @@ def test_an_infeasible_neighbour_cell_takes_the_newton_path(monkeypatch, edge):
             return (-((x - top) ** 2) if feasible else -math.inf), -2.0 * (x - top), -2.0
 
         fs = np.array([df(x)[0] for x in xs])
-        x, fx = grid_golden_max(xs, fs, lambda x: df(x)[0], df=df)
+        x, fx = grid_golden_max(xs, fs, df)
         want = min(max(top, 0.05), 0.95)
         assert x == pytest.approx(want, abs=1e-12)
         assert fx == pytest.approx(-((want - top) ** 2), abs=1e-12)
