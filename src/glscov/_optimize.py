@@ -48,10 +48,10 @@ _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 #: scan tables kept at once, and as many u grids: a smooth psi's table holds
 #: ln psi on a shared u grid (about 18 kB each), a piecewise psi's about one
 #: point per knot.  The size caps what the caches hold however many
-#: generating functions a caller keeps alive.  The 1-D sups of one psi use
-#: at most two tables (on [1, b) for fundamental and the conjugate, on
-#: [s, b) for a truncated sup); a two-exponent bound on (psi, nu) adds one
-#: table on [1, b) per function at its grid size, which both routes share.
+#: generating functions a caller keeps alive.  One psi uses at most two
+#: tables: on [1, b) for fundamental, the conjugate, both routes of a
+#: two-exponent sup and y, on [s, b) for a truncated sup.  Only a product
+#: with one piecewise factor adds one, the dense axis at its n_grid.
 TABLE_CACHE_SIZE = 8
 
 #: elements at most in one array of a batched pass (8 MB of floats): sups

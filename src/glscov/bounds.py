@@ -105,12 +105,13 @@ def holder_bound(norm_p, norm_q):
 # strong mixing (GLS)
 
 
-def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta, n_grid=2048, refine=True):
+def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta, n_grid=N_GRID, refine=True):
     """2 ||xi|| ||eta|| / phi[G zeta[psi,nu]](1/beta).
 
     The trace carries the p minimizing beta^(1/p) zeta(p).  The sup reads ln
     phi at ln(1/beta), or at -ln beta for a subnormal beta, where 1/beta
-    overflows.
+    overflows.  n_grid sizes zeta's table: the campaign's unrefined
+    256-point scan is the only other value in use.
     """
     _check_unit(beta, "beta")
     if beta == 0.0:
@@ -128,7 +129,7 @@ def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta):
     _check_unit(beta, "beta")
     if beta == 0.0:
         return BoundReport(0.0, "gls_dual_pair")
-    _, log_phi = _sup(psi, math.log(beta**-0.5), 1.0, N_GRID)
+    _, log_phi = _sup(psi, math.log(beta**-0.5), 1.0)
     if log_phi == -math.inf:
         raise _empty(1.0)
     return BoundReport(_over_phi(2.0 * norm_xi * norm_eta, log_phi, 2), "gls_dual_pair")
@@ -140,6 +141,10 @@ def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta):
 
 @dataclass(frozen=True)
 class UniformPhi:
+    """value: Phi[psi,nu](alpha, beta) at an evaluated admissible point (a
+    lower estimate), p and q: that point's exponents; 0.0 and NaN, NaN where
+    1/p + 1/q < 1 holds no point at which psi and nu are finite."""
+
     alpha: float
     beta: float
     value: float
@@ -237,14 +242,15 @@ def _axis(psi, log_x, n):
     [1/min(b, P_MAX), 1], where a(u) = u ln x - ln psi(1/u) is concave
     between the kinks inside it.  A piecewise psi's a is linear there: its
     `psi_table`.  One piece: its `_sup`.  A product with a piecewise factor:
-    the scan ends, its kinks and `_segment_maxima` from its table."""
+    the scan ends, its kinks and `_segment_maxima` from its n-point table."""
     lo = 1.0 / scan_bound(psi)
     kinks = _kinks(psi)
     kinks = kinks[(kinks > lo) & (kinks < 1.0)]
     if psi.breakpoints is None and not kinks.size:
-        u, f = _sup(psi, log_x, 1.0, n)
+        u, f = _sup(psi, log_x, 1.0)
         return np.array([u]), np.array([f]), kinks
-    us, fs, newton = log_ratio(psi, log_x, psi_table(psi, 1.0, n))
+    size = n if psi.breakpoints is None else N_GRID  # a piecewise table is its knots
+    us, fs, newton = log_ratio(psi, log_x, psi_table(psi, 1.0, size))
     if psi.breakpoints is not None:
         return us, fs, kinks
     ends = np.concatenate([[lo], kinks, [1.0]])
@@ -299,8 +305,9 @@ def phi_uniform(psi, nu, alpha, beta, n_grid=512):
     candidates (`_axis`, `_triangle_grid_best`) and the best edge point
     (`_on_edge`; skipped when both axes are one piece and their product
     point is admissible).  Every candidate is an evaluated admissible point:
-    a lower estimate for any psi.  UniformPhi's value is 0.0 when the region
-    carries no finite point."""
+    a lower estimate for any psi (`UniformPhi`).  n_grid sizes only the
+    scan seeding the pieces of a product with one piecewise factor: any
+    other axis reads the table `fundamental` reads."""
     _check_unit(alpha, "alpha")
     _check_unit(beta, "beta")
     la = math.log(alpha) if alpha > 0 else -math.inf
@@ -328,19 +335,20 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
 
     In u = 1/p this is the sup of F(u) = u ln alpha - ln psi(1/u) + C(1 - u),
     C(top) the sup of c(w) = w ln alpha - ln nu(1/w) over w in [1/b_nu, top]:
-    the running maximum of c on nu's `psi_table` on [1, b) (phi_uniform's
-    too), c(top), and for a smooth nu its running argmax refined once by
+    the running maximum of c on nu's `psi_table` on [1, b) (fundamental's),
+    c(top), and for a smooth nu its running argmax refined once by
     `cell_max` (a piecewise nu's c is linear between its knots).  The scan
     holds psi's kinks and one minus nu's and 1/b_nu, so a piecewise pair's F
     is convex on each cell and its grid exact.  Any other F refines by Newton
     on its slope from the envelope theorem: F' = ln alpha - g'(u), less
     c'(1 - u) where the clip w = top holds the inner sup, and F'' alike.
+    n_grid sizes the outer scan only.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_jet = log_ratio(nu, la, psi_table(nu, 1.0, n_grid))
+    ws, c, c_jet = log_ratio(nu, la, psi_table(nu, 1.0, N_GRID))
     run, arg = _running_max(c)
     refine = nu.breakpoints is None
     concave = refine and not _kinks(nu).size
@@ -381,7 +389,7 @@ def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512):
     Phi is computed by `phi_uniform` (note phi_2d), which reports the
     exponents, and the nested route `phi_uniform_theta` (note phi_theta);
     both are lower estimates of the same sup, so the larger one is used and
-    a note records any disagreement beyond 1e-6 relative.
+    a note records any disagreement beyond 1e-6 relative; n_grid goes to both.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
@@ -398,8 +406,9 @@ def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512):
     return BoundReport(value, "gls_uniform", p=two_d.p, q=two_d.q, notes=tuple(notes))
 
 
-def gls_identical_bound(psi, alpha, norm_xi, norm_eta, n_grid=2048, refine=True):
-    """12 alpha ||xi|| ||eta|| / phi^2[G psi](alpha) for a shared psi."""
+def gls_identical_bound(psi, alpha, norm_xi, norm_eta, n_grid=N_GRID, refine=True):
+    """12 alpha ||xi|| ||eta|| / phi^2[G psi](alpha) for a shared psi; n_grid
+    sizes psi's table, N_GRID but in the campaign's unrefined 256-point scan."""
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return BoundReport(0.0, "gls_identical", notes=("alpha=0: independent fields",))
@@ -526,7 +535,8 @@ def factorization_check(psi, nu, alpha, beta, n_grid=512):
     """Compare the triangle sup with the product of one-dimensional sups.
 
     The one-sided inequality (triangle <= product) always holds; equality is
-    expected below the case-dependent thresholds computed from g'.
+    expected below the case-dependent thresholds computed from g'; n_grid goes
+    to `phi_uniform` alone.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
         raise DomainError("factorization check needs alpha, beta in (0, 1)")

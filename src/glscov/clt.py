@@ -17,14 +17,11 @@ import numpy as np
 
 from . import _optimize
 from .errors import DomainError
-from .fundamental import _log_fundamentals, _log_inverse, _over_phi, _sups
-from .psi import MomentTable, natural_from_moments, product_zeta, scan_bound
+from .fundamental import N_GRID, _log_fundamentals, _log_inverse, _over_phi, _sups
+from .psi import MomentTable, natural_from_moments, product_zeta
 from .finite import _log_moments, _mixing_pair
 
 _DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
-
-#: scan points of the fundamental functions in y(k) and z(k)
-_N_GRID = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +52,9 @@ class CltProfile:
 
 
 def _require_nontrivial(psi):
-    hi = scan_bound(psi)
-    ps = np.geomspace(min(1.0 + 1e-9, hi), hi, 64)
-    finite = np.isfinite(psi.log_eval(ps)) & (ps > 1.0)
-    if not np.any(finite):
+    """DomainError unless psi's table on [1, b), which y scans, is finite at a p > 1."""
+    us, logs = _optimize.psi_table(psi, 1.0, N_GRID)
+    if not np.any(np.isfinite(logs) & (us < 1.0)):
         raise DomainError(
             "natural function trivial: finite at no p > 1, so the summability "
             "sequences are undefined"
@@ -86,7 +82,7 @@ def y_sequence(profile):
     _require_nontrivial(profile.psi_gamma)
 
     def term(alphas):
-        _, lns = _log_fundamentals(profile.psi_gamma, alphas, n_grid=_N_GRID)
+        _, lns = _log_fundamentals(profile.psi_gamma, alphas)
         return [_y_term(a, f) for a, f in zip(alphas, lns)]
 
     return _lag_terms(profile.alpha_seq, profile.K, term)
@@ -102,7 +98,7 @@ def z_sequence(profile):
     zeta = product_zeta(profile.psi_gamma, profile.psi_gamma)
 
     def term(betas):
-        _, lns = _sups(zeta, [_log_inverse(b) for b in betas], 1.0, _N_GRID)
+        _, lns = _sups(zeta, [_log_inverse(b) for b in betas], 1.0)
         if -math.inf in lns:  # then it is -inf for every beta
             raise DomainError("product generating function nowhere finite")
         return [_over_phi(1.0, f) for f in lns]

@@ -23,7 +23,7 @@ from .errors import DomainError
 from .psi import logsumexp, power, scan_bound
 from . import bounds as _bounds
 
-#: scan points of the campaign's sups and exact GLS norms
+#: scan points of the campaign's unrefined sups and exact GLS norms
 _N_GRID = 256
 
 #: elements of one array of `_log_moment_rows` at most (64 kB): the
@@ -386,7 +386,7 @@ def _checks(alpha, beta, lp_xi, lp_eta, nx1, nx2, ne2):
     if alpha == 0.0:
         out.append(("gls_uniform", 0.0))
     else:
-        phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64)
+        phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha)
         if phi2d.value > 0:
             out.append(("gls_uniform", 12.0 * alpha * nx1 * ne2 / phi2d.value))
     rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2, n_grid=_N_GRID, refine=False)

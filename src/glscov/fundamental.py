@@ -25,8 +25,8 @@ from ._optimize import exponent, grid_golden_max, log_ratio, psi_table
 from .errors import DomainError
 from .psi import finite_support, scan_bound
 
-#: scan points of a 1-D sup on [1, b) or [s, b); the conjugate reads the same
-#: table as fundamental
+#: scan points of a smooth psi's 1-D table on [1, b) or [s, b), which every
+#: refined sup over that one psi reads (fundamental, conjugate, Phi, y and z)
 N_GRID = 2048
 
 
@@ -48,7 +48,7 @@ def _log_delta(delta):
     return math.log(delta)
 
 
-def _sup(psi, log_x, s, n_grid, refine=True):
+def _sup(psi, log_x, s, n_grid=N_GRID, refine=True):
     """(u, ln value) at the sup over p in [s, b) of x^(1/p)/psi(p), from ln x.
 
     The one row kernel of every fundamental function: a scan of psi's table,
@@ -62,17 +62,17 @@ def _sup(psi, log_x, s, n_grid, refine=True):
     return grid_golden_max(us, fs, newton, refine=refine and psi.breakpoints is None)
 
 
-def _sups(psi, log_xs, s, n):
-    """[`_sup`(psi, log_x, s, n) for log_x in log_xs] as the lists (u, ln value).
+def _sups(psi, log_xs, s):
+    """[`_sup`(psi, log_x, s) for log_x in log_xs] as the lists (u, ln value).
 
     A smooth psi runs `_sup` row by row.  A piecewise one takes each row's
     grid maximum from one matrix u ln x - ln psi(1/u) over its table, its
     breakpoints and scan ends (rows x about its knot count), in chunks of rows
     below `_optimize.CHUNK_ELEMENTS`.
     """
-    us, logs = psi_table(psi, s, n)
+    us, logs = psi_table(psi, s, N_GRID)
     if psi.breakpoints is None or not us.size:  # smooth, or an empty domain
-        rows = [_sup(psi, log_x, s, n) for log_x in log_xs]
+        rows = [_sup(psi, log_x, s) for log_x in log_xs]
         return [u for u, _ in rows], [f for _, f in rows]
     u_best, f_best = [], []
     step = max(1, _optimize.CHUNK_ELEMENTS // us.size)
@@ -85,8 +85,8 @@ def _sups(psi, log_xs, s, n):
     return u_best, f_best
 
 
-def _log_fundamentals(psi, deltas, s=None, n_grid=N_GRID):
-    """(u, ln value) lists of [fundamental(psi, d, n_grid) for d in deltas], or
+def _log_fundamentals(psi, deltas, s=None):
+    """(u, ln value) lists of [fundamental(psi, d) for d in deltas], or
     of fundamental_truncated(psi, s, d) when s is given, from one `_sups`;
     raises what the first failing call would.
     """
@@ -94,7 +94,7 @@ def _log_fundamentals(psi, deltas, s=None, n_grid=N_GRID):
         raise DomainError("truncation point must satisfy 1 <= s < b")
     valid = next((i for i, d in enumerate(deltas) if not 0.0 < d < math.inf), len(deltas))
     low = 1.0 if s is None else float(s)
-    us, lns = _sups(psi, [math.log(d) for d in deltas[:valid]], low, n_grid)
+    us, lns = _sups(psi, [math.log(d) for d in deltas[:valid]], low)
     if -math.inf in lns:  # then it is -inf for every delta
         raise _empty(low)
     if valid < len(deltas):
@@ -164,29 +164,29 @@ def _over_phi(c, log_phi, power=1):
     return c / phi if power == 1 else c / phi / phi
 
 
-def fundamental(psi, delta, n_grid=N_GRID):
+def fundamental(psi, delta):
     """Fundamental function: sup over p in [1, b) of delta^(1/p)/psi(p).
 
     delta may exceed 1 (the strong-mixing bound evaluates at 1/beta); the sup
     then favors small p and the maximizer is typically reported at_one.
     """
-    return _result(psi, delta, 1.0, _sup(psi, _log_delta(delta), 1.0, n_grid))
+    return _result(psi, delta, 1.0, _sup(psi, _log_delta(delta), 1.0))
 
 
 def fundamental_truncated(psi, s, delta):
     """Sup restricted to p in [s, b); coincides with fundamental() at s = 1."""
     if not 1.0 <= s < psi.b:
         raise DomainError("truncation point must satisfy 1 <= s < b")
-    return _result(psi, delta, float(s), _sup(psi, _log_delta(delta), float(s), N_GRID))
+    return _result(psi, delta, float(s), _sup(psi, _log_delta(delta), float(s)))
 
 
 def truncated_sup_value(psi, s, delta):
     """fundamental_truncated(psi, s, delta).value, but 0.0 on an empty domain.
 
-    Used where a sup over an empty set should silently contribute nothing
-    (e.g. inside the two-exponent optimization routes).
+    Nothing in glscov calls it; it stays for the benchmark's hook on it.  A
+    sup past the float range raises DomainError, as fundamental_truncated.
     """
-    return math.exp(_sup(psi, _log_delta(delta), float(s), N_GRID)[1])
+    return _exp_sup(_sup(psi, _log_delta(delta), float(s))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def instance_checks(space, f_field, g_field, xi, eta):
     rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=_N_GRID, refine=False)
     if rep.feasible:
         out.append(("gls_strong", rep.value))
-    phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha, n_grid=64)
+    phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha)
     if alpha == 0.0:
         out.append(("gls_uniform", 0.0))
     elif phi2d.value > 0:

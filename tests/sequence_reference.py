@@ -10,10 +10,7 @@ import math
 import numpy as np
 
 from glscov import DomainError, fundamental, product_zeta
-from glscov.fundamental import _sup
-
-#: scan points of the fundamental functions in y(k) and z(k)
-N_GRID = 512
+from glscov.fundamental import N_GRID, _sup
 
 
 def per_lag_y(profile):
@@ -24,7 +21,7 @@ def per_lag_y(profile):
         if a == 0.0:
             continue
         if a not in cache:
-            phi = fundamental(profile.psi_gamma, a, n_grid=N_GRID).value
+            phi = fundamental(profile.psi_gamma, a).value
             cache[a] = a / phi**2
         out[k - 2] = cache[a]
     return out
@@ -41,7 +38,7 @@ def per_lag_z(profile):
         if b not in cache:
             if 1.0 / b < math.inf:
                 try:
-                    phi = fundamental(zeta, 1.0 / b, n_grid=N_GRID).value
+                    phi = fundamental(zeta, 1.0 / b).value
                 except DomainError:
                     raise DomainError("product generating function nowhere finite")
                 cache[b] = 1.0 / phi

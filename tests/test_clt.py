@@ -103,7 +103,7 @@ def test_z_sup_on_the_support_end_of_the_product():
     z = z_sequence(prof)
     for k in range(2, 25):
         beta = float(prof.beta_seq[k - 1])
-        assert fundamental(product_zeta(psi, psi), 1.0 / beta, n_grid=512).argmax_p == 16.0 / 15.0
+        assert fundamental(product_zeta(psi, psi), 1.0 / beta).argmax_p == 16.0 / 15.0
         want = math.exp(log_end + 15.0 / 16.0 * math.log(beta))
         assert z[k - 2] == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -315,10 +315,10 @@ def test_z_reads_minus_ln_beta_where_a_beta_has_no_finite_inverse():
     z = z_sequence(prof)
     assert np.array_equal(z, per_lag_z(prof))
     assert 0.0 < z[0] < 1e-300 and np.isfinite(z).all()
-    assert z[0] == gls_strong_bound(power(1.0), power(1.0), 5e-324, 0.5, 1.0, n_grid=512).value
+    assert z[0] == gls_strong_bound(power(1.0), power(1.0), 5e-324, 0.5, 1.0).value
     ordinary = CltProfile(np.full(4, 0.1), np.array([0.1, 1e-300, 0.1, 0.1]), power(1.0), 4)
     assert z_sequence(ordinary)[0] == 1.0 / fundamental(
-        product_zeta(power(1.0), power(1.0)), 1e300, n_grid=512).value
+        product_zeta(power(1.0), power(1.0)), 1e300).value
 
 
 def test_sequences_divide_in_logs_where_phi_leaves_the_float_range():

@@ -237,11 +237,11 @@ def test_batched_sups_are_the_row_kernel_bit_for_bit(name):
     psi = _KERNEL_PSIS[name]
     log_xs = [-700.0, -30.0, -2.5, -0.1, 0.0, 1.5, 40.0]
     for s in _lows(psi):
-        us, lns = _sups(psi, log_xs, s, N_GRID)
+        us, lns = _sups(psi, log_xs, s)
         assert isinstance(us, list) and isinstance(lns, list)
         assert list(zip(us, lns)) == [_sup(psi, x, s, N_GRID) for x in log_xs], s
-    assert _sups(psi, [], 1.0, N_GRID) == ([], [])
-    assert set(_sups(psi, log_xs, 2.0 * scan_bound(psi), N_GRID)[1]) == {-math.inf}
+    assert _sups(psi, [], 1.0) == ([], [])
+    assert set(_sups(psi, log_xs, 2.0 * scan_bound(psi))[1]) == {-math.inf}
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_PSIS))
@@ -276,3 +276,12 @@ def test_truncated_sup_value_matches_on_random_smooth_psi(kind, a, b, t, log_del
 def test_a_sup_beyond_the_float_range_raises_domain_error(psi, delta):
     with pytest.raises(DomainError, match="float range"):
         fundamental(psi, delta)
+
+
+def test_truncated_sup_value_past_the_float_range_raises_domain_error():
+    # 1e300 / 1e-300 = 1e600 at p = 1: a DomainError, as fundamental_truncated
+    # raises, and no OverflowError
+    psi = tabulated([(1.0, 1e-300), (2.0, 1e-300)])
+    for sup in (fundamental_truncated, truncated_sup_value):
+        with pytest.raises(DomainError, match="float range"):
+            sup(psi, 1.0, 1e300)

@@ -50,7 +50,7 @@ def _one_exponent_sups(psi):
     lows = [1.0] + [s for s in (1.2, 2.0, 0.5 * (1.0 + min(psi.b, 1e3))) if s < psi.b]
     for s in lows:
         out += [(s, N_GRID, fundamental_truncated(psi, s, math.exp(ld))) for ld in _LOG_DELTAS]
-        out += [(s, n, _sups(psi, list(_LOG_DELTAS), s, n)) for n in (512, N_GRID)]
+        out.append((s, N_GRID, _sups(psi, list(_LOG_DELTAS), s)))
     return out
 
 

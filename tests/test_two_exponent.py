@@ -143,19 +143,50 @@ def test_uniform_bound_builds_one_table_per_function():
     ],
 )
 def test_one_pair_op_fits_the_table_cache(psi, nu):
-    # the two 512-point axes (the nested route reads nu's), the two
-    # 2048-point fundamental tables and the product's table: nothing may be
-    # evicted
+    # one table per function, which the fundamental sups, both axes and the
+    # nested route share, and the product's table: nothing may be evicted
     psi_table.cache_clear()
     gls_strong_bound(psi, nu, 0.05, 1.0, 1.0)
     gls_uniform_bound(psi, nu, 0.01, 1.0, 1.0)
     factorization_check(psi, nu, 0.01, 0.05)
     info = psi_table.cache_info()
-    assert info.misses == info.currsize == 5 <= TABLE_CACHE_SIZE
+    assert info.misses == info.currsize == 3 <= TABLE_CACHE_SIZE
     gls_uniform_bound(psi, nu, 0.02, 1.0, 1.0)
     factorization_check(psi, nu, 0.02, 0.03)
     gls_strong_bound(psi, nu, 0.03, 1.0, 1.0)  # reuses the product's table
     assert psi_table.cache_info().misses == info.misses
+
+
+#: smooth, piecewise and mixed pairs, none a product with a piecewise factor:
+#: each axis reads the table `fundamental` reads, whatever n_grid
+_TABLE_PAIRS = [
+    (power(1.5), finite_support(4.0, 0.7)),
+    (finite_support(3.0, 0.5), finite_support(5.0, 1.2)),
+    (dual_psi(power(2.0)), power(1.0)),
+    (extremal(3.0), extremal(4.0)),
+    (tabulated(NON_CONVEX), tabulated(NON_CONVEX_2)),
+    (tabulated(NON_CONVEX), power(1.0)),
+    (finite_support(4.0, 0.7), extremal(3.0)),
+]
+
+
+@pytest.mark.parametrize("psi, nu", _TABLE_PAIRS)
+def test_phi_uniform_is_the_same_at_every_n_grid(psi, nu):
+    for alpha, beta in ((0.01, 0.05), (0.3, 0.6), (1e-6, 0.9), (0.95, 0.95)):
+        got = {repr((r.value, r.p, r.q)) for r in (
+            phi_uniform(psi, nu, alpha, beta, n_grid=n) for n in (48, 64, 512, 2048))}
+        assert len(got) == 1, (alpha, beta, got)
+
+
+@pytest.mark.parametrize("psi, nu", _TABLE_PAIRS)
+def test_two_exponent_sups_read_the_fundamental_tables(psi, nu):
+    psi_table.cache_clear()
+    fundamental(psi, 0.01)
+    fundamental(nu, 0.05)
+    misses = psi_table.cache_info().misses
+    phi_uniform(psi, nu, 0.01, 0.05)
+    phi_uniform_theta(psi, nu, 0.01)
+    assert psi_table.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
