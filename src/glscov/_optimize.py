@@ -6,8 +6,10 @@ of a 1-D sup over p, with ln psi on it.  A piecewise log-linear psi's is its
 breakpoints and the scan ends alone: a 1-D objective linear or monotone on
 each cell between them has its sup at one of them, the grid maximum, and
 its caller skips the refinement.  Any other psi reads the dense `_u_grid`
-of its scan range, one shared array.  Both axes of a two-exponent sup read
-these tables on [1, b).
+of its support: one shared array for an unbounded support, and one shared
+unit grid scaled onto [1/b, 1] for a finite one.  A truncated sup over
+[s, b) reads the [1, b) table cut at u = 1/s, so it builds no grid.  Both
+axes of a two-exponent sup read these tables on [1, b).
 
 Every other psi refines by safeguarded Newton (`newton_max`, `cell_max`)
 on its jet `log_u_jet`, exact on every cell, next to an infeasible grid
@@ -50,8 +52,10 @@ _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 #: point per knot.  The size caps what the caches hold however many
 #: generating functions a caller keeps alive.  One psi uses at most two
 #: tables: on [1, b) for fundamental, the conjugate, both routes of a
-#: two-exponent sup and y, on [s, b) for a truncated sup.  Only a product
-#: with one piecewise factor adds one, the dense axis at its n_grid.
+#: two-exponent sup and y, and its cut at 1/s for a truncated sup on [s, b),
+#: which builds no grid.  Only a product with one piecewise factor adds one,
+#: the dense axis at its n_grid.  The u grids are one for every unbounded
+#: support and one per finite support bound, each scaling one unit grid.
 TABLE_CACHE_SIZE = 8
 
 #: elements at most in one array of a batched pass (8 MB of floats): sups
@@ -269,26 +273,38 @@ def exponent(u, p_hi, p_lo):
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _u_grid(lo, hi, n, finite_b):
-    """The dense scan grid in u on [lo, hi], read-only and shared by every
+def _unit_grid(n):
+    """linspace(n) on [0, 1] and 63 points geometric toward 0, read-only:
+    the shape of every finite support's dense scan grid."""
+    # without logspace's end: linspace holds 1
+    t = np.unique(np.concatenate([np.linspace(0.0, 1.0, n), np.logspace(-12, 0, 64)[:-1]]))
+    t.flags.writeable = False
+    return t
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _u_grid(lo, n, finite_b):
+    """The dense scan grid in u on [lo, 1], read-only and shared by every
     psi that scans it.
 
-    linspace(n), 128 geometric points (dense toward p -> infinity) and, for
-    a finite support bound, 63 more points geometric toward p -> b.
+    Unbounded support: linspace(n) and 128 geometric points, dense toward
+    p -> infinity.  A finite support bound: lo + (1 - lo) `_unit_grid`(n),
+    whose 63 geometric points are dense toward p -> b, one unit grid for
+    every b.  Both start at lo and end at 1 exactly, strictly increasing.
     """
-    parts = [np.linspace(lo, hi, n), np.geomspace(lo, hi, 128)]
-    if finite_b:
-        # without logspace's end: lo + (hi - lo) can round below hi, which linspace holds
-        parts.append(lo + (hi - lo) * np.logspace(-12, 0, 64)[:-1])
-    us = np.unique(np.concatenate(parts))
-    us = us[(us >= lo) & (us <= hi)]
+    if not finite_b:
+        us = np.unique(np.concatenate([np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, 128)]))
+    else:
+        us = lo + (1.0 - lo) * _unit_grid(n)
+        us[-1] = 1.0  # lo + (1 - lo) can round off 1
+        # next to b = 1 the scaled steps can round to nothing
+        us = us[np.diff(us, prepend=-np.inf) > 0.0]
     us.flags.writeable = False
     return us
 
 
-def _table(us, psi):
-    """(us, ln psi(1/us)), both read-only, since every caller shares them."""
-    logs = psi.log_u(us)
+def _frozen(us, logs):
+    """(us, logs), both read-only, since every caller shares them."""
     us.flags.writeable = logs.flags.writeable = False
     return us, logs
 
@@ -297,18 +313,29 @@ def _table(us, psi):
 def psi_table(psi, s, n):
     """The scan grid of a 1-D sup over p in [s, min(b, P_MAX)], and ln psi on it.
 
-    The grid is in u = 1/p on [lo, hi] = [1/min(b, P_MAX), 1/s].  A
-    piecewise log-linear psi scans its breakpoints there and both ends,
+    The grid is in u = 1/p on [lo, 1/s], lo = 1/min(b, P_MAX).  For s = 1
+    a piecewise log-linear psi scans its breakpoints there and both ends,
     about one point per knot: every 1-D objective is linear or monotone in u
     between them, so its grid maximum is its sup.  Any other psi scans
-    `_u_grid(lo, hi, n, b < inf)`, one array for every such psi with that
-    scan range.  Returns (us, ln psi(1/us)), both read-only.
+    `_u_grid(lo, n, b < inf)`, one array for every such psi with that
+    support bound.  For s > 1 the table is psi's own [1, b) table cut to its
+    points below 1/s, plus the point 1/s with ln psi read there: no grid is
+    built for it.  It is empty when 1/s < lo.  Returns (us, ln psi(1/us)),
+    both read-only.
     """
-    lo, hi = 1.0 / scan_bound(psi), 1.0 / s
+    lo = 1.0 / scan_bound(psi)
+    if s > 1.0:
+        us, logs = psi_table(psi, 1.0, n)
+        if 1.0 / s < lo:
+            return _frozen(us[:0], logs[:0])
+        k, hi = int(np.searchsorted(us, 1.0 / s)), np.array([1.0 / s])
+        return _frozen(np.append(us[:k], hi), np.append(logs[:k], psi.log_u(hi)))
     if psi.breakpoints is None:
-        return _table(_u_grid(lo, hi, n, math.isfinite(psi.b)), psi)
-    us = np.unique(np.concatenate([psi.breakpoints, [lo, hi]]))
-    return _table(us[(us >= lo) & (us <= hi)], psi)
+        us = _u_grid(lo, n, math.isfinite(psi.b))
+    else:
+        us = np.unique(np.concatenate([psi.breakpoints, [lo, 1.0]]))
+        us = us[us >= lo]
+    return _frozen(us, psi.log_u(us))
 
 
 def log_ratio(psi, log_x, table):

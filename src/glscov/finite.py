@@ -124,8 +124,10 @@ def _mixing_pair(joint):
     if len(stack) == 1 or ((rows == rows[0]).all() and (cols == cols[0]).all()):
         alpha, beta = _masked_mixing_pair(stack[:, rows[0]][:, :, cols[0]])
     else:  # one reduction per set of dropped blocks
-        keys = np.concatenate((rows, cols), axis=1)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        # each table's masks packed into one byte string: a 1-D unique
+        keys = np.packbits(np.concatenate((rows, cols), axis=1), axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         alpha, beta = np.empty(len(stack)), np.empty(len(stack))
         for g, i in enumerate(first):
             at = inverse == g

@@ -25,8 +25,9 @@ from ._optimize import exponent, grid_golden_max, log_ratio, psi_table
 from .errors import DomainError
 from .psi import finite_support, scan_bound
 
-#: scan points of a smooth psi's 1-D table on [1, b) or [s, b), which every
-#: refined sup over that one psi reads (fundamental, conjugate, Phi, y and z)
+#: scan points of a smooth psi's 1-D table on [1, b), which every refined sup
+#: over that one psi reads (fundamental, conjugate, Phi, y and z), and a
+#: truncated sup on [s, b) reads cut at u = 1/s
 N_GRID = 2048
 
 
@@ -54,11 +55,11 @@ def _sup(psi, log_x, s, n_grid=N_GRID, refine=True):
     The one row kernel of every fundamental function: a scan of psi's table,
     refined by Newton unless psi is piecewise log-linear, where the objective
     is linear in u between the breakpoints and the grid is exact.  ln value
-    is -inf on an empty domain.
+    is -inf on an empty domain, where psi's table is empty.
     """
-    if 1.0 / s < 1.0 / scan_bound(psi):
-        return 0.0, -math.inf
     us, fs, newton = log_ratio(psi, log_x, psi_table(psi, s, n_grid))
+    if not us.size:
+        return 0.0, -math.inf
     return grid_golden_max(us, fs, newton, refine=refine and psi.breakpoints is None)
 
 
@@ -174,7 +175,11 @@ def fundamental(psi, delta):
 
 
 def fundamental_truncated(psi, s, delta):
-    """Sup restricted to p in [s, b); coincides with fundamental() at s = 1."""
+    """Sup restricted to p in [s, b); coincides with fundamental() at s = 1.
+
+    It scans the table `fundamental` reads, cut at u = 1/s (`psi_table`),
+    so a new s builds no scan grid.
+    """
     if not 1.0 <= s < psi.b:
         raise DomainError("truncation point must satisfy 1 <= s < b")
     return _result(psi, delta, float(s), _sup(psi, _log_delta(delta), float(s)))

@@ -63,8 +63,8 @@ def conjugate_info(psi, x):
         return f, f1, -(d2 + 2.0 * f1) / u
 
     us, logs = psi_table(psi, 1.0, N_GRID)
-    with np.errstate(invalid="ignore"):
-        fs = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
+    # u > 0 and ln psi > -inf on every table: x - (+inf) is -inf, never NaN
+    fs = (x - logs) / us
     u_best, f_best = grid_golden_max(us, fs, newton, refine=psi.breakpoints is None, tol=1e-13)
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")

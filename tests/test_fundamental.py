@@ -285,3 +285,32 @@ def test_truncated_sup_value_past_the_float_range_raises_domain_error():
     for sup in (fundamental_truncated, truncated_sup_value):
         with pytest.raises(DomainError, match="float range"):
             sup(psi, 1.0, 1e300)
+
+
+def _value_or_domain_error(sup, *args):
+    """The sup's value, checked finite and non-negative, or None on DomainError."""
+    try:
+        value = sup(*args).value
+    except DomainError:
+        return None
+    assert math.isfinite(value) and value >= 0.0
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.builds(finite_support, st.floats(1.01, 1e6), st.floats(0.0, 3.0)),
+        st.builds(power, st.floats(0.2, 8.0)),
+    ),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-690.0, 690.0),
+)
+def test_a_truncated_sup_never_exceeds_the_full_one(psi, t, log_delta):
+    # s in [1, b): for power, up to 1e8, past the scan bound P_MAX
+    s = 1.0 + t * (psi.b - 1.0) if math.isfinite(psi.b) else 10.0 ** (8.0 * t)
+    delta = math.exp(log_delta)  # 1e-300 to 1e300
+    full = _value_or_domain_error(fundamental, psi, delta)
+    truncated = _value_or_domain_error(fundamental_truncated, psi, s, delta)
+    if full is not None and truncated is not None:
+        assert truncated <= full * (1.0 + 1e-12)

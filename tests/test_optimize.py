@@ -539,7 +539,8 @@ def test_sups_identical_on_cache_miss_hit_and_after_eviction(make):
     miss = _sups(psi)
     assert psi_table.cache_info().misses == 2
     hit = _sups(psi)
-    assert psi_table.cache_info().hits == 4
+    # the truncated table's miss read the [1, b) table: one hit more
+    assert psi_table.cache_info().hits == 5
     for k in range(TABLE_CACHE_SIZE + 1):
         _sups(power(1.0 + k))
     before = psi_table.cache_info().misses

@@ -1,7 +1,8 @@
 """Scan tables: a piecewise psi's sups scan its breakpoints and scan ends,
-a smooth psi's the shared u grid of its scan range, both axes of the
-two-exponent sup read the same tables, and every sup equals the one read off
-the dense table (`table_reference`)."""
+a smooth psi's the shared u grid of its support, a truncated sup the table
+of the support cut at the truncation point, both axes of the two-exponent
+sup read the same tables, and every sup equals the one read off the dense
+table (`table_reference`)."""
 
 import bisect
 import math
@@ -24,11 +25,13 @@ from glscov import (
     power,
     product_zeta,
     tabulated,
+    tail_bound,
 )
-from glscov._optimize import exponent, psi_table
+from glscov import _optimize
+from glscov._optimize import _unit_grid, exponent, psi_table
 from glscov.bounds import _T_MARGIN
 from glscov.fundamental import N_GRID, _sups
-from glscov.psi import scan_bound
+from glscov.psi import PsiFunction, scan_bound
 from table_reference import dense_table, dense_tables
 
 #: exponents of the fundamentals, from tiny delta to 1/beta > 1
@@ -181,19 +184,49 @@ def test_a_piecewise_table_is_its_breakpoints_and_scan_ends():
             assert not arr.flags.writeable
 
 
-def test_smooth_tables_share_the_u_grid_of_their_scan_range():
+def test_smooth_tables_share_the_u_grid_of_their_support():
     a, b = psi_table(power(1.0), 1.0, N_GRID), psi_table(power(2.0), 1.0, N_GRID)
     assert a[0] is b[0]
     assert psi_table(dual_psi(power(2.0)), 1.0, N_GRID)[0] is a[0]
     assert psi_table(power(1.0), 1.0, 512)[0] is not a[0]
-    c = psi_table(finite_support(3.0, 0.5), 2.0, N_GRID)
-    assert psi_table(finite_support(3.0, 1.2), 2.0, N_GRID)[0] is c[0]
-    assert psi_table(finite_support(4.0, 0.5), 2.0, N_GRID)[0] is not c[0]
+    c = psi_table(finite_support(3.0, 0.5), 1.0, N_GRID)
+    assert psi_table(finite_support(3.0, 1.2), 1.0, N_GRID)[0] is c[0]
+    assert psi_table(finite_support(4.0, 0.5), 1.0, N_GRID)[0] is not c[0]
     for psi, s in ((power(1.0), 1.0), (finite_support(3.0, 0.5), 2.0), (power(1.0), 1.7)):
         us, logs = psi_table(psi, s, N_GRID)
         want_us, want_logs = dense_table(psi, s, N_GRID)
         assert np.array_equal(us, want_us)
         assert np.array_equal(logs, want_logs)
+
+
+def test_finite_supports_share_one_unit_grid():
+    _unit_grid.cache_clear()
+    psi_table.cache_clear()
+    for b in (3.0, 4.0, 1.01, 1e6):
+        us = psi_table(finite_support(b, 0.5), 1.0, N_GRID)[0]
+        lo = 1.0 / b
+        assert (us[0], us[-1]) == (lo, 1.0) and np.all(np.diff(us) > 0.0)
+        assert np.array_equal(us[:-1], lo + (1.0 - lo) * _unit_grid(N_GRID)[:-1])
+    b = 1.0 + 1e-13  # the unit grid's smallest steps round to nothing on [1/b, 1]
+    us = psi_table(finite_support(b, 0.5), 1.0, N_GRID)[0]
+    assert (us[0], us[-1]) == (1.0 / b, 1.0) and np.all(np.diff(us) > 0.0)
+    assert _unit_grid.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("psi", [power(1.3), finite_support(3.0, 0.5), extremal(3.0),
+                                 tabulated(ref.KNOTS), product_zeta(power(2.0), dual_psi(power(2.0)))])
+def test_a_truncated_table_cuts_the_table_of_the_support(psi):
+    full_us, full_logs = psi_table(psi, 1.0, N_GRID)
+    for s in (1.2, 1.7, 2.5):
+        us, logs = psi_table(psi, s, N_GRID)
+        k = us.size - 1
+        assert us[k] == 1.0 / s and full_us[k] >= 1.0 / s
+        assert np.array_equal(us[:k], full_us[:k])
+        assert np.array_equal(logs[:k], full_logs[:k])
+        assert np.array_equal(logs[k:], psi.log_u(us[k:]))
+        assert not us.flags.writeable and not logs.flags.writeable
+    past = 2.0 * scan_bound(psi)  # 1/s below the scan range: empty
+    assert [arr.size for arr in psi_table(psi, past, N_GRID)] == [0, 0]
 
 
 def test_the_dense_table_ties_one_rounding_inside_the_scan_end():
@@ -244,3 +277,35 @@ def test_a_piecewise_axis_on_its_knots_reaches_the_edge_sup():
         assert got.value == pytest.approx(math.exp(want), rel=1e-13)
     got = phi_uniform(psi, nu, math.exp(-0.05), math.exp(-0.05)).value
     assert got == pytest.approx(2.5372395525938707, rel=1e-13)
+
+
+@pytest.mark.parametrize("psi", [power(2.71), finite_support(4.37, 0.83), extremal(5.29),
+                                 tabulated(ref.KNOTS_2),
+                                 product_zeta(power(1.37), dual_psi(power(1.37)))])
+def test_a_sup_sweep_op_builds_one_table_and_no_grid_for_s(psi, monkeypatch):
+    # one op of `sup_sweep` on a new psi of each family it draws: 8
+    # fundamentals, 8 truncated sups at one s and 6 tail bounds
+    dense, grids = [], []
+    log_u, u_grid = PsiFunction.log_u, _optimize._u_grid
+
+    def counted_log_u(self, u):
+        if self is psi and np.size(u) > 1:
+            dense.append(np.size(u))
+        return log_u(self, u)
+
+    def counted_u_grid(*args):
+        grids.append(args)
+        return u_grid(*args)
+
+    monkeypatch.setattr(PsiFunction, "log_u", counted_log_u)
+    monkeypatch.setattr(_optimize, "_u_grid", counted_u_grid)
+    psi_table.cache_clear()
+    s = 1.0 + 0.4 * (min(psi.b, 8.0) - 1.0)
+    for delta in np.exp(np.linspace(-28.0, -4.7, 8)).tolist():
+        fundamental(psi, delta)
+        fundamental_truncated(psi, s, delta)
+    for y in (math.e * 1.3 * np.exp(np.linspace(0.0, 2.0, 6))).tolist():
+        tail_bound(psi, 1.3, y)
+    assert len(dense) <= 1
+    assert grids == ([] if psi.breakpoints is not None
+                     else [(1.0 / scan_bound(psi), N_GRID, math.isfinite(psi.b))])

@@ -12,6 +12,7 @@ from glscov import (
     dual_psi,
     empirical_tail,
     extremal,
+    finite_support,
     fundamental,
     fundamental_truncated,
     orlicz_N,
@@ -21,6 +22,8 @@ from glscov import (
     tail_bound,
     v_of,
 )
+from glscov._optimize import psi_table
+from glscov.fundamental import N_GRID
 
 
 def test_v_of_power():
@@ -179,3 +182,24 @@ def _truncated(psi, delta):
 def test_non_finite_arguments_raise_domain_error(call, args):
     with pytest.raises(DomainError):
         call(power(1.0), *args)
+
+
+@pytest.mark.parametrize("psi", [
+    power(1.5), finite_support(3.0, 0.5), extremal(3.0), tabulated(ref.KNOTS),
+    ref.piecewise_case("empirical")[0], ref.piecewise_case("product")[0],
+    dual_psi(power(2.0)), product_zeta(power(2.0), dual_psi(power(2.0))),
+    product_zeta(finite_support(4.0, 1.0), power(1.0)),
+])
+def test_the_conjugate_scan_needs_no_mask_for_infeasible_points(psi):
+    # a dual is +inf at u = 1 (its inner psi at p = infinity), a finite
+    # support at its open end u = 1/b: there x - ln psi is -inf, no NaN
+    us, logs = psi_table(psi, 1.0, N_GRID)
+    for x in (-40.0, -1.0, 0.0, 0.3, 2.0, 9.0, 60.0, 700.0):
+        with np.errstate(invalid="ignore"):
+            masked = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
+        with np.errstate(all="raise"):
+            assert np.array_equal((x - logs) / us, masked)
+            info = conjugate_info(psi, x)
+        assert math.isfinite(info.value)
+    if psi.kind == "dual" or math.isfinite(psi.b) and psi.breakpoints is None:
+        assert np.isinf(logs).any()
