@@ -6,19 +6,19 @@ of a 1-D sup over p, with ln psi on it.  A piecewise log-linear psi's is its
 breakpoints and the scan ends alone: a 1-D objective linear or monotone on
 each cell between them has its sup at one of them, the grid maximum, and
 its caller skips the refinement.  Any other psi reads the dense `_u_grid`
-of its support: one shared array for an unbounded support, and one shared
-unit grid scaled onto [1/b, 1] for a finite one.  A truncated sup over
-[s, b) reads the [1, b) table cut at u = 1/s, so it builds no grid.  Both
-axes of a two-exponent sup read these tables on [1, b).
+of its support, its kinks added: one shared array for an unbounded support,
+and one shared unit grid scaled onto [1/b, 1] for a finite one.  A truncated
+sup over [s, b) reads the [1, b) table cut at u = 1/s, so it builds no grid.
 
 Every other psi refines by safeguarded Newton (`newton_max`, `cell_max`)
 on its jet `log_u_jet`, exact on every cell, next to an infeasible grid
 point too: Newton closes its bracket at a point past the support.  It never
 takes more evaluations than golden section (`golden_max`) on the same cells.
-`grid_golden_max` is a grid scan plus `cell_max`.  An objective read on
-whole arrays, such as a user kernel or a moment curve, refines by `zoom_max`
-(`zoom_cells`) until its bracket is below tol or flat: a few array calls in
-place of one per probe.
+`grid_golden_max` is a grid scan plus `cell_max` on each concave piece
+between kinks (`piece_maxima`): the route of every sup over p and of Phi's
+edge.  An objective read on whole arrays, such as a user kernel or a moment
+curve, refines by `zoom_max` (`zoom_cells`) until its bracket is below tol
+or flat: a few array calls in place of one per probe.
 
 Sups over p scan u = 1/p and read psi there (`PsiFunction.log_u`), so no
 scan turns u back into p for psi.  A reported exponent, and the exponents
@@ -53,15 +53,17 @@ _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 #: generating functions a caller keeps alive.  One psi uses at most two
 #: tables: on [1, b) for fundamental, the conjugate, both routes of a
 #: two-exponent sup and y, and its cut at 1/s for a truncated sup on [s, b),
-#: which builds no grid.  Only a product with one piecewise factor adds one,
-#: the dense axis at its n_grid.  The u grids are one for every unbounded
-#: support and one per finite support bound, each scaling one unit grid.
+#: which builds no grid.  The u grids are one for every unbounded support
+#: and one per finite support bound, each scaling one unit grid.
 TABLE_CACHE_SIZE = 8
 
 #: elements at most in one array of a batched pass (8 MB of floats): sups
 #: over many arguments and stacked mixing reductions run in chunks of rows or
 #: lags below it
 CHUNK_ELEMENTS = 1 << 20
+
+#: how far a refinement stays inside a piece: at a rounded, mirrored kink a jet reads either slope
+_KINK_GAP = 8.0 * math.ulp(1.0)
 
 
 def golden_max(f, a, b, tol=1e-12):
@@ -139,19 +141,34 @@ def _flat(fs, k):
     return a > -math.inf and b > -math.inf and rise <= 4.0 * math.ulp(top)
 
 
-def _cell(xs, i, cap=math.inf):
-    """The two grid cells around xs[i], clipped at cap: (lo, hi), or None
-    when they are empty."""
-    lo, hi = float(xs[max(i - 1, 0)]), min(float(xs[min(i + 1, xs.size - 1)]), cap)
+def _cell(xs, i, cap=math.inf, floor=-math.inf):
+    """The two grid cells around xs[i], clipped to [floor, cap]: (lo, hi), or
+    None when they are empty."""
+    lo, hi = max(float(xs[max(i - 1, 0)]), floor), min(float(xs[min(i + 1, xs.size - 1)]), cap)
     return (lo, hi) if hi > lo else None
 
 
-def cell_max(df, xs, i, cap=math.inf, tol=1e-13):
+def cell_max(df, xs, i, cap=math.inf, tol=1e-13, floor=-math.inf):
     """`newton_max` from xs[i] of a smooth objective, given by its derivative
-    probe df, on `_cell`(xs, i, cap), next to an infeasible grid point too:
-    (x, f(x)), or None when the cells are empty."""
-    cell = _cell(xs, i, cap)
-    return cell and newton_max(df, cell[0], min(float(xs[i]), cell[1]), cell[1], tol)
+    probe df, on `_cell`(xs, i, cap, floor), next to an infeasible grid point
+    too: (x, f(x)), or None when the cells are empty."""
+    cell = _cell(xs, i, cap, floor)
+    return cell and newton_max(df, cell[0], min(max(float(xs[i]), cell[0]), cell[1]), cell[1], tol)
+
+
+def piece_maxima(df, xs, fs, cuts, tol=1e-13):
+    """[(x, f(x))]: `cell_max` from the best grid point of each piece of an
+    objective, values fs on the sorted grid xs and derivative probe df, split
+    at its kinks xs[cuts] (ascending indices).  Concave on a piece, it peaks
+    in the cells around that point, which stop _KINK_GAP short of a kink."""
+    ends, out = [0, *cuts, xs.size - 1], []
+    for k0, k1 in zip(ends, ends[1:]):
+        i = k0 + int(fs[k0 : k1 + 1].argmax())
+        floor = float(xs[k0]) + _KINK_GAP if k0 else -math.inf
+        cap = float(xs[k1]) - _KINK_GAP if k1 < ends[-1] else math.inf
+        cell = fs[i] > -math.inf and cell_max(df, xs, i, cap, tol, floor)
+        out += [cell] if cell else []
+    return out
 
 
 def zoom_cells(F, xs, i, cap=math.inf, tol=1e-13):
@@ -240,17 +257,22 @@ def newton_max(df, lo, x, hi, tol):
     return best_x, best_f
 
 
-def grid_golden_max(xs, fs, df, refine=True, tol=1e-12):
+def grid_golden_max(xs, fs, df, refine=True, tol=1e-12, cuts=()):
     """Maximize a smooth objective given by its values `fs` on the sorted grid `xs`.
 
-    Takes the best grid point, then refines it on the two grid cells around
-    it by `cell_max` on the objective's derivative probe `df`.  Returns
-    (x_best, f_best); f_best is -inf when the objective is -inf everywhere.
+    Takes the best grid point, then refines by `cell_max` on the derivative
+    probe `df` the two cells around it, or each piece between the kinks
+    xs[cuts] (`piece_maxima`).  Returns (x_best, f_best); f_best is -inf
+    when the objective is -inf everywhere.
     """
-    i = int(np.argmax(fs))
+    i = int(fs.argmax())  # the method: np.argmax's dispatch costs more than the scan
     best = float(xs[i]), float(fs[i])
-    cell = refine and np.isfinite(best[1]) and cell_max(df, xs, i, tol=tol)
-    return cell if cell and cell[1] > best[1] else best
+    if refine and math.isfinite(best[1]):
+        cells = piece_maxima(df, xs, fs, cuts, tol) if len(cuts) else [cell_max(df, xs, i, tol=tol)]
+        for cell in cells:
+            if cell and cell[1] > best[1]:
+                best = cell
+    return best
 
 
 def u_axis(p_hi, p_lo, n):
@@ -303,10 +325,10 @@ def _u_grid(lo, n, finite_b):
     return us
 
 
-def _frozen(us, logs):
-    """(us, logs), both read-only, since every caller shares them."""
-    us.flags.writeable = logs.flags.writeable = False
-    return us, logs
+def _frozen(us, logs, cuts):
+    """(us, logs, cuts), all read-only, since every caller shares them."""
+    us.flags.writeable = logs.flags.writeable = cuts.flags.writeable = False
+    return us, logs, cuts
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -318,37 +340,38 @@ def psi_table(psi, s, n):
     about one point per knot: every 1-D objective is linear or monotone in u
     between them, so its grid maximum is its sup.  Any other psi scans
     `_u_grid(lo, n, b < inf)`, one array for every such psi with that
-    support bound.  For s > 1 the table is psi's own [1, b) table cut to its
-    points below 1/s, plus the point 1/s with ln psi read there: no grid is
-    built for it.  It is empty when 1/s < lo.  Returns (us, ln psi(1/us)),
-    both read-only.
+    support bound, and psi's `kinks` inside it.  For s > 1 the table is
+    psi's own [1, b) table cut to its points below 1/s, plus the point 1/s
+    with ln psi read there: no grid is built for it.  It is empty when
+    1/s < lo.  Returns (us, ln psi(1/us), cuts), read-only: cuts index the
+    kinks inside (us[0], us[-1]).
     """
     lo = 1.0 / scan_bound(psi)
     if s > 1.0:
-        us, logs = psi_table(psi, 1.0, n)
+        us, logs, cuts = psi_table(psi, 1.0, n)
         if 1.0 / s < lo:
-            return _frozen(us[:0], logs[:0])
+            return _frozen(us[:0], logs[:0], cuts[:0])
         k, hi = int(np.searchsorted(us, 1.0 / s)), np.array([1.0 / s])
-        return _frozen(np.append(us[:k], hi), np.append(logs[:k], psi.log_u(hi)))
-    if psi.breakpoints is None:
-        us = _u_grid(lo, n, math.isfinite(psi.b))
-    else:
-        us = np.unique(np.concatenate([psi.breakpoints, [lo, 1.0]]))
-        us = us[us >= lo]
-    return _frozen(us, psi.log_u(us))
+        return _frozen(np.append(us[:k], hi), np.append(logs[:k], psi.log_u(hi)), cuts[cuts < k])
+    piecewise = psi.breakpoints is not None  # then its kinks are its breakpoints
+    kinks = psi.kinks
+    kinks = kinks[(kinks > lo) & (kinks < 1.0)] if kinks.size else kinks  # no kink: no array call
+    us = [lo, 1.0] if piecewise else _u_grid(lo, n, math.isfinite(psi.b))
+    us = np.union1d(us, kinks) if piecewise or kinks.size else us
+    return _frozen(us, psi.log_u(us), us.searchsorted(kinks))
 
 
 def log_ratio(psi, log_x, table):
-    """u ln x - ln psi(1/u) on a table (us, ln psi(1/us)) of psi.
+    """u ln x - ln psi(1/u) on a table (us, ln psi(1/us), cuts) of psi.
 
-    Returns the table's grid, the objective on it, and its derivative probe
-    u -> (f, f', f'') for `grid_golden_max`, read from psi's jet.  u > 0 and
+    Returns the grid, the objective on it, its derivative probe u -> (f, f',
+    f'') for `grid_golden_max`, read from psi's jet, and the cuts.  u > 0 and
     ln psi > -inf, so no value is NaN; -inf marks an infeasible point.
     """
-    us, logs = table
+    us, logs, cuts = table
 
     def newton(u):
         g, d1, d2 = psi.log_u_jet(u)
         return u * log_x - g, log_x - d1, -d2
 
-    return us, us * log_x - logs, newton
+    return us, us * log_x - logs, newton, cuts

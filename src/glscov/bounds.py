@@ -14,11 +14,12 @@ from functools import cache
 import numpy as np
 
 from ._optimize import (
+    _KINK_GAP,
     cell_max,
     exponent,
     grid_golden_max,
     log_ratio,
-    newton_max,
+    piece_maxima,
     psi_table,
     u_axis,
     zoom_cells,
@@ -27,6 +28,7 @@ from ._optimize import (
 from .errors import DomainError
 from .fundamental import (
     N_GRID,
+    _candidates,
     _empty,
     _exp_sup,
     _log_inverse,
@@ -194,79 +196,14 @@ def _triangle_grid_best(us, a, ws, c):
     return i, int(arg[last[i]]), float(rows[i])
 
 
-#: how far Newton stays inside a piece of Phi: a kink mirrored as 1 - w or
-#: e - w is rounded, and a jet read that close can take the next cell's slope
-_KINK_GAP = 8.0 * math.ulp(1.0)
-
-
-def _kinks(psi):
-    """The u = 1/p points, ascending, where ln psi(1/u) may have a kink: a piecewise
-    psi's breakpoints, a dual's (inner psi at 1 - u) and a product's from its factors."""
-    if psi.breakpoints is not None:
-        return psi.breakpoints
-    if psi.kind == "dual":
-        return 1.0 - _kinks(psi.left)[::-1]
-    if psi.kind == "product":
-        return np.union1d(_kinks(psi.left), 1.0 - _kinks(psi.right))
-    return np.empty(0)
-
-
-def _segment_maxima(df, ts, fs, xs, gs):
-    """[(t, f(t))]: Newton's max on each segment [ts[k], ts[k + 1]] of the
-    ascending vertices ts (f there: fs) where f is concave and the end
-    slopes, read _KINK_GAP inside (a -inf end rises), bracket a max.  df(t)
-    is (f, f', f''); Newton starts from the best of the ends so read and the
-    points xs (f there: gs) inside the segment.  All four are arrays."""
-    maxima = []
-    for t0, t1, f0, f1 in zip(*(x.tolist() for x in (ts[:-1], ts[1:], fs[:-1], fs[1:]))):
-        left, right, starts = t0 + _KINK_GAP, t1 - _KINK_GAP, []
-        for end, f_end, sign in ((left, f0, 1.0), (right, f1, -1.0)):
-            if f_end > -math.inf:
-                f, d1, _ = df(end)
-                if not sign * d1 > 0:  # f falls into the segment: its max is at this end
-                    break
-                starts.append((f, end))
-        else:
-            inside = np.flatnonzero((xs >= left) & (xs <= right))
-            if inside.size:
-                k = inside[np.argmax(gs[inside])]
-                starts.append((float(gs[k]), float(xs[k])))
-            f, x = max(starts, default=(-math.inf, 0.0))
-            if f > -math.inf and right > left:
-                maxima.append(newton_max(df, left, x, right, 1e-13))
-    return maxima
-
-
-def _axis(psi, log_x, n):
-    """(us, a(us), kinks): the candidates of one axis of Phi, u = 1/p on
-    [1/min(b, P_MAX), 1], where a(u) = u ln x - ln psi(1/u) is concave
-    between the kinks inside it.  A piecewise psi's a is linear there: its
-    `psi_table`.  One piece: its `_sup`.  A product with a piecewise factor:
-    the scan ends, its kinks and `_segment_maxima` from its n-point table."""
-    lo = 1.0 / scan_bound(psi)
-    kinks = _kinks(psi)
-    kinks = kinks[(kinks > lo) & (kinks < 1.0)]
-    if psi.breakpoints is None and not kinks.size:
-        u, f = _sup(psi, log_x, 1.0)
-        return np.array([u]), np.array([f]), kinks
-    size = n if psi.breakpoints is None else N_GRID  # a piecewise table is its knots
-    us, fs, newton = log_ratio(psi, log_x, psi_table(psi, 1.0, size))
-    if psi.breakpoints is not None:
-        return us, fs, kinks
-    ends = np.concatenate([[lo], kinks, [1.0]])
-    maxima = _segment_maxima(newton, ends, ends * log_x - psi.log_u(ends), us, fs)
-    xs = np.sort(np.concatenate([ends, [t for t, _ in maxima]]))
-    return xs, xs * log_x - psi.log_u(xs), kinks
-
-
 def _on_edge(psi, nu, la, lb, ku, kw, starts):
     """Best point (u, w, value) of a(u) + c(w) on the edge u + w = e, or None.
 
     The edge splits at psi's kinks ku and at e - kw for nu's.  Its vertices
     are one array, each side read at its own exact coordinate, so nu's
-    closed end w = 1/b survives the rounding of e - u.  Each concave segment
-    takes `_segment_maxima` from its midpoint or the u = starts inside it,
-    unless both psi are piecewise and every segment is linear."""
+    closed end w = 1/b survives the rounding of e - u.  Unless both psi are
+    piecewise, `piece_maxima` refines the pieces on the vertices, midpoints
+    and u = starts, a start within _KINK_GAP of a vertex dropped."""
     e, w_lo = 1.0 - _T_MARGIN, 1.0 / scan_bound(nu)
     lo, hi = 1.0 / scan_bound(psi), e - w_lo
     if hi <= lo:
@@ -280,40 +217,41 @@ def _on_edge(psi, nu, la, lb, ku, kw, starts):
     best = float(us[k]), float(ws[k]), float(fs[k])
     if psi.breakpoints is not None and nu.breakpoints is not None:
         return best
-    ts = np.concatenate([0.5 * (us[:-1] + us[1:]), starts])
-    ts = ts[(ts > lo) & (ts < hi)]
+    ts = np.unique(np.concatenate([0.5 * (us[:-1] + us[1:]), starts]))
+    j = np.clip(np.searchsorted(us, ts), 1, us.size - 1)  # us[j - 1] < ts <= us[j] inside
+    keep = np.minimum(ts - us[j - 1], us[j] - ts) > _KINK_GAP  # inside (lo, hi), off the vertices
+    ts, j = ts[keep], j[keep]
+    gs = (ts * la - psi.log_u(ts)) + ((e - ts) * lb - nu.log_u(e - ts))
+    cuts = np.arange(1, us.size - 1) + np.searchsorted(ts, us[1:-1])  # the inner vertices
 
     def df(t):
         ga, a1, a2 = psi.log_u_jet(t)
         gc, c1, c2 = nu.log_u_jet(e - t)
         return (t * la - ga) + ((e - t) * lb - gc), la - a1 - lb + c1, -a2 - c2
 
-    gs = (ts * la - psi.log_u(ts)) + ((e - ts) * lb - nu.log_u(e - ts))
-    for t, f in _segment_maxima(df, us, fs, ts, gs):
+    for t, f in piece_maxima(df, np.insert(us, j, ts), np.insert(fs, j, gs), cuts):
         if f > best[2]:
             best = t, e - t, f
     return best
 
 
-def phi_uniform(psi, nu, alpha, beta, n_grid=512):
+def phi_uniform(psi, nu, alpha, beta):
     """sup over 1/p + 1/q < 1 of alpha^(1/p) beta^(1/q) / (psi(p) nu(q)).
 
     In (u, w) = (1/p, 1/q) the log objective a(u) + c(w) is separable and
     concave on every pair of pieces of the axes, so (KKT) its sup there is
     the product point of the two 1-D sups or on the edge u + w = e =
     1 - margin.  Phi is the better of the best admissible pair of the axes'
-    candidates (`_axis`, `_triangle_grid_best`) and the best edge point
-    (`_on_edge`; skipped when both axes are one piece and their product
-    point is admissible).  Every candidate is an evaluated admissible point:
-    a lower estimate for any psi (`UniformPhi`).  n_grid sizes only the
-    scan seeding the pieces of a product with one piecewise factor: any
-    other axis reads the table `fundamental` reads."""
+    candidates (their 1-D sups' points, `fundamental._candidates`) and the
+    best edge point (`_on_edge`; skipped when neither axis has a kink and
+    their product point is admissible).  Every candidate is an evaluated
+    admissible point: a lower estimate for any psi (`UniformPhi`)."""
     _check_unit(alpha, "alpha")
     _check_unit(beta, "beta")
     la = math.log(alpha) if alpha > 0 else -math.inf
     lb = math.log(beta) if beta > 0 else -math.inf
-    us, a, ku = _axis(psi, la, n_grid)
-    ws, c, kw = _axis(nu, lb, n_grid)
+    us, a, ku = _candidates(psi, la)
+    ws, c, kw = _candidates(nu, lb)
     i, j = int(np.argmax(a)), int(np.argmax(c))  # the product point of the 1-D sups
     u, w, best = float(us[i]), float(ws[j]), float(a[i] + c[j])
     if ku.size or kw.size or u + w > 1.0 - _T_MARGIN:
@@ -348,10 +286,10 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_jet = log_ratio(nu, la, psi_table(nu, 1.0, N_GRID))
+    ws, c, c_jet, _ = log_ratio(nu, la, psi_table(nu, 1.0, N_GRID))
     run, arg = _running_max(c)
     refine = nu.breakpoints is None
-    concave = refine and not _kinks(nu).size
+    concave = refine and not nu.kinks.size
     peak = cache(lambda i: cell_max(c_jet, ws, i) or (math.inf, -math.inf))  # c's max near ws[i]
 
     def df(u):
@@ -373,7 +311,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
 
     lo = 1.0 / scan_bound(psi)
     # one ulp down, so that top = 1 - u reaches each kink of nu and 1/b_nu
-    ts = np.concatenate([_kinks(psi), np.nextafter(1.0 - np.append(_kinks(nu), ws[0]), 0.0)])
+    ts = np.concatenate([psi.kinks, np.nextafter(1.0 - np.append(nu.kinks, ws[0]), 0.0)])
     us = np.unique(np.concatenate([np.linspace(lo, 1.0, n_grid), ts[(ts > lo) & (ts < 1.0)]]))
     tops = 1.0 - us
     k = np.searchsorted(ws, tops, side="right") - 1
@@ -389,12 +327,12 @@ def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512):
     Phi is computed by `phi_uniform` (note phi_2d), which reports the
     exponents, and the nested route `phi_uniform_theta` (note phi_theta);
     both are lower estimates of the same sup, so the larger one is used and
-    a note records any disagreement beyond 1e-6 relative; n_grid goes to both.
+    a note records any disagreement beyond 1e-6 relative; n_grid goes to theta.
     """
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return BoundReport(0.0, "gls_uniform", notes=("alpha=0: independent fields",))
-    two_d = phi_uniform(psi, nu, alpha, alpha, n_grid=n_grid)
+    two_d = phi_uniform(psi, nu, alpha, alpha)
     theta = phi_uniform_theta(psi, nu, alpha, n_grid=n_grid)
     notes = [f"phi_2d={two_d.value!r}", f"phi_theta={theta!r}"]
     phi = max(two_d.value, theta)
@@ -535,12 +473,12 @@ def factorization_check(psi, nu, alpha, beta, n_grid=512):
     """Compare the triangle sup with the product of one-dimensional sups.
 
     The one-sided inequality (triangle <= product) always holds; equality is
-    expected below the case-dependent thresholds computed from g'; n_grid goes
-    to `phi_uniform` alone.
+    expected below the case-dependent thresholds computed from g'; n_grid
+    sizes nothing and stays for callers that pass it.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
         raise DomainError("factorization check needs alpha, beta in (0, 1)")
-    lhs = phi_uniform(psi, nu, alpha, beta, n_grid=n_grid).value
+    lhs = phi_uniform(psi, nu, alpha, beta).value
     rhs = fundamental(psi, alpha).value * fundamental(nu, beta).value
     holds = rhs > 0 and abs(lhs - rhs) <= 1e-6 * rhs
     inf_psi = math.isinf(psi.b)
@@ -610,7 +548,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             u, best = cell
         p = exponent(u, p_top, 1.0)
         return BoundReport(
-            math.exp(-best) * norm_xi * norm_eta, "generic", p=p,
+            _exp_sup(-best) * norm_xi * norm_eta, "generic", p=p,
             q=math.inf if p == 1.0 else p / (p - 1.0),
         )
     tri = domain == "T"
@@ -678,7 +616,7 @@ def generic_bound(h, psi, nu, domain, norm_xi, norm_eta, n_grid=512):
             if ft > best:
                 u, w, best = t, edge - t, ft
     return BoundReport(
-        math.exp(-best) * norm_xi * norm_eta, "generic",
+        _exp_sup(-best) * norm_xi * norm_eta, "generic",
         p=exponent(u, p_top, p_bot), q=exponent(w, q_top, q_bot),
     )
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _optimize
 from .errors import DomainError
-from .fundamental import N_GRID, _log_fundamentals, _log_inverse, _over_phi, _sups
+from .fundamental import N_GRID, _exp_sup, _log_fundamentals, _log_inverse, _over_phi, _sups
 from .psi import MomentTable, natural_from_moments, product_zeta
 from .finite import _log_moments, _mixing_pair
 
@@ -53,7 +53,7 @@ class CltProfile:
 
 def _require_nontrivial(psi):
     """DomainError unless psi's table on [1, b), which y scans, is finite at a p > 1."""
-    us, logs = _optimize.psi_table(psi, 1.0, N_GRID)
+    us, logs, _ = _optimize.psi_table(psi, 1.0, N_GRID)
     if not np.any(np.isfinite(logs) & (us < 1.0)):
         raise DomainError(
             "natural function trivial: finite at no p > 1, so the summability "
@@ -107,11 +107,15 @@ def z_sequence(profile):
 
 
 def _y_term(alpha, log_phi):
-    """alpha / phi^2, in logs where phi^2 leaves the float range."""
+    """alpha / phi^2; in logs where phi^2 or the quotient leaves the float
+    range, and DomainError (`_exp_sup`) where that does too."""
     try:
-        return alpha / math.exp(log_phi) ** 2
-    except OverflowError:
-        return math.exp(math.log(alpha) - 2.0 * log_phi)
+        out = alpha / math.exp(log_phi) ** 2
+    except (OverflowError, ZeroDivisionError):  # phi^2 past the float range, or 0
+        out = math.inf
+    if out < math.inf:
+        return out
+    return _exp_sup(math.log(alpha) - 2.0 * log_phi)  # alpha > 0: `_lag_terms` skips 0
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,9 @@ behaves well.  For a piecewise log-linear psi (`PsiFunction.breakpoints`:
 extremal, tabulated, empirical, and products of these) the objective
 u ln delta - ln psi(1/u) is linear in u between psi's breakpoints, which
 with the scan ends make up its whole grid, so the grid maximum is the sup
-and no refinement runs.
-Every other psi refines by safeguarded Newton on the exact derivatives of
-its jet, a product with one piecewise factor included: its jet is exact on
-every cell.
+and no refinement runs.  Every other psi refines by safeguarded Newton on
+the exact derivatives of its jet, once per concave piece between its kinks
+(a product with one piecewise factor has them), which its table holds.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _optimize
-from ._optimize import exponent, grid_golden_max, log_ratio, psi_table
+from ._optimize import exponent, grid_golden_max, log_ratio, piece_maxima, psi_table
 from .errors import DomainError
 from .psi import finite_support, scan_bound
 
@@ -53,14 +52,31 @@ def _sup(psi, log_x, s, n_grid=N_GRID, refine=True):
     """(u, ln value) at the sup over p in [s, b) of x^(1/p)/psi(p), from ln x.
 
     The one row kernel of every fundamental function: a scan of psi's table,
-    refined by Newton unless psi is piecewise log-linear, where the objective
-    is linear in u between the breakpoints and the grid is exact.  ln value
-    is -inf on an empty domain, where psi's table is empty.
+    refined by Newton on each piece between psi's kinks unless psi is
+    piecewise log-linear, where the objective is linear in u between the
+    breakpoints and the grid is exact.  ln value is -inf on an empty
+    domain, where psi's table is empty.
     """
-    us, fs, newton = log_ratio(psi, log_x, psi_table(psi, s, n_grid))
+    us, fs, newton, cuts = log_ratio(psi, log_x, psi_table(psi, s, n_grid))
     if not us.size:
         return 0.0, -math.inf
-    return grid_golden_max(us, fs, newton, refine=refine and psi.breakpoints is None)
+    return grid_golden_max(us, fs, newton, refine and psi.breakpoints is None, cuts=cuts)
+
+
+def _candidates(psi, log_x):
+    """(us, values, kinks): where the sup over p in [1, b) of x^(1/p)/psi(p)
+    may sit, ascending in u, the objective there, and psi's kinks inside the
+    scan: a piecewise psi's table, else `_sup`'s point or, with kinks, the
+    scan ends, the kinks and each concave piece's max (`piece_maxima`)."""
+    us, fs, newton, cuts = log_ratio(psi, log_x, psi_table(psi, 1.0, N_GRID))
+    if psi.breakpoints is not None:
+        return us, fs, us[cuts]
+    if not cuts.size:
+        u, f = grid_golden_max(us, fs, newton)
+        return np.array([u]), np.array([f]), us[:0]
+    points = [(float(us[k]), float(fs[k])) for k in (0, *cuts, -1)]
+    xs, values = np.array(sorted(points + piece_maxima(newton, us, fs, cuts, 1e-12))).T
+    return xs, values, us[cuts]
 
 
 def _sups(psi, log_xs, s):
@@ -71,7 +87,7 @@ def _sups(psi, log_xs, s):
     breakpoints and scan ends (rows x about its knot count), in chunks of rows
     below `_optimize.CHUNK_ELEMENTS`.
     """
-    us, logs = psi_table(psi, s, N_GRID)
+    us, logs, _ = psi_table(psi, s, N_GRID)
     if psi.breakpoints is None or not us.size:  # smooth, or an empty domain
         rows = [_sup(psi, log_x, s) for log_x in log_xs]
         return [u for u, _ in rows], [f for _, f in rows]
@@ -157,12 +173,16 @@ def _log_inverse(x):
 
 def _over_phi(c, log_phi, power=1):
     """c / phi^power for phi = e^log_phi, power 1 or 2, one division a factor;
-    exp(ln c - power ln phi) where phi itself leaves the float range."""
+    exp(ln c - power ln phi) where phi or the quotient leaves the float
+    range, and DomainError (`_exp_sup`) where that does too."""
     try:
         phi = math.exp(log_phi)
-    except OverflowError:
-        return math.exp(math.log(c) - power * log_phi) if c > 0.0 else 0.0
-    return c / phi if power == 1 else c / phi / phi
+        out = c / phi if power == 1 else c / phi / phi
+    except (OverflowError, ZeroDivisionError):  # phi past the float range, or 0
+        out = math.inf
+    if out < math.inf:
+        return out
+    return _exp_sup(math.log(c) - power * log_phi) if c > 0.0 else 0.0
 
 
 def fundamental(psi, delta):

@@ -80,6 +80,8 @@ class PsiFunction:
             # the right factor is read at w = 1 - u; lo and hi are elements of
             # the union, so both closed support ends stay breakpoints
             (ul, ll), (wr, lr) = self.left._table, self.right._table
+            if not (ul.size and wr.size):  # a factor finite nowhere: so is psi
+                return ul[:0], ll[:0]
             mirrored = 1.0 - wr
             lo, hi = max(ul[0], mirrored[-1]), min(ul[-1], mirrored[0])
             us = np.unique(np.concatenate([ul, mirrored]))
@@ -125,6 +127,28 @@ class PsiFunction:
         if "points" in self.params or self.params.get("piecewise"):
             return self._table[0]
         return None
+
+    @property
+    def kinks(self):
+        """The u = 1/p points, ascending, where ln psi(1/u) may have a kink: a
+        piecewise psi's breakpoints, a dual's and a product's from its factors
+        (read at 1 - u), none for power and finite_support.  ln psi(1/u) is
+        convex between them.  A kink mirrored as 1 - w that rounds past a
+        closed support end, where psi is +inf, moves one ulp inside."""
+        if self.breakpoints is not None:
+            return self.breakpoints
+        if self.kind == "dual":
+            kinks = 1.0 - self.left.kinks[::-1]
+        elif self.kind == "product":  # union1d costs 10 us even on empty arrays
+            left, right = self.left.kinks, 1.0 - self.right.kinks[::-1]
+            kinks = np.union1d(left, right) if left.size and right.size else left if left.size else right
+        else:
+            return np.empty(0)
+        for toward in (0.0, 1.0) if kinks.size else ():
+            moved = np.nextafter(kinks, toward)
+            out = np.isinf(self.log_u(kinks)) & np.isfinite(self.log_u(moved))
+            kinks = np.where(out, moved, kinks)
+        return kinks
 
     def log_u(self, u):
         """ln psi(1/u) on u in [0, 1] (scalar or ndarray); +inf outside support.

@@ -3,7 +3,7 @@ and the exponential Orlicz function built from the conjugate.
 
 The conjugate is a 1-D sup over u = 1/p on fundamental's table: exact on
 the grid for a piecewise log-linear psi (extremal included), and refined by
-safeguarded Newton on the exact derivatives of every other psi's jet."""
+safeguarded Newton on each piece between every other psi's kinks."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from ._optimize import exponent, grid_golden_max, psi_table
 from .errors import DomainError
-from .fundamental import N_GRID
+from .fundamental import N_GRID, _exp_sup
 from .psi import scan_bound
 
 
@@ -48,8 +48,8 @@ def conjugate_info(psi, x):
     (x - ln psi(1/u)) / u.  For a piecewise log-linear psi, ln psi(1/u) =
     a + c u on each cell between breakpoints, so the objective (x - a)/u - c
     is monotone there and the grid maximum, over the breakpoints and scan
-    ends, is the sup.  Every other psi refines it by Newton with
-    f' = -(g' + f)/u and f'' = -(g'' + 2 f')/u, g = ln psi(1/u).
+    ends, is the sup.  Every other psi refines it by Newton on each piece
+    between its kinks, with f' = -(g' + f)/u and f'' = -(g'' + 2 f')/u.
     `unbounded_at_cap` flags a sup still increasing at the scan cap (the
     conjugate is then effectively +inf for this x).
     """
@@ -62,10 +62,10 @@ def conjugate_info(psi, x):
         f1 = -(d1 + f) / u
         return f, f1, -(d2 + 2.0 * f1) / u
 
-    us, logs = psi_table(psi, 1.0, N_GRID)
+    us, logs, cuts = psi_table(psi, 1.0, N_GRID)
     # u > 0 and ln psi > -inf on every table: x - (+inf) is -inf, never NaN
     fs = (x - logs) / us
-    u_best, f_best = grid_golden_max(us, fs, newton, refine=psi.breakpoints is None, tol=1e-13)
+    u_best, f_best = grid_golden_max(us, fs, newton, psi.breakpoints is None, 1e-13, cuts)
     if f_best == -math.inf:
         raise DomainError("empty effective support: psi is +inf on [1, b)")
     p_cap = scan_bound(psi)
@@ -93,14 +93,14 @@ def orlicz_N(psi, u):
     """Exponential Orlicz function: exp(v*(ln|u|)) for |u| >= e, C u^2 below.
 
     C is fixed by continuity at |u| = e (any positive C gives an equivalent
-    Orlicz function).
+    Orlicz function).  A value past the float range raises DomainError.
     """
     a = abs(u)
     if not a < math.inf:
         raise DomainError("u must be finite")
     if a >= math.e:
-        return math.exp(conjugate(psi, math.log(a)))
-    c = math.exp(conjugate(psi, 1.0)) / (math.e**2)
+        return _exp_sup(conjugate(psi, math.log(a)))
+    c = _exp_sup(conjugate(psi, 1.0)) / (math.e**2)
     return c * u * u
 
 

@@ -95,15 +95,16 @@ def piecewise_case(name):
 
 
 @st.composite
-def knot_sets(draw):
-    """Up to seven knots with random values, the last one at p = b >= 2.
+def knot_sets(draw, max_knots=7):
+    """Up to max_knots knots with random values, the last one at p = b >= 2.
 
     Random values give knot slopes of either sign.  Knots sit on multiples
     of 1/64: two knots a rounding error apart would make psi jump, which no
     generating function of a variable does.
     """
     b = draw(st.integers(128, 1280))
-    ps = sorted(k / 64.0 for k in set(draw(st.lists(st.integers(64, b), max_size=6))) | {b})
+    inner = set(draw(st.lists(st.integers(64, b), max_size=max_knots - 1)))
+    ps = sorted(k / 64.0 for k in inner | {b})
     vals = draw(st.lists(st.floats(0.05, 50.0), min_size=len(ps), max_size=len(ps)))
     return list(zip(ps, vals))
 
@@ -142,6 +143,29 @@ def log_finite_support(b, beta):
             return np.where(d > 0.0, -beta * np.log(d), np.inf)
 
     return g
+
+
+def log_dual_power(m):
+    """ln psi(1/w) of the dual of power(m), psi(p) = (p/(p-1))^(1/m), on
+    arrays of w in [0, 1]: +inf at w = 1."""
+    def g(w):
+        with np.errstate(divide="ignore"):
+            return -np.log(1.0 - w) / m
+
+    return g
+
+
+def kink_aware_max(objective, log_psi, lo, hi, kinks, n=20001):
+    """max of objective(u, ln psi(1/u)) over n evenly spaced u in [lo, hi],
+    the kinks inside and both ends, where log_psi(u) = ln psi(1/u) on arrays
+    is +inf outside the support: -inf where psi is nowhere finite.
+
+    A lower estimate of a sup whose objective is smooth between the kinks,
+    however steeply it rises into one of them."""
+    us = np.union1d(np.linspace(lo, hi, n), [k for k in kinks if lo < k < hi])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = objective(us, log_psi(us))
+    return float(np.max(np.where(np.isnan(values), -np.inf, values)))
 
 
 def log_table(verts):

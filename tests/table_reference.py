@@ -28,13 +28,15 @@ _SITES = [(importlib.import_module(f"glscov.{module}"), name) for module, name i
 
 
 def dense_table(psi, s, n):
-    """(us, ln psi(1/us)) on a dense grid within [lo, hi] = [1/min(b, P_MAX), 1/s].
+    """(us, ln psi(1/us), cuts) on a dense grid within [lo, hi] =
+    [1/min(b, P_MAX), 1/s], with psi's kinks inside it at the indices cuts.
 
     A smooth psi: the grid of its support on [lo, 1], its points below hi
     and hi itself.  For an unbounded support that grid is linspace(n) and
     128 geometric points; for a finite b it is lo + (1 - lo) t, ending at 1
     exactly, over t in linspace(n) on [0, 1] and 63 points geometric toward
-    0.  So a smooth sup read off either table is the same computation.
+    0.  A kinked psi adds its kinks below hi.  So a smooth sup read off
+    either table is the same computation.
 
     A piecewise psi: linspace(n), 128 geometric points, for a finite b 64
     more toward p -> b, and psi's breakpoints, all on [lo, hi].  The last of
@@ -42,6 +44,7 @@ def dense_table(psi, s, n):
     psi's own table does not hold.
     """
     lo, hi = 1.0 / scan_bound(psi), 1.0 / s
+    kinks = psi.kinks[(psi.kinks > lo) & (psi.kinks < hi)]
     if psi.breakpoints is None:
         if math.isfinite(psi.b):
             unit = np.union1d(np.linspace(0.0, 1.0, n), np.logspace(-12, 0, 64)[:-1])
@@ -50,13 +53,14 @@ def dense_table(psi, s, n):
         else:
             us = np.union1d(np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, 128))
         us = np.append(us[us < hi], hi) if hi >= lo else us[:0]
-        return us, psi.log_u(us)
+        us = np.union1d(us, kinks)
+        return us, psi.log_u(us), np.searchsorted(us, kinks)
     parts = [np.linspace(lo, hi, n), np.geomspace(lo, hi, 128), psi.breakpoints]
     if math.isfinite(psi.b):
         parts.append(lo + (hi - lo) * np.logspace(-12, 0, 64))
     us = np.unique(np.concatenate(parts))
     us = us[(us >= lo) & (us <= hi)]
-    return us, psi.log_u(us)
+    return us, psi.log_u(us), np.searchsorted(us, kinks)
 
 
 @contextlib.contextmanager

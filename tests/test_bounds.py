@@ -25,6 +25,7 @@ from glscov import (
     gls_uniform_bound,
     holder_bound,
     ibragimov_bound,
+    orlicz_N,
     phi_uniform,
     phi_uniform_theta,
     power,
@@ -368,6 +369,36 @@ def test_generic_bound_on_the_conjugate_line(psi, nu, want):
     assert rep.q == pytest.approx(q, rel=1e-7)
 
 
+def test_a_strong_bound_past_the_float_range_raises_domain_error():
+    # phi underflows to 0 (psi(p) = p^485 on p <= 1.0000257): 2 / phi is
+    # past the float range, a DomainError and no ZeroDivisionError
+    with pytest.raises(DomainError, match=r"the sup exceeds the float range \(above 1.8e308\)"):
+        gls_strong_bound(power(0.0020617452223528816), extremal(1.0000257165104318),
+                         8.175026903217094e-170, 1, 1)
+
+
+def test_a_product_with_a_factor_finite_nowhere_is_finite_nowhere():
+    # zeta(L_2, L_1.5) is +inf everywhere (p <= 2 and p/(p - 1) <= 1.5); a
+    # product with it as a factor is too, with no IndexError from its table
+    nowhere = product_zeta(extremal(2.0), extremal(1.5))
+    assert nowhere.breakpoints.size == 0
+    for psi in (product_zeta(extremal(2.0), nowhere), product_zeta(nowhere, extremal(2.0))):
+        assert psi.breakpoints.size == 0
+    report = gls_strong_bound(extremal(2.0), nowhere, 1.0, 1.0, 1.0)
+    assert not report.feasible and report.value == math.inf
+
+
+@pytest.mark.parametrize("domain", ["T", "conjugate"])
+def test_a_generic_bound_past_the_float_range_raises_domain_error(domain):
+    # nu(q) = q^116 on q >= 4,000 or so: the inf of h psi nu is past the
+    # float range, a DomainError and no OverflowError from exp
+    alpha = 5.688636236103129e-122
+    with pytest.raises(DomainError, match=r"the sup exceeds the float range \(above 1.8e308\)"):
+        generic_bound(lambda p, q: 12.0 * alpha ** (1.0 - 1.0 / p - 1.0 / q),
+                      extremal(1.0002442148869808), power(0.008647835382986406), domain,
+                      1, 1, n_grid=32)
+
+
 def _builtin_psi():
     """Every built-in kind with b up to 1e300, a dual, and products of them."""
     base = st.one_of(
@@ -386,18 +417,28 @@ def _unit(**kwargs):
 
 @settings(max_examples=40, deadline=None)
 @given(_builtin_psi(), _builtin_psi(), _unit(), _unit(), _unit(exclude_max=True),
-       _unit(exclude_max=True))
+       _unit(exclude_max=True), st.floats(-1e300, 1e300))
 def test_two_exponent_bounds_give_a_value_an_infeasible_report_or_a_domain_error(
-        psi, nu, alpha, beta, alpha_open, beta_open):
+        psi, nu, alpha, beta, alpha_open, beta_open, u):
     def outcome(call):
         try:
             return call()
         except DomainError:
             return None
 
+    def reported(call):  # a value, an infeasible report or a domain error
+        rep = outcome(call)
+        assert rep is None or (0.0 <= rep.value < math.inf if rep.feasible
+                               else rep.value == math.inf)
+
     phi = outcome(lambda: phi_uniform(psi, nu, alpha, beta))
     assert phi is None or 0.0 <= phi.value < math.inf
-    rep = outcome(lambda: gls_uniform_bound(psi, nu, alpha, 1.0, 1.0))
-    assert rep is None or (0.0 <= rep.value < math.inf if rep.feasible else rep.value == math.inf)
+    reported(lambda: gls_uniform_bound(psi, nu, alpha, 1.0, 1.0))
     fact = outcome(lambda: factorization_check(psi, nu, alpha_open, beta_open))
     assert fact is None or (0.0 <= fact.lhs < math.inf and 0.0 <= fact.rhs < math.inf)
+    reported(lambda: gls_strong_bound(psi, nu, beta, 1.0, 1.0))
+    for domain in ("T", "conjugate"):
+        reported(lambda: generic_bound(lambda p, q: 12.0 * alpha ** (1.0 - 1.0 / p - 1.0 / q),
+                                       psi, nu, domain, 1.0, 1.0, n_grid=32))
+    orlicz = outcome(lambda: orlicz_N(psi, u))
+    assert orlicz is None or 0.0 <= orlicz < math.inf

@@ -12,6 +12,7 @@ from glscov import (
     FiniteMarkovModel,
     MDependentModel,
     UserSamplesModel,
+    extremal,
     gls_strong_bound,
     markov_mixing_profile,
     finite_support,
@@ -332,6 +333,17 @@ def test_sequences_divide_in_logs_where_phi_leaves_the_float_range():
         got, want = seq(tiny), seq(unit) * 1e-320
         assert np.all(want > 5e-322)
         assert np.allclose(got, want, rtol=1e-2, atol=0.0)
+
+
+def test_y_divides_in_logs_where_phi_squared_underflows_or_y_overflows():
+    # on L_r, phi(alpha) = alpha^(1/r): at alpha = 1e-300, r = 1.5, phi^2 =
+    # 1e-400 underflows to 0 while y = alpha^(1 - 2/r) = 1e100; at alpha =
+    # 5e-324, r near 1, y is about 2e323, past the float range
+    low = CltProfile(np.full(3, 1e-300), np.full(3, 0.1), extremal(1.5), 3)
+    assert np.allclose(y_sequence(low), 1e100, rtol=1e-12, atol=0.0)
+    past = CltProfile(np.full(3, 5e-324), np.full(3, 0.1), extremal(1.0000001), 3)
+    with pytest.raises(DomainError, match="float range"):
+        y_sequence(past)
 
 
 def test_chunked_passes_equal_one_pass(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from glscov import (
     closed_form_finite,
     closed_form_power,
     conjugate,
+    conjugate_info,
     dual_psi,
     extremal,
     finite_support,
@@ -314,3 +316,97 @@ def test_a_truncated_sup_never_exceeds_the_full_one(psi, t, log_delta):
     truncated = _value_or_domain_error(fundamental_truncated, psi, s, delta)
     if full is not None and truncated is not None:
         assert truncated <= full * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# products with one table factor: a sup per concave piece between the kinks
+
+#: a table factor whose last knot, mirrored to u = 1 - 1/8.525..., is where
+#: the fundamental function of its product with power peaks
+_KINKED_TABLE = [(1, 4.93767264833864), (3.5729770142950987, 1.477532936280692),
+                 (7.931144231009498, 5.004260625927372), (8.525104804270562, 1.528147695763513)]
+
+
+def test_a_sup_at_a_kink_of_a_product_with_a_table_factor():
+    # a scan that ignored the kinks read 0.58057 at p = 1.3887, 3% below the
+    # sup, and the conjugate at 0.5 as -0.01075
+    psi = product_zeta(power(2.7974435860010116), tabulated(_KINKED_TABLE))
+    delta = math.exp(-0.05)
+    got = fundamental(psi, delta)
+    assert math.log(got.value) >= -0.512796
+    assert got.argmax_p == pytest.approx(1.0 / (1.0 - 1.0 / 8.525104804270562), abs=1e-9)
+    assert fundamental_truncated(psi, 1.05, delta).value == got.value
+    assert conjugate(psi, 0.5) >= 0.0355
+
+
+#: a smooth factor: (kind, parameters)
+_SMOOTH_SPECS = st.one_of(
+    st.tuples(st.just("power"), st.floats(0.3, 5.0)),
+    st.tuples(st.just("finite_support"), st.floats(1.2, 12.0), st.floats(0.05, 2.0)),
+    st.tuples(st.just("dual"), st.floats(0.3, 5.0)),
+)
+
+
+def _smooth_factor(spec):
+    """(psi, ln psi(1/u), ln psi(1/(1 - u))) of a smooth factor, the last two
+    on arrays of u, in closed form: a right factor is read at w = 1 - u, and
+    a dual of power(m) there is power(m) at u."""
+    kind, *args = spec
+    if kind == "power":
+        g = ref.log_power(*args)
+        return power(*args), g, lambda u: g(1.0 - u)
+    if kind == "finite_support":
+        g = ref.log_finite_support(*args)
+        return finite_support(*args), g, lambda u: g(1.0 - u)
+    return dual_psi(power(*args)), ref.log_dual_power(*args), ref.log_power(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref.knot_sets(max_knots=5).filter(lambda knots: len(knots) >= 2), _SMOOTH_SPECS,
+       st.booleans(), st.floats(-30.0, 2.0), st.floats(0.0, 0.9), st.floats(-1.0, 6.0))
+def test_sups_of_a_product_with_a_table_factor_reach_a_kink_aware_grid(knots, spec, table_left,
+                                                                          log_delta, t, x):
+    verts = ref.vertices(knots)
+    log_t = ref.log_table(verts)
+    smooth, log_s, log_s_mirrored = _smooth_factor(spec)
+    if table_left:
+        psi = product_zeta(tabulated(knots), smooth)
+        kinks = [u for u, _ in verts]
+
+        def log_psi(u):
+            return log_t(u) + log_s_mirrored(u)
+    else:
+        psi = product_zeta(smooth, tabulated(knots))
+        kinks = [1.0 - u for u, _ in verts]
+
+        def log_psi(u):
+            return log_s(u) + log_t(1.0 - u)
+    lo = 1.0 / scan_bound(psi)
+    s = 1.0 + t * (min(psi.b, 20.0) - 1.0)
+
+    def power_ratio(u, a):
+        return u * log_delta - a
+
+    def young(u, a):
+        return (x - a) / u
+
+    for sup, objective, hi, log_value in (
+        (lambda: fundamental(psi, math.exp(log_delta)), power_ratio, 1.0, math.log),
+        (lambda: fundamental_truncated(psi, s, math.exp(log_delta)), power_ratio, 1.0 / s, math.log),
+        (lambda: conjugate_info(psi, x), young, 1.0, float),
+    ):
+        want = ref.kink_aware_max(objective, log_psi, lo, hi, kinks)
+        try:
+            got = sup()
+        except DomainError:
+            assert want == -math.inf
+            continue
+        value = log_value(got.value)
+        assert value >= want - 1e-12 * max(1.0, abs(want))
+        # the value is the objective at the reported exponent, whose u = 1/p
+        # is read within one rounding
+        u = 1.0 / got.argmax_p
+        at = np.array([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reread = float(np.nanmax(objective(at, log_psi(at))))
+        assert value == pytest.approx(reread, rel=1e-12, abs=1e-12)

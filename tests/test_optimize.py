@@ -18,6 +18,7 @@ from glscov import (
     tail_bound,
 )
 from glscov import _optimize, bounds
+from glscov.fundamental import N_GRID
 from glscov.psi import P_MAX, PsiFunction
 from glscov._optimize import (
     TABLE_CACHE_SIZE,
@@ -178,8 +179,8 @@ def _golden_only(monkeypatch):
     """Refine every 1-D sup by golden section on the values of its probe, on
     the same cells, ignoring the derivatives."""
 
-    def golden(df, xs, i, cap=math.inf, tol=1e-13):
-        cell = _optimize._cell(xs, i, cap)
+    def golden(df, xs, i, cap=math.inf, tol=1e-13, floor=-math.inf):
+        cell = _optimize._cell(xs, i, cap, floor)
         return cell and golden_max(lambda t: df(t)[0], *cell, tol=tol)
 
     monkeypatch.setattr(_optimize, "cell_max", golden)
@@ -246,8 +247,7 @@ def test_newton_refinement_costs_less_than_golden_section(monkeypatch):
         counts.append((n[0], _optimize._golden_evals(hi - lo, tol)))
         return out
 
-    monkeypatch.setattr(_optimize, "newton_max", counted)
-    monkeypatch.setattr(bounds, "newton_max", counted)  # the pieces and the edge of Phi
+    monkeypatch.setattr(_optimize, "newton_max", counted)  # the pieces and the edge of Phi too
     _run(_smooth_cases())
     assert len(counts) > 200
     assert all(n <= min(48, golden) for n, golden in counts)
@@ -345,7 +345,13 @@ def test_piecewise_coordinates_take_no_cell_refinement(monkeypatch):
         assert len(cells) == 1  # the outer scan
         del cells[:]
     phi_uniform(power(1.5), NATURAL, 1e-3, 1e-2)
-    assert len(cells) == 1  # the 1-D sup along power's coordinate
+    # the 1-D sup along power's coordinate, on power's table, at most one
+    # cell per concave piece of the edge, split at the natural function's
+    # kinks, and none on the natural function's table
+    table, natural = (psi_table(f, 1.0, N_GRID)[0] for f in (power(1.5), NATURAL))
+    assert sum(xs is table for xs in cells) == 1
+    assert not any(xs is natural for xs in cells)
+    assert len(cells) - 1 <= NATURAL.kinks.size + 1
 
 
 def _mixed_log_zeta(m, natural_left):
@@ -551,7 +557,7 @@ def test_sups_identical_on_cache_miss_hit_and_after_eviction(make):
 
 def test_cached_tables_are_read_only_and_bounded():
     psi_table.cache_clear()
-    us, logs = psi_table(power(1.0), 1.0, 64)
+    us, logs, _ = psi_table(power(1.0), 1.0, 64)
     for arr in (us, logs):
         with pytest.raises(ValueError):
             arr[0] = 0.0

@@ -166,18 +166,18 @@ def test_random_tables_equal_the_dense_table(knots, knots_2, pick):
 
 def test_a_piecewise_table_is_its_breakpoints_and_scan_ends():
     tab = tabulated(ref.KNOTS)  # knots from p = 1 to 8
-    us, logs = psi_table(tab, 1.0, N_GRID)
+    us, logs, _ = psi_table(tab, 1.0, N_GRID)
     assert np.array_equal(us, tab.breakpoints)
     assert np.array_equal(logs, tab.log_u(us))
-    us, _ = psi_table(tab, 2.5, N_GRID)  # 1/2.5 cuts the cell between p = 2 and 3
+    us, _, _ = psi_table(tab, 2.5, N_GRID)  # 1/2.5 cuts the cell between p = 2 and 3
     assert np.array_equal(us, [*tab.breakpoints[tab.breakpoints < 0.4], 0.4])
-    us, _ = psi_table(extremal(3.0), 1.0, 512)
+    us, _, _ = psi_table(extremal(3.0), 1.0, 512)
     assert np.array_equal(us, [1.0 / 3.0, 1.0])
     past = tabulated(_PAST_P_MAX)  # the scan stops at P_MAX = 1e6
-    us, _ = psi_table(past, 1.0, N_GRID)
+    us, _, _ = psi_table(past, 1.0, N_GRID)
     assert np.array_equal(us, [1e-6, *past.breakpoints[1:]])
     zeta = product_zeta(tab, tabulated(ref.KNOTS_2))
-    us, _ = psi_table(zeta, 1.0, N_GRID)
+    us, _, _ = psi_table(zeta, 1.0, N_GRID)
     assert np.array_equal(us, np.union1d(zeta.breakpoints, [1.0 / 8.0, 1.0]))
     for psi in (tab, extremal(3.0), past, zeta):
         for arr in psi_table(psi, 1.0, N_GRID):
@@ -193,8 +193,8 @@ def test_smooth_tables_share_the_u_grid_of_their_support():
     assert psi_table(finite_support(3.0, 1.2), 1.0, N_GRID)[0] is c[0]
     assert psi_table(finite_support(4.0, 0.5), 1.0, N_GRID)[0] is not c[0]
     for psi, s in ((power(1.0), 1.0), (finite_support(3.0, 0.5), 2.0), (power(1.0), 1.7)):
-        us, logs = psi_table(psi, s, N_GRID)
-        want_us, want_logs = dense_table(psi, s, N_GRID)
+        us, logs, _ = psi_table(psi, s, N_GRID)
+        want_us, want_logs, _ = dense_table(psi, s, N_GRID)
         assert np.array_equal(us, want_us)
         assert np.array_equal(logs, want_logs)
 
@@ -216,9 +216,9 @@ def test_finite_supports_share_one_unit_grid():
 @pytest.mark.parametrize("psi", [power(1.3), finite_support(3.0, 0.5), extremal(3.0),
                                  tabulated(ref.KNOTS), product_zeta(power(2.0), dual_psi(power(2.0)))])
 def test_a_truncated_table_cuts_the_table_of_the_support(psi):
-    full_us, full_logs = psi_table(psi, 1.0, N_GRID)
+    full_us, full_logs, _ = psi_table(psi, 1.0, N_GRID)
     for s in (1.2, 1.7, 2.5):
-        us, logs = psi_table(psi, s, N_GRID)
+        us, logs, _ = psi_table(psi, s, N_GRID)
         k = us.size - 1
         assert us[k] == 1.0 / s and full_us[k] >= 1.0 / s
         assert np.array_equal(us[:k], full_us[:k])
@@ -226,7 +226,7 @@ def test_a_truncated_table_cuts_the_table_of_the_support(psi):
         assert np.array_equal(logs[k:], psi.log_u(us[k:]))
         assert not us.flags.writeable and not logs.flags.writeable
     past = 2.0 * scan_bound(psi)  # 1/s below the scan range: empty
-    assert [arr.size for arr in psi_table(psi, past, N_GRID)] == [0, 0]
+    assert [arr.size for arr in psi_table(psi, past, N_GRID)] == [0, 0, 0]
 
 
 def test_the_dense_table_ties_one_rounding_inside_the_scan_end():
@@ -267,7 +267,7 @@ def test_a_piecewise_axis_on_its_knots_reaches_the_edge_sup():
              (9.75, 0.05000000000000001)]
     psi, nu = tabulated(left), tabulated(right)
     for f in (psi, nu):  # each axis is the knots and the scan ends
-        us, _ = psi_table(f, 1.0, 512)
+        us, _, _ = psi_table(f, 1.0, 512)
         assert np.array_equal(us, np.union1d(f.breakpoints, [1.0 / scan_bound(f), 1.0]))
     edge = 1.0 - _T_MARGIN
     for la, lb in ((-0.05, -0.05), (-1.0, -4.0)):

@@ -155,6 +155,14 @@ def test_orlicz_quadratic_below_e():
     assert orlicz_N(psi, 2.0) == pytest.approx(4.0 * c, rel=1e-12)
 
 
+def test_orlicz_past_the_float_range_raises_domain_error():
+    # v*(ln 1e300) for psi(p) = p is about 1e300 / e: exp of it leaves the
+    # float range, a DomainError with the sups' message, not an OverflowError
+    with pytest.raises(DomainError, match=r"the sup exceeds the float range \(above 1.8e308\)"):
+        orlicz_N(power(1.0), 1e300)
+    assert orlicz_N(power(1.0), 100.0) == math.exp(conjugate(power(1.0), math.log(100.0)))
+
+
 def test_empirical_tail_counts():
     x = np.array([-3.0, -1.0, 0.5, 2.0, 2.5, 4.0])
     # one-sided: P(x > 2.2) = 2/6, P(x < -2.2) = 1/6 -> max = 1/3
@@ -193,7 +201,7 @@ def test_non_finite_arguments_raise_domain_error(call, args):
 def test_the_conjugate_scan_needs_no_mask_for_infeasible_points(psi):
     # a dual is +inf at u = 1 (its inner psi at p = infinity), a finite
     # support at its open end u = 1/b: there x - ln psi is -inf, no NaN
-    us, logs = psi_table(psi, 1.0, N_GRID)
+    us, logs, _ = psi_table(psi, 1.0, N_GRID)
     for x in (-40.0, -1.0, 0.0, 0.3, 2.0, 9.0, 60.0, 700.0):
         with np.errstate(invalid="ignore"):
             masked = np.where(np.isinf(logs), -np.inf, (x - logs) / us)

@@ -83,8 +83,8 @@ def test_grid_best_is_the_masked_scan_on_random_pairs(seed):
     psi, nu = _random_psi(rng), _random_psi(rng)
     n = int(rng.choice([16, 64, 512]))
     la, lb = rng.uniform(-12.0, -0.1, size=2)
-    us, a, _ = log_ratio(psi, la, dense_table(psi, 1.0, n))
-    ws, c, _ = log_ratio(nu, lb, dense_table(nu, 1.0, n))
+    us, a, _, _ = log_ratio(psi, la, dense_table(psi, 1.0, n))
+    ws, c, _, _ = log_ratio(nu, lb, dense_table(nu, 1.0, n))
     _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -112,8 +112,8 @@ def test_grid_best_non_convex_tabulated():
     psi, nu = tabulated(NON_CONVEX), power(1.0)
     for la in (-1.0, -2.5, -4.0, -7.0):
         for first, second in ((psi, nu), (nu, psi)):
-            us, a, _ = log_ratio(first, la, dense_table(first, 1.0, 512))
-            ws, c, _ = log_ratio(second, 0.6 * la, dense_table(second, 1.0, 512))
+            us, a, _, _ = log_ratio(first, la, dense_table(first, 1.0, 512))
+            ws, c, _, _ = log_ratio(second, 0.6 * la, dense_table(second, 1.0, 512))
             _assert_same_grid_best(_triangle_grid_best(us, a, ws, c), _masked_scan(us, a, ws, c))
 
 
@@ -158,7 +158,7 @@ def test_one_pair_op_fits_the_table_cache(psi, nu):
 
 
 #: smooth, piecewise and mixed pairs, none a product with a piecewise factor:
-#: each axis reads the table `fundamental` reads, whatever n_grid
+#: each axis reads the table `fundamental` reads, and no grid size enters
 _TABLE_PAIRS = [
     (power(1.5), finite_support(4.0, 0.7)),
     (finite_support(3.0, 0.5), finite_support(5.0, 1.2)),
@@ -172,10 +172,14 @@ _TABLE_PAIRS = [
 
 @pytest.mark.parametrize("psi, nu", _TABLE_PAIRS)
 def test_phi_uniform_is_the_same_at_every_n_grid(psi, nu):
+    # phi_uniform takes no grid size; factorization_check keeps its n_grid
+    # keyword, which sizes nothing
+    with pytest.raises(TypeError):
+        phi_uniform(psi, nu, 0.01, 0.05, n_grid=64)
     for alpha, beta in ((0.01, 0.05), (0.3, 0.6), (1e-6, 0.9), (0.95, 0.95)):
-        got = {repr((r.value, r.p, r.q)) for r in (
-            phi_uniform(psi, nu, alpha, beta, n_grid=n) for n in (48, 64, 512, 2048))}
-        assert len(got) == 1, (alpha, beta, got)
+        want = phi_uniform(psi, nu, alpha, beta).value
+        for n in (48, 64, 512, 2048):
+            assert factorization_check(psi, nu, alpha, beta, n_grid=n).lhs == want, (alpha, n)
 
 
 @pytest.mark.parametrize("psi, nu", _TABLE_PAIRS)
@@ -223,7 +227,7 @@ def _smooth_pairs(seed=14, n=48):
 
 def _two_exponent_values(pairs):
     return [
-        (phi_uniform(psi, nu, alpha, beta, n_grid=n).value,
+        (phi_uniform(psi, nu, alpha, beta).value,
          phi_uniform_theta(psi, nu, alpha, n_grid=n))
         for psi, nu, alpha, beta, n in pairs
     ]
@@ -247,16 +251,14 @@ def _golden_refinement(monkeypatch):
     routes, and theta's outer scan and inner cells, by golden section on the
     values of their probes, ignoring the derivatives."""
 
-    def cell(df, xs, i, cap=math.inf, tol=1e-13):
-        lo, hi = float(xs[max(i - 1, 0)]), min(float(xs[min(i + 1, xs.size - 1)]), cap)
+    def cell(df, xs, i, cap=math.inf, tol=1e-13, floor=-math.inf):
+        lo = max(float(xs[max(i - 1, 0)]), floor)
+        hi = min(float(xs[min(i + 1, xs.size - 1)]), cap)
         return golden_max(lambda t: df(t)[0], lo, hi, tol=tol) if hi > lo else None
 
-    def newton(df, lo, x, hi, tol):
-        return golden_max(lambda t: df(t)[0], lo, hi, tol=tol)
-
-    monkeypatch.setattr(_optimize, "cell_max", cell)  # every grid_golden_max
+    # every grid_golden_max and piece_maxima, the pieces and edge of Phi too
+    monkeypatch.setattr(_optimize, "cell_max", cell)
     monkeypatch.setattr(bounds, "cell_max", cell)
-    monkeypatch.setattr(bounds, "newton_max", newton)
 
 
 def test_newton_two_exponent_sups_never_below_golden_section(monkeypatch):
@@ -681,8 +683,8 @@ def test_phi_is_the_minimum_of_its_lagrange_dual_on_smooth_pairs():
     # a and c are concave for every smooth built-in psi, so strong duality
     # holds and D, convex in lam, has ln Phi as its minimum
     checked = 0
-    for psi, nu, alpha, beta, n in _smooth_pairs():
-        phi = phi_uniform(psi, nu, alpha, beta, n_grid=n).value
+    for psi, nu, alpha, beta, _ in _smooth_pairs():
+        phi = phi_uniform(psi, nu, alpha, beta).value
         if phi == 0.0:  # the supports leave no admissible point
             continue
         la, lb, log_phi = math.log(alpha), math.log(beta), math.log(phi)
