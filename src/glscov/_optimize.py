@@ -1,14 +1,14 @@
 """One-dimensional maximization: a grid scan, then a refinement of its best point.
 
 Objectives are evaluated in log space by the callers; a value of -inf marks an
-infeasible point and is simply never selected.  `psi_table` is the scan grid
-of a 1-D sup over p, with ln psi on it.  A piecewise log-linear psi's is its
-breakpoints and the scan ends alone: a 1-D objective linear or monotone on
-each cell between them has its sup at one of them, the grid maximum, and
-its caller skips the refinement.  Any other psi reads the dense `_u_grid`
-of its support, its kinks added: one shared array for an unbounded support,
-and one shared unit grid scaled onto [1/b, 1] for a finite one.  A truncated
-sup over [s, b) reads the [1, b) table cut at u = 1/s, so it builds no grid.
+infeasible point and is simply never selected.  `psi_table` is the one scan
+grid of every 1-D sup over p, with ln psi on it.  A piecewise log-linear psi's
+is its breakpoints and the scan ends alone: a 1-D objective linear or monotone
+on each cell between them has its sup at one of them, the grid maximum, and
+its caller skips the refinement.  Any other psi reads the dense `_u_grid` of
+its support, its kinks added, and every sup refines it: one shared array for
+an unbounded support, one shared unit grid scaled onto [1/b, 1] for a finite
+one.  A truncated sup over [s, b) reads the [1, b) table cut at 1/s.
 
 Every other psi refines by safeguarded Newton (`newton_max`, `cell_max`)
 on its jet `log_u_jet`, exact on every cell, next to an infeasible grid
@@ -28,7 +28,7 @@ u ln x - ln psi(1/u).
 """
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -47,14 +47,17 @@ _ZOOM_POINTS = 33
 _ZOOM_PASSES = 64
 _ZOOM_STEPS = np.linspace(0.0, 1.0, _ZOOM_POINTS)
 
+#: linspace points of a smooth psi's one scan grid, which no caller sizes
+N_GRID = 2048
+
 #: scan tables kept at once, and as many u grids: a smooth psi's table holds
 #: ln psi on a shared u grid (about 18 kB each), a piecewise psi's about one
 #: point per knot.  The size caps what the caches hold however many
 #: generating functions a caller keeps alive.  One psi uses at most two
-#: tables: on [1, b) for fundamental, the conjugate, both routes of a
-#: two-exponent sup and y, and its cut at 1/s for a truncated sup on [s, b),
-#: which builds no grid.  The u grids are one for every unbounded support
-#: and one per finite support bound, each scaling one unit grid.
+#: tables: on [1, b) for every sup over p on it, and its cut at 1/s for a
+#: truncated sup on [s, b), which builds no grid.  The u grids are one for
+#: every unbounded support and one per finite support bound, each scaling
+#: the one unit grid.
 TABLE_CACHE_SIZE = 8
 
 #: elements at most in one array of a batched pass (8 MB of floats): sups
@@ -294,30 +297,30 @@ def exponent(u, p_hi, p_lo):
     return float(p_lo) if u == 1.0 / p_lo else 1.0 / u
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _unit_grid(n):
-    """linspace(n) on [0, 1] and 63 points geometric toward 0, read-only:
+@cache
+def _unit_grid():
+    """linspace(N_GRID) on [0, 1] and 63 points geometric toward 0, read-only:
     the shape of every finite support's dense scan grid."""
     # without logspace's end: linspace holds 1
-    t = np.unique(np.concatenate([np.linspace(0.0, 1.0, n), np.logspace(-12, 0, 64)[:-1]]))
+    t = np.unique(np.concatenate([np.linspace(0.0, 1.0, N_GRID), np.logspace(-12, 0, 64)[:-1]]))
     t.flags.writeable = False
     return t
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _u_grid(lo, n, finite_b):
+def _u_grid(lo, finite_b):
     """The dense scan grid in u on [lo, 1], read-only and shared by every
     psi that scans it.
 
-    Unbounded support: linspace(n) and 128 geometric points, dense toward
-    p -> infinity.  A finite support bound: lo + (1 - lo) `_unit_grid`(n),
-    whose 63 geometric points are dense toward p -> b, one unit grid for
-    every b.  Both start at lo and end at 1 exactly, strictly increasing.
+    Unbounded support: linspace(N_GRID) and 128 geometric points, dense
+    toward p -> infinity.  A finite support bound: lo + (1 - lo) times the
+    one `_unit_grid`(), whose 63 geometric points are dense toward p -> b.
+    Both start at lo and end at 1 exactly, strictly increasing.
     """
     if not finite_b:
-        us = np.unique(np.concatenate([np.linspace(lo, 1.0, n), np.geomspace(lo, 1.0, 128)]))
+        us = np.unique(np.concatenate([np.linspace(lo, 1.0, N_GRID), np.geomspace(lo, 1.0, 128)]))
     else:
-        us = lo + (1.0 - lo) * _unit_grid(n)
+        us = lo + (1.0 - lo) * _unit_grid()
         us[-1] = 1.0  # lo + (1 - lo) can round off 1
         # next to b = 1 the scaled steps can round to nothing
         us = us[np.diff(us, prepend=-np.inf) > 0.0]
@@ -332,14 +335,14 @@ def _frozen(us, logs, cuts):
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def psi_table(psi, s, n):
+def psi_table(psi, s):
     """The scan grid of a 1-D sup over p in [s, min(b, P_MAX)], and ln psi on it.
 
     The grid is in u = 1/p on [lo, 1/s], lo = 1/min(b, P_MAX).  For s = 1
     a piecewise log-linear psi scans its breakpoints there and both ends,
     about one point per knot: every 1-D objective is linear or monotone in u
     between them, so its grid maximum is its sup.  Any other psi scans
-    `_u_grid(lo, n, b < inf)`, one array for every such psi with that
+    `_u_grid(lo, b < inf)`, one array for every such psi with that
     support bound, and psi's `kinks` inside it.  For s > 1 the table is
     psi's own [1, b) table cut to its points below 1/s, plus the point 1/s
     with ln psi read there: no grid is built for it.  It is empty when
@@ -348,7 +351,7 @@ def psi_table(psi, s, n):
     """
     lo = 1.0 / scan_bound(psi)
     if s > 1.0:
-        us, logs, cuts = psi_table(psi, 1.0, n)
+        us, logs, cuts = psi_table(psi, 1.0)
         if 1.0 / s < lo:
             return _frozen(us[:0], logs[:0], cuts[:0])
         k, hi = int(np.searchsorted(us, 1.0 / s)), np.array([1.0 / s])
@@ -356,7 +359,7 @@ def psi_table(psi, s, n):
     piecewise = psi.breakpoints is not None  # then its kinks are its breakpoints
     kinks = psi.kinks
     kinks = kinks[(kinks > lo) & (kinks < 1.0)] if kinks.size else kinks  # no kink: no array call
-    us = [lo, 1.0] if piecewise else _u_grid(lo, n, math.isfinite(psi.b))
+    us = [lo, 1.0] if piecewise else _u_grid(lo, math.isfinite(psi.b))
     us = np.union1d(us, kinks) if piecewise or kinks.size else us
     return _frozen(us, psi.log_u(us), us.searchsorted(kinks))
 

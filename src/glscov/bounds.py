@@ -27,9 +27,7 @@ from ._optimize import (
 )
 from .errors import DomainError
 from .fundamental import (
-    N_GRID,
     _candidates,
-    _empty,
     _exp_sup,
     _log_inverse,
     _over_phi,
@@ -107,19 +105,18 @@ def holder_bound(norm_p, norm_q):
 # strong mixing (GLS)
 
 
-def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta, n_grid=N_GRID, refine=True):
+def gls_strong_bound(psi, nu, beta, norm_xi, norm_eta):
     """2 ||xi|| ||eta|| / phi[G zeta[psi,nu]](1/beta).
 
     The trace carries the p minimizing beta^(1/p) zeta(p).  The sup reads ln
     phi at ln(1/beta), or at -ln beta for a subnormal beta, where 1/beta
-    overflows.  n_grid sizes zeta's table: the campaign's unrefined
-    256-point scan is the only other value in use.
+    overflows, on zeta's table, refined as `fundamental` refines.
     """
     _check_unit(beta, "beta")
     if beta == 0.0:
         return BoundReport(0.0, "gls_strong", notes=("beta=0: independent fields",))
     zeta = product_zeta(psi, nu)
-    u, log_phi = _sup(zeta, _log_inverse(beta), 1.0, n_grid, refine)
+    u, log_phi = _sup(zeta, _log_inverse(beta), 1.0)
     if log_phi == -math.inf:
         return _infeasible("gls_strong", "product generating function nowhere finite")
     value = _over_phi(2.0 * norm_xi * norm_eta, log_phi)
@@ -133,7 +130,7 @@ def gls_dual_pair_bound(psi, beta, norm_xi, norm_eta):
         return BoundReport(0.0, "gls_dual_pair")
     _, log_phi = _sup(psi, math.log(beta**-0.5), 1.0)
     if log_phi == -math.inf:
-        raise _empty(1.0)
+        return _infeasible("gls_dual_pair", "psi nowhere finite")
     return BoundReport(_over_phi(2.0 * norm_xi * norm_eta, log_phi, 2), "gls_dual_pair")
 
 
@@ -286,7 +283,7 @@ def phi_uniform_theta(psi, nu, alpha, n_grid=512):
     if alpha == 0.0:
         return 0.0
     la = math.log(alpha)
-    ws, c, c_jet, _ = log_ratio(nu, la, psi_table(nu, 1.0, N_GRID))
+    ws, c, c_jet, _ = log_ratio(nu, la, psi_table(nu, 1.0))
     run, arg = _running_max(c)
     refine = nu.breakpoints is None
     concave = refine and not nu.kinks.size
@@ -344,13 +341,13 @@ def gls_uniform_bound(psi, nu, alpha, norm_xi, norm_eta, n_grid=512):
     return BoundReport(value, "gls_uniform", p=two_d.p, q=two_d.q, notes=tuple(notes))
 
 
-def gls_identical_bound(psi, alpha, norm_xi, norm_eta, n_grid=N_GRID, refine=True):
-    """12 alpha ||xi|| ||eta|| / phi^2[G psi](alpha) for a shared psi; n_grid
-    sizes psi's table, N_GRID but in the campaign's unrefined 256-point scan."""
+def gls_identical_bound(psi, alpha, norm_xi, norm_eta):
+    """12 alpha ||xi|| ||eta|| / phi^2[G psi](alpha) for a shared psi, with
+    phi read from psi's table and refined as `fundamental` refines."""
     _check_unit(alpha, "alpha")
     if alpha == 0.0:
         return BoundReport(0.0, "gls_identical", notes=("alpha=0: independent fields",))
-    u, log_phi = _sup(psi, math.log(alpha), 1.0, n_grid, refine)
+    u, log_phi = _sup(psi, math.log(alpha), 1.0)
     if log_phi == -math.inf:
         return _infeasible("gls_identical", "psi nowhere finite")
     value = _over_phi(12.0 * alpha * norm_xi * norm_eta, log_phi, 2)  # phi^2 can overflow

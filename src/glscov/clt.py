@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _optimize
 from .errors import DomainError
-from .fundamental import N_GRID, _exp_sup, _log_fundamentals, _log_inverse, _over_phi, _sups
+from .fundamental import _exp_sup, _log_fundamentals, _log_inverse, _over_phi, _sups
 from .psi import MomentTable, natural_from_moments, product_zeta
 from .finite import _log_moments, _mixing_pair
 
@@ -53,7 +53,7 @@ class CltProfile:
 
 def _require_nontrivial(psi):
     """DomainError unless psi's table on [1, b), which y scans, is finite at a p > 1."""
-    us, logs, _ = _optimize.psi_table(psi, 1.0, N_GRID)
+    us, logs, _ = _optimize.psi_table(psi, 1.0)
     if not np.any(np.isfinite(logs) & (us < 1.0)):
         raise DomainError(
             "natural function trivial: finite at no p > 1, so the summability "

@@ -23,7 +23,7 @@ from .errors import DomainError
 from .psi import logsumexp, power, scan_bound
 from . import bounds as _bounds
 
-#: scan points of the campaign's unrefined sups and exact GLS norms
+#: scan points in u of every exact GLS norm, the campaign's and `gls_norm_exact`'s
 _N_GRID = 256
 
 #: elements of one array of `_log_moment_rows` at most (64 kB): the
@@ -244,17 +244,20 @@ def _log_moment_rows(probs, values, ps):
     return out
 
 
-def gls_norm_exact(space, xi, psi, n_grid=512, refine=True):
-    """sup over p of |xi|_p / psi(p), using exact moments at every scanned p;
-    `refine` zooms in on the best scan point's cells (`zoom_cells`)."""
+def gls_norm_exact(space, xi, psi):
+    """sup over p of |xi|_p / psi(p), from exact moments on `_N_GRID` points in u
+    and psi's kinks, zoomed on the best point's cells (`zoom_cells`)."""
 
     def log_norms(ps):
         return _log_moments(space.atom_probs, xi.values, ps) / ps
 
-    us, ps = u_axis(scan_bound(psi), 1.0, n_grid)
+    us, ps = u_axis(scan_bound(psi), 1.0, _N_GRID)
+    kinks = psi.kinks  # ln |xi|_(1/u) is convex in u: a piecewise psi's sup is at a kink or end
+    us = np.union1d(us, kinks[(kinks > us[0]) & (kinks < 1.0)])
+    ps = np.concatenate((ps[:1], 1.0 / us[1:-1], ps[-1:]))  # with the exact end exponents
     fs = log_norms(ps) - psi.log_u(us)
     i = int(np.argmax(fs))
-    cell = refine and zoom_cells(lambda ts: log_norms(1.0 / ts) - psi.log_u(ts), us, i, tol=1e-12)
+    cell = zoom_cells(lambda ts: log_norms(1.0 / ts) - psi.log_u(ts), us, i, tol=1e-12)
     best = max(float(fs[i]), cell[1] if cell else -math.inf)
     return 0.0 if best == -math.inf else math.exp(best)
 
@@ -382,7 +385,7 @@ def _checks(alpha, beta, lp_xi, lp_eta, nx1, nx2, ne2):
         rep = _bounds.ibragimov_bound(beta, p, lp_xi[p], lp_eta[q])
         out.append((f"ibragimov({p:g})", rep.value))
     out.append(("holder(2)", _bounds.holder_bound(lp_xi[2.0], lp_eta[2.0]).value))
-    rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=_N_GRID, refine=False)
+    rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2)
     if rep.feasible:
         out.append(("gls_strong", rep.value))
     if alpha == 0.0:
@@ -391,7 +394,7 @@ def _checks(alpha, beta, lp_xi, lp_eta, nx1, nx2, ne2):
         phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha)
         if phi2d.value > 0:
             out.append(("gls_uniform", 12.0 * alpha * nx1 * ne2 / phi2d.value))
-    rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2, n_grid=_N_GRID, refine=False)
+    rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2)
     if rep.feasible:
         out.append(("gls_identical", rep.value))
     return out
@@ -406,10 +409,11 @@ def verify_campaign(config=CampaignConfig(), collect_rows=False):
     Instances are drawn one generator each, `default_rng((seed, i))`, and
     evaluated a chunk at a time (capped by `_optimize.CHUNK_ELEMENTS`): one
     stacked `_mixing_pair` call for every alpha and beta of the chunk, one
-    padded log-moment matrix for every L_p norm and the grid GLS norms
-    (`refine=False`).  The exported bound functions are still called once
-    per instance on these inputs, and `phi_uniform` only where alpha > 0:
-    at alpha = 0 the uniform bound is 0 whatever phi is.
+    padded log-moment matrix for every L_p norm and the GLS norms, each
+    the maximum over `_N_GRID` scan points, not zoomed.  The exported bound
+    functions are called once per instance on these inputs, with their
+    defaults, and `phi_uniform` only where alpha > 0: at alpha = 0 the
+    uniform bound is 0 whatever phi is.
     """
     report = CampaignReport(instances=config.instances, violations=0)
     for i, (alpha, beta, cov, checks) in enumerate(_instances(config)):

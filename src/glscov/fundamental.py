@@ -24,11 +24,6 @@ from ._optimize import exponent, grid_golden_max, log_ratio, piece_maxima, psi_t
 from .errors import DomainError
 from .psi import finite_support, scan_bound
 
-#: scan points of a smooth psi's 1-D table on [1, b), which every refined sup
-#: over that one psi reads (fundamental, conjugate, Phi, y and z), and a
-#: truncated sup on [s, b) reads cut at u = 1/s
-N_GRID = 2048
-
 
 @dataclass(frozen=True)
 class FundamentalResult:
@@ -48,19 +43,19 @@ def _log_delta(delta):
     return math.log(delta)
 
 
-def _sup(psi, log_x, s, n_grid=N_GRID, refine=True):
+def _sup(psi, log_x, s):
     """(u, ln value) at the sup over p in [s, b) of x^(1/p)/psi(p), from ln x.
 
-    The one row kernel of every fundamental function: a scan of psi's table,
-    refined by Newton on each piece between psi's kinks unless psi is
-    piecewise log-linear, where the objective is linear in u between the
-    breakpoints and the grid is exact.  ln value is -inf on an empty
-    domain, where psi's table is empty.
+    The row kernel of every fundamental function and of the strong,
+    identical and dual-pair bounds: a scan of psi's one table, refined by
+    Newton on each piece between psi's kinks unless psi is piecewise
+    log-linear (then linear in u between breakpoints: the grid is exact).
+    ln value is -inf on an empty domain, where psi's table is empty.
     """
-    us, fs, newton, cuts = log_ratio(psi, log_x, psi_table(psi, s, n_grid))
+    us, fs, newton, cuts = log_ratio(psi, log_x, psi_table(psi, s))
     if not us.size:
         return 0.0, -math.inf
-    return grid_golden_max(us, fs, newton, refine and psi.breakpoints is None, cuts=cuts)
+    return grid_golden_max(us, fs, newton, psi.breakpoints is None, cuts=cuts)
 
 
 def _candidates(psi, log_x):
@@ -68,7 +63,7 @@ def _candidates(psi, log_x):
     may sit, ascending in u, the objective there, and psi's kinks inside the
     scan: a piecewise psi's table, else `_sup`'s point or, with kinks, the
     scan ends, the kinks and each concave piece's max (`piece_maxima`)."""
-    us, fs, newton, cuts = log_ratio(psi, log_x, psi_table(psi, 1.0, N_GRID))
+    us, fs, newton, cuts = log_ratio(psi, log_x, psi_table(psi, 1.0))
     if psi.breakpoints is not None:
         return us, fs, us[cuts]
     if not cuts.size:
@@ -87,7 +82,7 @@ def _sups(psi, log_xs, s):
     breakpoints and scan ends (rows x about its knot count), in chunks of rows
     below `_optimize.CHUNK_ELEMENTS`.
     """
-    us, logs, _ = psi_table(psi, s, N_GRID)
+    us, logs, _ = psi_table(psi, s)
     if psi.breakpoints is None or not us.size:  # smooth, or an empty domain
         rows = [_sup(psi, log_x, s) for log_x in log_xs]
         return [u for u, _ in rows], [f for _, f in rows]

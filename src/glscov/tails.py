@@ -14,7 +14,7 @@ import numpy as np
 
 from ._optimize import exponent, grid_golden_max, psi_table
 from .errors import DomainError
-from .fundamental import N_GRID, _exp_sup
+from .fundamental import _exp_sup
 from .psi import scan_bound
 
 
@@ -62,7 +62,7 @@ def conjugate_info(psi, x):
         f1 = -(d1 + f) / u
         return f, f1, -(d2 + 2.0 * f1) / u
 
-    us, logs, cuts = psi_table(psi, 1.0, N_GRID)
+    us, logs, cuts = psi_table(psi, 1.0)
     # u > 0 and ln psi > -inf on every table: x - (+inf) is -inf, never NaN
     fs = (x - logs) / us
     u_best, f_best = grid_golden_max(us, fs, newton, psi.breakpoints is None, 1e-13, cuts)

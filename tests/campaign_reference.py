@@ -84,7 +84,7 @@ def instance_checks(space, f_field, g_field, xi, eta):
     out.append(("holder(2)", _bounds.holder_bound(lp_xi[2.0], lp_eta[2.0]).value))
     nx1, nx2 = _gls_norms_exact(space, xi, (_PSI1, _PSI2), _N_GRID)
     (ne2,) = _gls_norms_exact(space, eta, (_PSI2,), _N_GRID)
-    rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2, n_grid=_N_GRID, refine=False)
+    rep = _bounds.gls_strong_bound(_PSI1, _PSI2, beta, nx1, ne2)
     if rep.feasible:
         out.append(("gls_strong", rep.value))
     phi2d = _bounds.phi_uniform(_PSI1, _PSI2, alpha, alpha)
@@ -92,7 +92,7 @@ def instance_checks(space, f_field, g_field, xi, eta):
         out.append(("gls_uniform", 0.0))
     elif phi2d.value > 0:
         out.append(("gls_uniform", 12.0 * alpha * nx1 * ne2 / phi2d.value))
-    rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2, n_grid=_N_GRID, refine=False)
+    rep = _bounds.gls_identical_bound(_PSI2, alpha, nx2, ne2)
     if rep.feasible:
         out.append(("gls_identical", rep.value))
     return alpha, beta, out

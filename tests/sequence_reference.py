@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from glscov import DomainError, fundamental, product_zeta
-from glscov.fundamental import N_GRID, _sup
+from glscov.fundamental import _sup
 
 
 def per_lag_y(profile):
@@ -43,7 +43,7 @@ def per_lag_z(profile):
                     raise DomainError("product generating function nowhere finite")
                 cache[b] = 1.0 / phi
             else:  # fundamental takes no delta past the float range: its kernel at -ln b
-                log_phi = _sup(zeta, -math.log(b), 1.0, N_GRID)[1]
+                log_phi = _sup(zeta, -math.log(b), 1.0)[1]
                 cache[b] = math.exp(-log_phi)
         out[k - 2] = cache[b]
     return out

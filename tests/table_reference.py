@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from glscov._optimize import N_GRID
 from glscov.psi import scan_bound
 
 #: (module, name) of every lookup site of the table function; glscov
@@ -27,7 +28,7 @@ _SITES = [(importlib.import_module(f"glscov.{module}"), name) for module, name i
 )]
 
 
-def dense_table(psi, s, n):
+def dense_table(psi, s, n=N_GRID):
     """(us, ln psi(1/us), cuts) on a dense grid within [lo, hi] =
     [1/min(b, P_MAX), 1/s], with psi's kinks inside it at the indices cuts.
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import piecewise_reference as ref
 from glscov import (
+    BoundReport,
     DomainError,
     conjugate_exponent,
     davydov_bound,
@@ -143,11 +144,12 @@ def test_dual_pair_bound_in_logs_keeps_the_plain_quotient(psi):
         assert gls_dual_pair_bound(psi, beta, 1.3, 0.7).value == 2.0 * 1.3 * 0.7 / phi / phi
 
 
-def test_dual_pair_bound_on_an_empty_support_raises():
+def test_dual_pair_bound_on_an_empty_support_is_infeasible():
     # zeta is finite where p < 1.5 and p' < 1.5: nowhere
     zeta = product_zeta(finite_support(1.5, 0.5), finite_support(1.5, 0.5))
-    with pytest.raises(DomainError, match=r"empty effective support: psi is \+inf on \[1, b\)"):
-        gls_dual_pair_bound(zeta, 0.01, 1.0, 1.0)
+    rep = gls_dual_pair_bound(zeta, 0.01, 1.0, 1.0)
+    assert not rep.feasible and rep.value == math.inf
+    assert rep.notes == ("psi nowhere finite",)
 
 
 def test_phi_uniform_routes_agree():
@@ -388,6 +390,17 @@ def test_a_product_with_a_factor_finite_nowhere_is_finite_nowhere():
     assert not report.feasible and report.value == math.inf
 
 
+def test_the_one_psi_bounds_on_a_psi_finite_nowhere_are_infeasible():
+    # the strong, identical and dual-pair bounds report a psi that is +inf
+    # on [1, b) alike: an infeasible report, not a DomainError
+    nowhere = product_zeta(extremal(2.0), extremal(1.5))
+    dual = gls_dual_pair_bound(nowhere, 0.5, 1.0, 1.0)
+    assert dual == BoundReport(math.inf, "gls_dual_pair", feasible=False,
+                               notes=("psi nowhere finite",))
+    identical = gls_identical_bound(nowhere, 0.5, 1.0, 1.0)
+    assert not identical.feasible and identical.value == math.inf
+
+
 @pytest.mark.parametrize("domain", ["T", "conjugate"])
 def test_a_generic_bound_past_the_float_range_raises_domain_error(domain):
     # nu(q) = q^116 on q >= 4,000 or so: the inf of h psi nu is past the
@@ -437,6 +450,8 @@ def test_two_exponent_bounds_give_a_value_an_infeasible_report_or_a_domain_error
     fact = outcome(lambda: factorization_check(psi, nu, alpha_open, beta_open))
     assert fact is None or (0.0 <= fact.lhs < math.inf and 0.0 <= fact.rhs < math.inf)
     reported(lambda: gls_strong_bound(psi, nu, beta, 1.0, 1.0))
+    reported(lambda: gls_identical_bound(psi, alpha, 1.0, 1.0))
+    reported(lambda: gls_dual_pair_bound(psi, beta, 1.0, 1.0))
     for domain in ("T", "conjugate"):
         reported(lambda: generic_bound(lambda p, q: 12.0 * alpha ** (1.0 - 1.0 / p - 1.0 / q),
                                        psi, nu, domain, 1.0, 1.0, n_grid=32))

@@ -358,7 +358,7 @@ def test_chunked_passes_equal_one_pass(monkeypatch):
     # the 199 distinct alphas and betas read tables of 9 (psi) and 16
     # (zeta) points: 4 and 2 sup rows a chunk
     zeta = product_zeta(whole.psi_gamma, whole.psi_gamma)
-    assert [psi_table(f, 1.0, 512)[0].size for f in (whole.psi_gamma, zeta)] == [9, 16]
+    assert [psi_table(f, 1.0)[0].size for f in (whole.psi_gamma, zeta)] == [9, 16]
     monkeypatch.setattr(glscov._optimize, "CHUNK_ELEMENTS", 40)
     assert np.array_equal(y_sequence(chunked), y)
     assert np.array_equal(z_sequence(chunked), z)

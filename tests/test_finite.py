@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glscov import (
     CampaignConfig,
@@ -17,6 +18,7 @@ from glscov import (
     power,
     rademacher_witness,
     sharpness_probe,
+    tabulated,
     verify_campaign,
 )
 import glscov._optimize
@@ -30,6 +32,7 @@ from glscov.finite import (
     _log_moments,
     _mixing_pair,
 )
+import piecewise_reference as ref
 from campaign_reference import per_instance
 from mixing_reference import brute_force_mixing, flattened_space
 
@@ -158,6 +161,30 @@ def test_gls_norm_exact_dominates_single_p():
     for p in (1.0, 2.0, 7.0, 30.0):
         ratio = exact_lp(space, xi, p) / psi(p)
         assert norm >= ratio - 1e-12
+
+
+def test_gls_norm_exact_reads_a_table_psi_at_its_knots():
+    # psi dips to 1.5 on [10.99, 11.01] only: a scan of 256 or 512 points
+    # missed the dip and read 0.91, a third of the sup at p = 11
+    space = FiniteProbSpace(np.array([0.1, 0.2, 0.7]))
+    xi = RandomVar(np.array([5.0, -1.0, 0.3]))
+    psi = tabulated([(1.0, 1.0), (10.99, 6.0), (11.0, 1.5), (11.01, 6.0), (12.0, 6.0)])
+    want = exact_lp(space, xi, 11.0) / 1.5
+    assert want == pytest.approx(2.70376944603354, rel=1e-14)
+    assert gls_norm_exact(space, xi, psi) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ref.knot_sets(), st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(-10.0, 10.0)),
+                                 min_size=2, max_size=6))
+def test_gls_norm_exact_of_a_table_psi_is_its_best_knot(knots, atoms):
+    # ln |xi|_(1/u) is convex in u and ln psi(1/u) linear between knots, so
+    # the sup sits at a knot or at p = 1
+    masses, values = (np.array(a) for a in zip(*atoms))
+    space, xi = FiniteProbSpace(masses / masses.sum()), RandomVar(values)
+    psi = tabulated(knots)
+    want = max(exact_lp(space, xi, p) / psi(p) for p in [1.0, *(p for p, _ in knots)])
+    assert gls_norm_exact(space, xi, psi) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_small_campaign_clean():

@@ -25,7 +25,7 @@ from glscov import (
     solve_argmax,
     tabulated,
 )
-from glscov.fundamental import N_GRID, _sup, _sups, truncated_sup_value
+from glscov.fundamental import _sup, _sups, truncated_sup_value
 from glscov.psi import scan_bound
 
 
@@ -241,7 +241,7 @@ def test_batched_sups_are_the_row_kernel_bit_for_bit(name):
     for s in _lows(psi):
         us, lns = _sups(psi, log_xs, s)
         assert isinstance(us, list) and isinstance(lns, list)
-        assert list(zip(us, lns)) == [_sup(psi, x, s, N_GRID) for x in log_xs], s
+        assert list(zip(us, lns)) == [_sup(psi, x, s) for x in log_xs], s
     assert _sups(psi, [], 1.0) == ([], [])
     assert set(_sups(psi, log_xs, 2.0 * scan_bound(psi))[1]) == {-math.inf}
 

@@ -18,7 +18,6 @@ from glscov import (
     tail_bound,
 )
 from glscov import _optimize, bounds
-from glscov.fundamental import N_GRID
 from glscov.psi import P_MAX, PsiFunction
 from glscov._optimize import (
     TABLE_CACHE_SIZE,
@@ -348,7 +347,7 @@ def test_piecewise_coordinates_take_no_cell_refinement(monkeypatch):
     # the 1-D sup along power's coordinate, on power's table, at most one
     # cell per concave piece of the edge, split at the natural function's
     # kinks, and none on the natural function's table
-    table, natural = (psi_table(f, 1.0, N_GRID)[0] for f in (power(1.5), NATURAL))
+    table, natural = (psi_table(f, 1.0)[0] for f in (power(1.5), NATURAL))
     assert sum(xs is table for xs in cells) == 1
     assert not any(xs is natural for xs in cells)
     assert len(cells) - 1 <= NATURAL.kinks.size + 1
@@ -557,7 +556,7 @@ def test_sups_identical_on_cache_miss_hit_and_after_eviction(make):
 
 def test_cached_tables_are_read_only_and_bounded():
     psi_table.cache_clear()
-    us, logs, _ = psi_table(power(1.0), 1.0, 64)
+    us, logs, _ = psi_table(power(1.0), 1.0)
     for arr in (us, logs):
         with pytest.raises(ValueError):
             arr[0] = 0.0

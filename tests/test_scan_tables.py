@@ -30,7 +30,7 @@ from glscov import (
 from glscov import _optimize
 from glscov._optimize import _unit_grid, exponent, psi_table
 from glscov.bounds import _T_MARGIN
-from glscov.fundamental import N_GRID, _sups
+from glscov.fundamental import _sups
 from glscov.psi import PsiFunction, scan_bound
 from table_reference import dense_table, dense_tables
 
@@ -47,21 +47,21 @@ _PAST_P_MAX = [(1.0, 1.0), (3.0, 5.0), (40.0, 2.0), (2e6, 80.0)]
 
 
 def _one_exponent_sups(psi):
-    """(s, n, record) of every 1-D sup of psi on [1, b) and on [s, b) for a few s."""
-    out = [(1.0, N_GRID, fundamental(psi, math.exp(ld))) for ld in _LOG_DELTAS]
-    out += [(1.0, N_GRID, conjugate_info(psi, x)) for x in _XS]
+    """(s, record) of every 1-D sup of psi on [1, b) and on [s, b) for a few s."""
+    out = [(1.0, fundamental(psi, math.exp(ld))) for ld in _LOG_DELTAS]
+    out += [(1.0, conjugate_info(psi, x)) for x in _XS]
     lows = [1.0] + [s for s in (1.2, 2.0, 0.5 * (1.0 + min(psi.b, 1e3))) if s < psi.b]
     for s in lows:
-        out += [(s, N_GRID, fundamental_truncated(psi, s, math.exp(ld))) for ld in _LOG_DELTAS]
-        out.append((s, N_GRID, _sups(psi, list(_LOG_DELTAS), s)))
+        out += [(s, fundamental_truncated(psi, s, math.exp(ld))) for ld in _LOG_DELTAS]
+        out.append((s, _sups(psi, list(_LOG_DELTAS), s)))
     return out
 
 
-def _rows(psi, s, n, record):
+def _rows(psi, s, record):
     """The record's rows (argmax, objective, the rest), and the points of
     psi's table in the same coordinate, ascending: u for `_sups`' rows,
     the exponent for a result record."""
-    us = psi_table(psi, s, n)[0]
+    us = psi_table(psi, s)[0]
     if isinstance(record, tuple):  # _sups' (u, ln value) lists
         return [(u, f, ()) for u, f in zip(*record)], us.tolist()
     ps = sorted(exponent(u, scan_bound(psi), s) for u in us.tolist())
@@ -92,11 +92,11 @@ def _assert_one_exponent_as_dense(psi):
     got = _one_exponent_sups(psi)
     with dense_tables():
         want = _one_exponent_sups(psi)
-    for (s, n, record), (_, _, dense) in zip(got, want, strict=True):
+    for (s, record), (_, dense) in zip(got, want, strict=True):
         if record == dense:
             continue
-        rows, points = _rows(psi, s, n, record)
-        dense_rows, _ = _rows(psi, s, n, dense)
+        rows, points = _rows(psi, s, record)
+        dense_rows, _ = _rows(psi, s, dense)
         for row, dense_row in zip(rows, dense_rows, strict=True):
             _assert_same_sup(points, row, dense_row)
 
@@ -166,35 +166,34 @@ def test_random_tables_equal_the_dense_table(knots, knots_2, pick):
 
 def test_a_piecewise_table_is_its_breakpoints_and_scan_ends():
     tab = tabulated(ref.KNOTS)  # knots from p = 1 to 8
-    us, logs, _ = psi_table(tab, 1.0, N_GRID)
+    us, logs, _ = psi_table(tab, 1.0)
     assert np.array_equal(us, tab.breakpoints)
     assert np.array_equal(logs, tab.log_u(us))
-    us, _, _ = psi_table(tab, 2.5, N_GRID)  # 1/2.5 cuts the cell between p = 2 and 3
+    us, _, _ = psi_table(tab, 2.5)  # 1/2.5 cuts the cell between p = 2 and 3
     assert np.array_equal(us, [*tab.breakpoints[tab.breakpoints < 0.4], 0.4])
-    us, _, _ = psi_table(extremal(3.0), 1.0, 512)
+    us, _, _ = psi_table(extremal(3.0), 1.0)
     assert np.array_equal(us, [1.0 / 3.0, 1.0])
     past = tabulated(_PAST_P_MAX)  # the scan stops at P_MAX = 1e6
-    us, _, _ = psi_table(past, 1.0, N_GRID)
+    us, _, _ = psi_table(past, 1.0)
     assert np.array_equal(us, [1e-6, *past.breakpoints[1:]])
     zeta = product_zeta(tab, tabulated(ref.KNOTS_2))
-    us, _, _ = psi_table(zeta, 1.0, N_GRID)
+    us, _, _ = psi_table(zeta, 1.0)
     assert np.array_equal(us, np.union1d(zeta.breakpoints, [1.0 / 8.0, 1.0]))
     for psi in (tab, extremal(3.0), past, zeta):
-        for arr in psi_table(psi, 1.0, N_GRID):
+        for arr in psi_table(psi, 1.0):
             assert not arr.flags.writeable
 
 
 def test_smooth_tables_share_the_u_grid_of_their_support():
-    a, b = psi_table(power(1.0), 1.0, N_GRID), psi_table(power(2.0), 1.0, N_GRID)
+    a, b = psi_table(power(1.0), 1.0), psi_table(power(2.0), 1.0)
     assert a[0] is b[0]
-    assert psi_table(dual_psi(power(2.0)), 1.0, N_GRID)[0] is a[0]
-    assert psi_table(power(1.0), 1.0, 512)[0] is not a[0]
-    c = psi_table(finite_support(3.0, 0.5), 1.0, N_GRID)
-    assert psi_table(finite_support(3.0, 1.2), 1.0, N_GRID)[0] is c[0]
-    assert psi_table(finite_support(4.0, 0.5), 1.0, N_GRID)[0] is not c[0]
+    assert psi_table(dual_psi(power(2.0)), 1.0)[0] is a[0]
+    c = psi_table(finite_support(3.0, 0.5), 1.0)
+    assert psi_table(finite_support(3.0, 1.2), 1.0)[0] is c[0]
+    assert psi_table(finite_support(4.0, 0.5), 1.0)[0] is not c[0]
     for psi, s in ((power(1.0), 1.0), (finite_support(3.0, 0.5), 2.0), (power(1.0), 1.7)):
-        us, logs, _ = psi_table(psi, s, N_GRID)
-        want_us, want_logs, _ = dense_table(psi, s, N_GRID)
+        us, logs, _ = psi_table(psi, s)
+        want_us, want_logs, _ = dense_table(psi, s)
         assert np.array_equal(us, want_us)
         assert np.array_equal(logs, want_logs)
 
@@ -203,12 +202,12 @@ def test_finite_supports_share_one_unit_grid():
     _unit_grid.cache_clear()
     psi_table.cache_clear()
     for b in (3.0, 4.0, 1.01, 1e6):
-        us = psi_table(finite_support(b, 0.5), 1.0, N_GRID)[0]
+        us = psi_table(finite_support(b, 0.5), 1.0)[0]
         lo = 1.0 / b
         assert (us[0], us[-1]) == (lo, 1.0) and np.all(np.diff(us) > 0.0)
-        assert np.array_equal(us[:-1], lo + (1.0 - lo) * _unit_grid(N_GRID)[:-1])
+        assert np.array_equal(us[:-1], lo + (1.0 - lo) * _unit_grid()[:-1])
     b = 1.0 + 1e-13  # the unit grid's smallest steps round to nothing on [1/b, 1]
-    us = psi_table(finite_support(b, 0.5), 1.0, N_GRID)[0]
+    us = psi_table(finite_support(b, 0.5), 1.0)[0]
     assert (us[0], us[-1]) == (1.0 / b, 1.0) and np.all(np.diff(us) > 0.0)
     assert _unit_grid.cache_info().misses == 1
 
@@ -216,9 +215,9 @@ def test_finite_supports_share_one_unit_grid():
 @pytest.mark.parametrize("psi", [power(1.3), finite_support(3.0, 0.5), extremal(3.0),
                                  tabulated(ref.KNOTS), product_zeta(power(2.0), dual_psi(power(2.0)))])
 def test_a_truncated_table_cuts_the_table_of_the_support(psi):
-    full_us, full_logs, _ = psi_table(psi, 1.0, N_GRID)
+    full_us, full_logs, _ = psi_table(psi, 1.0)
     for s in (1.2, 1.7, 2.5):
-        us, logs, _ = psi_table(psi, s, N_GRID)
+        us, logs, _ = psi_table(psi, s)
         k = us.size - 1
         assert us[k] == 1.0 / s and full_us[k] >= 1.0 / s
         assert np.array_equal(us[:k], full_us[:k])
@@ -226,7 +225,7 @@ def test_a_truncated_table_cuts_the_table_of_the_support(psi):
         assert np.array_equal(logs[k:], psi.log_u(us[k:]))
         assert not us.flags.writeable and not logs.flags.writeable
     past = 2.0 * scan_bound(psi)  # 1/s below the scan range: empty
-    assert [arr.size for arr in psi_table(psi, past, N_GRID)] == [0, 0, 0]
+    assert [arr.size for arr in psi_table(psi, past)] == [0, 0, 0]
 
 
 def test_the_dense_table_ties_one_rounding_inside_the_scan_end():
@@ -234,7 +233,7 @@ def test_the_dense_table_ties_one_rounding_inside_the_scan_end():
     # rounding below 1/1.2, where u ln delta ties the end's value: the dense
     # argmax is that point, the table's the end itself
     psi, delta = extremal(3.0), math.exp(6.0)
-    inner = dense_table(psi, 1.2, N_GRID)[0][-2]
+    inner = dense_table(psi, 1.2)[0][-2]
     assert inner == np.nextafter(1.0 / 1.2, 0.0)
     got = fundamental_truncated(psi, 1.2, delta)
     with dense_tables():
@@ -267,7 +266,7 @@ def test_a_piecewise_axis_on_its_knots_reaches_the_edge_sup():
              (9.75, 0.05000000000000001)]
     psi, nu = tabulated(left), tabulated(right)
     for f in (psi, nu):  # each axis is the knots and the scan ends
-        us, _, _ = psi_table(f, 1.0, 512)
+        us, _, _ = psi_table(f, 1.0)
         assert np.array_equal(us, np.union1d(f.breakpoints, [1.0 / scan_bound(f), 1.0]))
     edge = 1.0 - _T_MARGIN
     for la, lb in ((-0.05, -0.05), (-1.0, -4.0)):
@@ -308,4 +307,4 @@ def test_a_sup_sweep_op_builds_one_table_and_no_grid_for_s(psi, monkeypatch):
         tail_bound(psi, 1.3, y)
     assert len(dense) <= 1
     assert grids == ([] if psi.breakpoints is not None
-                     else [(1.0 / scan_bound(psi), N_GRID, math.isfinite(psi.b))])
+                     else [(1.0 / scan_bound(psi), math.isfinite(psi.b))])

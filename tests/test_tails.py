@@ -23,7 +23,6 @@ from glscov import (
     v_of,
 )
 from glscov._optimize import psi_table
-from glscov.fundamental import N_GRID
 
 
 def test_v_of_power():
@@ -201,7 +200,7 @@ def test_non_finite_arguments_raise_domain_error(call, args):
 def test_the_conjugate_scan_needs_no_mask_for_infeasible_points(psi):
     # a dual is +inf at u = 1 (its inner psi at p = infinity), a finite
     # support at its open end u = 1/b: there x - ln psi is -inf, no NaN
-    us, logs, _ = psi_table(psi, 1.0, N_GRID)
+    us, logs, _ = psi_table(psi, 1.0)
     for x in (-40.0, -1.0, 0.0, 0.3, 2.0, 9.0, 60.0, 700.0):
         with np.errstate(invalid="ignore"):
             masked = np.where(np.isinf(logs), -np.inf, (x - logs) / us)
